@@ -77,7 +77,7 @@ def _emit_tiling(t: Tiling, out: Optional[str]) -> None:
         print(encode(t))
     else:
         save_tiling(t, out)
-        print(f"wrote {out} ({len(t.placements)} placements)")
+        print(f"wrote {out} ({len(t.brick_index)} placements)")
 
 
 def _search_config(args, parallel_default: bool = False) -> SearchConfig:
@@ -176,7 +176,7 @@ def _finish_decision(decision: Decision, witness_path: Optional[str]) -> int:
     print(str(decision))
     if decision.tileable and witness_path is not None:
         save_tiling(decision.witness, witness_path)
-        print(f"wrote {witness_path} ({len(decision.witness.placements)} placements)")
+        print(f"wrote {witness_path} ({len(decision.witness.brick_index)} placements)")
     return 0 if decision.tileable else 1
 
 
@@ -205,7 +205,7 @@ def _cmd_oracle_search(args) -> int:
     if result.status == FOUND:
         if args.out is not None:
             save_tiling(result.tiling, args.out)
-            print(f"wrote {args.out} ({len(result.tiling.placements)} placements)")
+            print(f"wrote {args.out} ({len(result.tiling.brick_index)} placements)")
         return 0
     return 3 if result.status == EXHAUSTED else 1
 

@@ -22,8 +22,11 @@ lossless field-for-field.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Union
+
+import numpy as np
 
 from .errors import FrobtileError, TilingParseError
 from .model import BoxShape, Brick, Placement, Tiling
@@ -35,7 +38,12 @@ _PLACEMENT_FIELDS = {"brick", "orientation", "origin"}
 
 
 def encode(t: Tiling) -> str:
-    """Serialize a tiling; placements one per line for diffability."""
+    """Serialize a tiling; placements one per line for diffability.
+
+    Each distinct (brick, orientation) pair gets one cached line
+    template; the origins are filled into the joined templates in one
+    formatting pass.
+    """
     lines = [
         "{",
         f'  "format": {json.dumps(FORMAT_TAG)},',
@@ -44,28 +52,100 @@ def encode(t: Tiling) -> str:
         f'  "bricks": {json.dumps([list(b.sides) for b in t.bricks])},',
         '  "placements": [',
     ]
-    body = ",\n".join(
-        '    {"brick": %d, "orientation": %s, "origin": %s}'
-        % (p.brick_index, json.dumps(list(p.orientation)), json.dumps(list(p.origin)))
-        for p in t.placements
-    )
-    if body:
-        lines.append(body)
+    if len(t.brick_index):
+        rows = np.column_stack([t.brick_index, t.orientation])
+        # distinct rows, compared as raw bytes
+        _, first, which = np.unique(
+            rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1),
+            return_index=True,
+            return_inverse=True,
+        )
+        keys = rows[first]
+        origin = "[" + ", ".join(["%d"] * t.dimension) + "]"
+        templates = [
+            '    {"brick": %d, "orientation": %s, "origin": ' % (key[0], json.dumps(key[1:]))
+            + origin
+            + "}"
+            for key in keys.tolist()
+        ]
+        body = ",\n".join(map(templates.__getitem__, which.reshape(-1).tolist()))
+        lines.append(body % tuple(t.origin.reshape(-1).tolist()))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _int_list(value, path: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise TilingParseError(f"{path}: expected a non-empty list of integers")
     for v in value:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise TilingParseError(f"{path}: expected integers, found {v!r}")
     return value
 
 
+def _check_entry(entry, path: str) -> None:
+    """Raise on the first syntax error of one placement entry."""
+    if not isinstance(entry, dict):
+        raise TilingParseError(f"{path}: expected an object")
+    unknown = set(entry) - _PLACEMENT_FIELDS
+    if unknown:
+        raise TilingParseError(f"{path}: unknown field {sorted(unknown)[0]!r}")
+    missing = _PLACEMENT_FIELDS - set(entry)
+    if missing:
+        raise TilingParseError(f"{path}: missing field {sorted(missing)[0]!r}")
+    if not _is_int(entry["brick"]):
+        raise TilingParseError(f"{path}.brick: expected an integer")
+    _int_list(entry["orientation"], f"{path}.orientation")
+    origin = entry["origin"]
+    if not isinstance(origin, list):
+        raise TilingParseError(f"{path}.origin: expected a list of integers")
+    for v in origin:
+        if not _is_int(v):
+            raise TilingParseError(f"{path}.origin: expected integers, found {v!r}")
+
+
+def _columns(entries: list, n: int):
+    """(brick, orientation, origin) arrays when every entry is well formed
+    with n-long lists of int64 values, else None."""
+    if not entries or set(map(type, entries)) - {dict} or set(map(len, entries)) - {3}:
+        return None
+    try:
+        bricks = [e["brick"] for e in entries]
+        orientations = [e["orientation"] for e in entries]
+        origins = [e["origin"] for e in entries]
+    except KeyError:
+        return None
+    if set(map(type, bricks)) - {int}:
+        return None
+    for rows in (orientations, origins):
+        if (
+            set(map(type, rows)) - {list}
+            or set(map(len, rows)) - {n}
+            or set(map(type, chain.from_iterable(rows))) - {int}
+        ):
+            return None
+    try:
+        return (
+            np.fromiter(bricks, dtype=np.int64, count=len(bricks)),
+            np.fromiter(chain.from_iterable(orientations), dtype=np.int64).reshape(-1, n),
+            np.fromiter(chain.from_iterable(origins), dtype=np.int64).reshape(-1, n),
+        )
+    except OverflowError:
+        return None
+
+
 def decode(text: str) -> Tiling:
+    """Parse a tiling/1 document into a Tiling.
+
+    Placements go straight into columns when every entry is well formed;
+    otherwise the entries are checked one by one, so that the error
+    names the first bad one by its JSON path.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -91,41 +171,22 @@ def decode(text: str) -> Tiling:
     brick_sides = [
         _int_list(b, f"bricks[{i}]") for i, b in enumerate(doc["bricks"])
     ]
-    placements = []
-    for i, entry in enumerate(doc["placements"]):
-        path = f"placements[{i}]"
-        if not isinstance(entry, dict):
-            raise TilingParseError(f"{path}: expected an object")
-        unknown = set(entry) - _PLACEMENT_FIELDS
-        if unknown:
-            raise TilingParseError(f"{path}: unknown field {sorted(unknown)[0]!r}")
-        missing = _PLACEMENT_FIELDS - set(entry)
-        if missing:
-            raise TilingParseError(f"{path}: missing field {sorted(missing)[0]!r}")
-        brick = entry["brick"]
-        if not isinstance(brick, int) or isinstance(brick, bool):
-            raise TilingParseError(f"{path}.brick: expected an integer")
-        orientation = _int_list(entry["orientation"], f"{path}.orientation")
-        origin = entry["origin"]
-        if not isinstance(origin, list):
-            raise TilingParseError(f"{path}.origin: expected a list of integers")
-        for v in origin:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TilingParseError(f"{path}.origin: expected integers, found {v!r}")
-        placements.append(
-            Placement(
-                brick_index=brick,
-                orientation=tuple(orientation),
-                origin=tuple(origin),
-            )
-        )
+    entries = doc["placements"]
+    columns = _columns(entries, len(box_sides))
+    if columns is None:
+        for i, entry in enumerate(entries):
+            _check_entry(entry, f"placements[{i}]")
     try:
-        return Tiling(
-            box=BoxShape(box_sides),
-            bricks=tuple(Brick(b) for b in brick_sides),
-            placements=tuple(placements),
-            rotation_policy=doc["rotation_policy"],
-        )
+        box = BoxShape(box_sides)
+        bricks = tuple(Brick(b) for b in brick_sides)
+        if columns is not None:
+            return Tiling.from_arrays(box, bricks, *columns, rotation_policy=doc["rotation_policy"])
+        # no entries, or well formed ones with lists of the wrong length
+        # or values past int64: the constructor names the first such one
+        placements = [
+            Placement(e["brick"], tuple(e["orientation"]), tuple(e["origin"])) for e in entries
+        ]
+        return Tiling(box, bricks, placements, rotation_policy=doc["rotation_policy"])
     except FrobtileError as e:
         raise TilingParseError(str(e)) from None
 

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BoundNotMetError,
     DimensionMismatchError,
     NotAdmissibleError,
     PreconditionError,
 )
-from .model import BoxShape, Brick, Placement, Tiling, extrude, remap_bricks, stack
+from .model import BoxShape, Brick, Tiling, extrude, remap_bricks, stack
 from .semigroup import GeneratorSet, checked_prod, frobenius_general, represent
 
 
@@ -135,13 +137,10 @@ def _construct(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, .
         rep = represent(sides[0], gens)
         assert rep is not None, (sides, brick_ids)
         by_length = {p.sides[0]: pos for pos, p in enumerate(proj)}
-        placements = []
-        at = 0
-        for length, count in zip(gens.generators, rep.coefficients):
-            for _ in range(count):
-                placements.append(Placement(by_length[length], (0,), (at,)))
-                at += length
-        t = Tiling(BoxShape(sides), proj, tuple(placements))
+        lengths = np.repeat(gens.generators, rep.coefficients)
+        index = np.repeat([by_length[length] for length in gens.generators], rep.coefficients)
+        origin = (np.cumsum(lengths) - lengths).reshape(-1, 1)
+        t = Tiling.from_arrays(BoxShape(sides), proj, index, np.zeros_like(origin), origin)
     else:
         axis_sides = [sys.bricks[b].sides[m - 1] for b in brick_ids]
         total = checked_prod(axis_sides)

@@ -1,34 +1,51 @@
 """Boxes, bricks, placements, tilings; exact verification; combinators.
 
-A tiling is a box, a list of brick types, and a list of axis-aligned
-placements.  For axis-aligned placements, exact cover of the box is
-equivalent to the conjunction of three checks:
+A tiling is a box, a list of brick types, and m axis-aligned placements
+stored column-wise as three int64 arrays: ``brick_index`` (m,),
+``orientation`` (m, n) and ``origin`` (m, n).  Placement i puts brick
+``brick_index[i]`` at ``origin[i]``, with brick axis ``orientation[i, j]``
+along box axis j.  ``Tiling.placements`` is a tuple of ``Placement``
+objects built from the arrays the first time it is read, for callers
+that want one object per placement.
+
+For axis-aligned placements, exact cover of the box is equivalent to
+the conjunction of three checks:
 
     (i)   every placement fits inside the box,
     (ii)  placements are pairwise interior-disjoint, and
     (iii) total placement volume equals box volume,
 
-which is what verify_full tests (pairwise open-interval overlap on every
-axis, O(m^2 * n) with numpy chunking).  verify_sampled swaps (ii) for a
-randomized unit-cell coverage check so that million-placement tilings
-remain verifiable: it draws seeded random cells and asserts each is
-covered exactly once, locating candidate placements through a per-axis
-bucket grid.
+which is what verify_full tests.  It decides (ii) with a difference
+array: each placement adds +1 and -1 at the 2^n corners of its box,
+and n cumulative sums turn that into the number of placements covering
+every cell.  Coordinates are first compressed to the placements' own
+breakpoints, so a few large bricks in a huge box cost a few cells, and
+the raster is built in slabs along axis 0 under a fixed cell budget
+(RASTER_SLAB_CELLS, or one plane if that is larger), so memory stays
+bounded on any box.  Time is linear in cells plus placements, after one
+sort per axis.  verify_sampled swaps (ii) for a randomized unit-cell
+coverage check: it draws seeded random cells and asserts each is
+covered exactly once, locating candidate placements through a bucket
+grid.
 
 Construction-time validation is structural only (dimensions, index
-ranges, permutation validity); geometric soundness is always the
-verifier's job, so malformed geometry can be loaded and diagnosed.
+ranges, permutation validity) and runs once per tiling, vectorized;
+geometric soundness is always the verifier's job, so malformed geometry
+can be loaded and diagnosed.
 
 The combinators mirror how larger tilings are assembled from smaller
-ones: grid_fill (divisible sides), extrude (lift an (n-1)-dim tiling to
-n dimensions by stacking copies of each brick up to a common height),
-and stack (concatenate tilings along one axis).
+ones: oriented_grid and grid_fill (divisible sides), extrude (lift an
+(n-1)-dim tiling to n dimensions by stacking copies of each brick up to
+a common height), and stack (concatenate tilings along one axis).  Each
+is array concatenation or broadcasting; stack and extrude sort the
+result by origin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +60,11 @@ from .errors import (
 ROTATION_FIXED = "fixed"
 ROTATION_AXIS_PERMUTATIONS = "axis-permutations"
 _ROTATION_POLICIES = (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS)
+
+# cells of the verify_full raster held in memory at once (int32 counts)
+RASTER_SLAB_CELLS = 1 << 22
+# verify_sampled probes this many cells at a time
+_SAMPLE_CHUNK = 1 << 14
 
 _IDENTITY_CACHE: dict[int, tuple[int, ...]] = {}
 
@@ -111,12 +133,56 @@ class Placement:
         return tuple(brick.sides[a] for a in self.orientation)
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# the columnar tiling
+# ---------------------------------------------------------------------------
+
+# the structural checks, in the order they are applied to each placement
+_PLACEMENT_ERRORS = (
+    "placement {i}: brick index {p.brick_index} out of range",
+    "placement {i}: bad origin {p.origin}",
+    "placement {i}: orientation {p.orientation} is not a permutation",
+    "placement {i}: non-identity orientation under the fixed policy",
+)
+
+
+def _row_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """(m, n) int64 array; a row of another length, or with a value
+    outside int64, becomes all -1 (which fails every structural check)."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+        if a.shape == (len(rows), n) or not rows:
+            return a.reshape(len(rows), n)
+    except (ValueError, OverflowError):
+        pass
+    out = np.full((len(rows), n), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        if len(row) == n:
+            try:
+                out[i] = row
+            except OverflowError:
+                pass
+    return out
+
+
+def _readonly(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
 class Tiling:
-    box: BoxShape
-    bricks: tuple[Brick, ...]
-    placements: tuple[Placement, ...]
-    rotation_policy: str = ROTATION_FIXED
+    """A box, its brick types, and placements stored as int64 columns."""
+
+    __slots__ = (
+        "box",
+        "bricks",
+        "brick_index",
+        "orientation",
+        "origin",
+        "rotation_policy",
+        "_placements",
+    )
 
     def __init__(
         self,
@@ -125,39 +191,174 @@ class Tiling:
         placements: Iterable[Placement],
         rotation_policy: str = ROTATION_FIXED,
     ):
-        bricks = tuple(bricks)
         placements = tuple(placements)
-        if rotation_policy not in _ROTATION_POLICIES:
-            raise PreconditionError(f"unknown rotation policy {rotation_policy!r}")
+        n = box.dimension
+        self._fill(
+            box,
+            tuple(bricks),
+            _row_array([(p.brick_index,) for p in placements], 1).reshape(-1),
+            _row_array([p.orientation for p in placements], n),
+            _row_array([p.origin for p in placements], n),
+            rotation_policy,
+            placements,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        box: BoxShape,
+        bricks: Iterable[Brick],
+        brick_index,
+        orientation,
+        origin,
+        rotation_policy: str = ROTATION_FIXED,
+    ) -> "Tiling":
+        """A tiling from column arrays, validated like the constructor.
+
+        Arrays that already are contiguous int64 are kept, not copied,
+        and are made read-only.
+        """
+        t = object.__new__(cls)
+        t._fill(box, tuple(bricks), brick_index, orientation, origin, rotation_policy, None)
+        return t
+
+    def _fill(self, box, bricks, brick_index, orientation, origin, policy, placements):
+        if policy not in _ROTATION_POLICIES:
+            raise PreconditionError(f"unknown rotation policy {policy!r}")
         n = box.dimension
         for b in bricks:
             if b.dimension != n:
                 raise DimensionMismatchError(
                     f"brick {b.sides} has dimension {b.dimension}, box has {n}"
                 )
-        ident = identity_orientation(n)
-        for i, p in enumerate(placements):
-            if not 0 <= p.brick_index < len(bricks):
-                raise PreconditionError(f"placement {i}: brick index {p.brick_index} out of range")
-            if len(p.origin) != n or any(v < 0 for v in p.origin):
-                raise PreconditionError(f"placement {i}: bad origin {p.origin}")
-            if sorted(p.orientation) != list(range(n)):
-                raise PreconditionError(f"placement {i}: orientation {p.orientation} is not a permutation")
-            if rotation_policy == ROTATION_FIXED and p.orientation != ident:
-                raise PreconditionError(
-                    f"placement {i}: non-identity orientation under the fixed policy"
+        brick_index = _readonly(brick_index)
+        orientation = _readonly(orientation)
+        origin = _readonly(origin)
+        bad = _first_bad_placement(len(bricks), brick_index, orientation, origin, policy)
+        if bad is not None:
+            i, check = bad
+            if placements is not None:
+                p = placements[i]
+            else:
+                p = Placement(
+                    int(brick_index[i]), tuple(orientation[i].tolist()), tuple(origin[i].tolist())
                 )
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "bricks", bricks)
-        object.__setattr__(self, "placements", placements)
-        object.__setattr__(self, "rotation_policy", rotation_policy)
+            raise PreconditionError(_PLACEMENT_ERRORS[check].format(i=i, p=p))
+        _init_fields(self, box, bricks, brick_index, orientation, origin, policy, placements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tiling is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        columns = (self.brick_index, self.orientation, self.origin)
+        return _trusted, (self.box, self.bricks, *columns, self.rotation_policy)
 
     @property
     def dimension(self) -> int:
         return self.box.dimension
 
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        """One Placement per row, built from the arrays on first use."""
+        ps = self._placements
+        if ps is None:
+            if self.rotation_policy == ROTATION_FIXED:
+                orientations = [identity_orientation(self.dimension)] * len(self.brick_index)
+            else:
+                orientations = map(tuple, self.orientation.tolist())
+            origins = map(tuple, self.origin.tolist())
+            ps = tuple(map(Placement, self.brick_index.tolist(), orientations, origins))
+            object.__setattr__(self, "_placements", ps)
+        return ps
+
+    def oriented_extents(self) -> np.ndarray:
+        """(m, n) int64 array: placement i's side along each box axis."""
+        n = self.dimension
+        sides = np.array([b.sides for b in self.bricks], dtype=np.int64)
+        sides = sides.reshape(len(self.bricks), n)
+        if self.rotation_policy == ROTATION_FIXED:
+            return sides[self.brick_index]
+        return sides[self.brick_index[:, None], self.orientation]
+
     def placement_volume(self) -> int:
-        return sum(self.bricks[p.brick_index].volume for p in self.placements)
+        counts = np.bincount(self.brick_index, minlength=len(self.bricks)).tolist()
+        return sum(c * b.volume for c, b in zip(counts, self.bricks))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tiling):
+            return NotImplemented
+        return (
+            self.box == other.box
+            and self.bricks == other.bricks
+            and self.rotation_policy == other.rotation_policy
+            and np.array_equal(self.brick_index, other.brick_index)
+            and np.array_equal(self.orientation, other.orientation)
+            and np.array_equal(self.origin, other.origin)
+        )
+
+    def __hash__(self):
+        return hash(
+            (
+                self.box,
+                self.bricks,
+                self.rotation_policy,
+                self.brick_index.tobytes(),
+                self.orientation.tobytes(),
+                self.origin.tobytes(),
+            )
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Tiling(box={self.box.sides}, bricks={[b.sides for b in self.bricks]}, "
+            f"placements={len(self.brick_index)}, rotation_policy={self.rotation_policy!r})"
+        )
+
+
+def _init_fields(t, box, bricks, brick_index, orientation, origin, policy, placements):
+    set_ = object.__setattr__
+    set_(t, "box", box)
+    set_(t, "bricks", bricks)
+    set_(t, "brick_index", brick_index)
+    set_(t, "orientation", orientation)
+    set_(t, "origin", origin)
+    set_(t, "rotation_policy", policy)
+    set_(t, "_placements", placements)
+
+
+def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
+    """(index, check) of the first placement failing a structural check."""
+    m, n = origin.shape
+    if m == 0:
+        return None
+    ident = np.arange(n)
+    sorted_orientation = orientation if policy == ROTATION_FIXED else np.sort(orientation, axis=1)
+    if (
+        not np.count_nonzero(sorted_orientation != ident)
+        and brick_index.min() >= 0
+        and brick_index.max() < nbricks
+        and origin.min() >= 0
+    ):
+        return None
+    not_perm = (np.sort(orientation, axis=1) != ident).any(axis=1)
+    checks = np.stack(
+        [
+            (brick_index < 0) | (brick_index >= nbricks),
+            (origin < 0).any(axis=1),
+            not_perm,
+            (orientation != ident).any(axis=1) & (policy == ROTATION_FIXED),
+        ]
+    )
+    i = int(np.argmax(checks.any(axis=0)))
+    return i, int(np.argmax(checks[:, i]))
+
+
+def _trusted(box, bricks, brick_index, orientation, origin, policy) -> Tiling:
+    """A tiling from arrays already known to pass the structural checks."""
+    t = object.__new__(Tiling)
+    columns = (_readonly(brick_index), _readonly(orientation), _readonly(origin))
+    _init_fields(t, box, tuple(bricks), *columns, policy, None)
+    return t
 
 
 @dataclass(frozen=True)
@@ -170,6 +371,8 @@ class VerifyReport:
     expected_volume: Optional[int] = None
     actual_volume: Optional[int] = None
     samples: Optional[int] = None
+    cell: Optional[tuple[int, ...]] = None
+    cover_count: Optional[int] = None
 
     def __str__(self) -> str:
         if self.valid:
@@ -184,6 +387,10 @@ class VerifyReport:
             parts.append(f"expected_volume={self.expected_volume}")
         if self.actual_volume is not None:
             parts.append(f"actual_volume={self.actual_volume}")
+        if self.cell is not None:
+            parts.append(f"cell={self.cell}")
+        if self.cover_count is not None:
+            parts.append(f"cover_count={self.cover_count}")
         return f"Invalid({', '.join(parts)})"
 
 
@@ -191,23 +398,8 @@ class VerifyReport:
 # verification
 # ---------------------------------------------------------------------------
 
-def _bounds_arrays(t: Tiling) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) int64 arrays of placement lower and upper corners."""
-    m = len(t.placements)
-    n = t.dimension
-    lo = np.empty((m, n), dtype=np.int64)
-    hi = np.empty((m, n), dtype=np.int64)
-    side_table = [b.sides for b in t.bricks]
-    for i, p in enumerate(t.placements):
-        sides = side_table[p.brick_index]
-        o = p.origin
-        lo[i] = o
-        hi[i] = tuple(o[j] + sides[a] for j, a in enumerate(p.orientation))
-    return lo, hi
-
-
 def _check_fits(t: Tiling, lo: np.ndarray, hi: np.ndarray, mode: str) -> Optional[VerifyReport]:
-    if len(t.placements) == 0:
+    if len(lo) == 0:
         return None
     box = np.asarray(t.box.sides, dtype=np.int64)
     bad = (lo < 0).any(axis=1) | (hi > box).any(axis=1)
@@ -233,40 +425,128 @@ def _check_volume(t: Tiling, mode: str) -> Optional[VerifyReport]:
     return None
 
 
-def verify_full(t: Tiling, chunk_rows: int = 512) -> VerifyReport:
-    """Exact exact-cover check: fit, pairwise disjointness, volume.
+def _corner_terms(lo: np.ndarray, hi: np.ndarray, strides: Sequence[int]):
+    """Flat offsets (m, 2^k) and signs (2^k,) of the corners over the given axes.
+
+    Corner c takes hi on the axes whose bit is set and lo elsewhere; its
+    sign is -1 to the number of hi coordinates.
+    """
+    k = len(strides)
+    offsets = np.zeros((len(lo), 2**k), dtype=np.int64)
+    signs = np.ones(2**k, dtype=np.int32)
+    for c in range(2**k):
+        for axis, stride in enumerate(strides):
+            if c >> axis & 1:
+                offsets[:, c] += hi[:, axis] * stride
+                signs[c] = -signs[c]
+            else:
+                offsets[:, c] += lo[:, axis] * stride
+    return offsets, signs
+
+
+def _raster_slabs(lo: np.ndarray, hi: np.ndarray, shape: Sequence[int]):
+    """Yield (row0, counts) over slabs of axis 0; counts[r] is row row0 + r.
+
+    counts has one extra plane of padding on every axis but 0, which
+    stays zero.  Each placement's +-1 corners are added to the slab
+    holding their axis-0 coordinate (a corner on the far side of axis 0
+    falls in none), every axis of the slab is summed, and the last row
+    of the previous slab is carried in.
+    """
+    plane_shape = tuple(s + 1 for s in shape[1:])
+    plane = math.prod(plane_shape)
+    strides = [math.prod(plane_shape[k:]) for k in range(len(shape))]
+    at, signs = _corner_terms(lo, hi, strides)
+    at = at.reshape(-1)
+    weights = np.tile(signs, len(lo))
+    rows_per_slab = max(1, RASTER_SLAB_CELLS // plane)
+    carry = 0
+    for row0 in range(0, shape[0], rows_per_slab):
+        row1 = min(row0 + rows_per_slab, shape[0])
+        counts = np.zeros((row1 - row0,) + plane_shape, dtype=np.int32)
+        sel = (at >= row0 * plane) & (at < row1 * plane)
+        np.add.at(counts.reshape(-1), at[sel] - row0 * plane, weights[sel])
+        for axis in range(counts.ndim):
+            np.cumsum(counts, axis=axis, dtype=np.int32, out=counts)
+        counts += carry
+        carry = counts[-1].copy()
+        yield row0, counts
+
+
+def _touching(lo, hi, row0, multi) -> np.ndarray:
+    """Indices of placements touching a True cell of multi (rows row0...)."""
+    rows = multi.shape[0]
+    inside = (lo[:, 0] < row0 + rows) & (hi[:, 0] > row0)
+    idx = np.flatnonzero(inside)
+    # summed-area table with a zero plane in front of every axis
+    table = np.zeros(tuple(s + 1 for s in multi.shape), dtype=np.int32)
+    table[tuple(slice(1, None) for _ in multi.shape)] = multi
+    for axis in range(table.ndim):
+        np.cumsum(table, axis=axis, dtype=np.int32, out=table)
+    a = lo[idx].copy()
+    b = hi[idx].copy()
+    a[:, 0] = np.maximum(a[:, 0], row0) - row0
+    b[:, 0] = np.minimum(b[:, 0], row0 + rows) - row0
+    strides = [math.prod(table.shape[k + 1:]) for k in range(table.ndim)]
+    offsets, signs = _corner_terms(a, b, strides)
+    # the signs are the difference array's, (-1)^n times the summed-area
+    # table's, so each sum is +- the number of multi cells in the box
+    sums = table.reshape(-1)[offsets] @ signs.astype(np.int64)
+    return idx[sums != 0]
+
+
+def _first_overlap(lo: np.ndarray, hi: np.ndarray) -> Optional[tuple[int, int]]:
+    """The lexicographically first interior-overlapping pair, or None.
+
+    Placements must already fit in the box.  Every overlapping pair
+    shares a cell covered more than once, so the smallest index i
+    touching such a cell starts the first pair (it overlaps another
+    placement, which touches the same cell and so has a larger index);
+    its partner is the first later placement overlapping it.
+    """
+    m, n = lo.shape
+    if m < 2:
+        return None
+    # compress each axis to the placements' breakpoints: every compressed
+    # cell is covered wholly or not at all by each placement
+    clo = np.empty_like(lo)
+    chi = np.empty_like(hi)
+    shape = []
+    for k in range(n):
+        points, inverse = np.unique(np.concatenate([lo[:, k], hi[:, k]]), return_inverse=True)
+        inverse = inverse.reshape(-1)
+        clo[:, k], chi[:, k] = inverse[:m], inverse[m:]
+        shape.append(len(points) - 1)
+    first = m
+    for row0, counts in _raster_slabs(clo, chi, shape):
+        if counts.max() > 1:
+            multi = counts[(slice(None),) + tuple(slice(0, s) for s in shape[1:])] > 1
+            first = min(first, int(_touching(clo, chi, row0, multi).min()))
+    if first == m:
+        return None
+    i = first
+    later = ((lo[i + 1:] < hi[i]) & (lo[i] < hi[i + 1:])).all(axis=1)
+    return i, i + 1 + int(np.argmax(later))
+
+
+def verify_full(t: Tiling) -> VerifyReport:
+    """Exact exact-cover check: fit, disjointness, volume.
 
     Reports the first violation in placement-list order: the first
     out-of-bounds placement, else the lexicographically first overlapping
-    pair (i, j), else the volume mismatch.
+    pair (i, j), else the volume mismatch.  Disjointness comes from a
+    difference-array raster (see the module docstring), so time is
+    linear in cells plus placements and memory stays within a fixed
+    slab budget.
     """
-    lo, hi = _bounds_arrays(t)
+    lo = t.origin
+    hi = lo + t.oriented_extents()
     report = _check_fits(t, lo, hi, "full")
     if report:
         return report
-    m = len(t.placements)
-    n = t.dimension
-    col_idx = np.arange(m)
-    for start in range(0, m, chunk_rows):
-        stop = min(start + chunk_rows, m)
-        # open boxes [lo, hi) overlap iff they overlap on every axis
-        over = np.ones((stop - start, m), dtype=bool)
-        for k in range(n):
-            a_lo = lo[start:stop, k, None]
-            a_hi = hi[start:stop, k, None]
-            over &= (a_lo < hi[None, :, k]) & (lo[None, :, k] < a_hi)
-            if not over.any():
-                break
-        # keep only j > i
-        over &= col_idx[None, :] > (np.arange(start, stop)[:, None])
-        if over.any():
-            i_local, j = np.argwhere(over)[0]
-            return VerifyReport(
-                valid=False,
-                mode="full",
-                reason="overlap",
-                overlap_pair=(int(start + i_local), int(j)),
-            )
+    pair = _first_overlap(lo, hi)
+    if pair is not None:
+        return VerifyReport(valid=False, mode="full", reason="overlap", overlap_pair=pair)
     report = _check_volume(t, "full")
     if report:
         return report
@@ -278,13 +558,16 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
 
     Draws `samples` unit cells uniformly (deterministic in seed) and
     requires each to be covered by exactly one placement.  Candidate
-    placements per cell come from a bucket grid over the first two axes
-    with bucket width = the largest oriented side, so each placement
-    lands in one bucket and each cell probes at most four.
+    placements per cell come from a bucket grid over the first three
+    axes with bucket width = the largest oriented side, so each
+    placement lands in one bucket and each cell probes at most eight.
+    A failure names the first sampled cell not covered exactly once and
+    its cover count.
     """
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
-    lo, hi = _bounds_arrays(t)
+    lo = t.origin
+    hi = lo + t.oriented_extents()
     report = _check_fits(t, lo, hi, "sampled")
     if report:
         return report
@@ -294,9 +577,16 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, np.asarray(t.box.sides, dtype=np.int64), size=(samples, t.dimension))
 
-    grid_axes = list(range(min(2, t.dimension)))
-    widths = [max(1, int((hi[:, k] - lo[:, k]).max())) for k in grid_axes]
-    nb = [int(t.box.sides[k] // widths[i]) + 1 for i, k in enumerate(grid_axes)]
+    # bucket grid over up to three axes, keys kept below 2^62
+    grid_axes, widths, nb = [], [], []
+    for k in range(min(3, t.dimension)):
+        width = max(1, int((hi[:, k] - lo[:, k]).max(initial=0)))
+        buckets = t.box.sides[k] // width + 1
+        if math.prod(nb) * buckets > 2**62:
+            break
+        grid_axes.append(k)
+        widths.append(width)
+        nb.append(buckets)
 
     def bucket_key(coords: np.ndarray) -> np.ndarray:
         key = np.zeros(len(coords), dtype=np.int64)
@@ -310,50 +600,41 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     lo_sorted = lo[order]
     hi_sorted = hi[order]
 
+    # probe the cells in bucket order, which keeps the searches local
+    probe_order = np.argsort(bucket_key(pts), kind="stable")
+    probes = pts[probe_order]
     counts = np.zeros(samples, dtype=np.int64)
-    from itertools import product as _product
-
-    # a cell can only be covered by a placement whose bucket, along each
-    # grid axis, is the cell's own or the one just below it
-    for delta in _product((0, -1), repeat=len(grid_axes)):
-        b = np.zeros(samples, dtype=np.int64)
-        skip = np.zeros(samples, dtype=bool)
-        for i, k in enumerate(grid_axes):
-            bk = pts[:, k] // widths[i] + delta[i]
-            skip |= bk < 0
-            b = b * nb[i] + bk
-        b[skip] = -1
-        starts = np.searchsorted(sorted_keys, b, side="left")
-        stops = np.searchsorted(sorted_keys, b, side="right")
-        # group samples by bucket to vectorize the inner containment test
-        sample_order = np.argsort(b, kind="stable")
-        s = 0
-        while s < samples:
-            key = b[sample_order[s]]
-            e = s
-            while e < samples and b[sample_order[e]] == key:
-                e += 1
-            if key >= 0:
-                sel = sample_order[s:e]
-                p0, p1 = starts[sel[0]], stops[sel[0]]
-                if p1 > p0:
-                    cells = pts[sel]  # (S, n)
-                    inside = np.ones((len(sel), p1 - p0), dtype=bool)
-                    for k in range(t.dimension):
-                        inside &= (lo_sorted[None, p0:p1, k] <= cells[:, k, None]) & (
-                            cells[:, k, None] < hi_sorted[None, p0:p1, k]
-                        )
-                    counts[sel] += inside.sum(axis=1)
-            s = e
+    for s0 in range(0, samples, _SAMPLE_CHUNK):
+        cells = probes[s0:s0 + _SAMPLE_CHUNK]
+        # a cell can only be covered by a placement whose bucket, along each
+        # grid axis, is the cell's own or the one just below it
+        for delta in product((0, -1), repeat=len(grid_axes)):
+            b = np.zeros(len(cells), dtype=np.int64)
+            skip = np.zeros(len(cells), dtype=bool)
+            for i, k in enumerate(grid_axes):
+                bk = cells[:, k] // widths[i] + delta[i]
+                skip |= bk < 0
+                b = b * nb[i] + bk
+            starts = np.searchsorted(sorted_keys, b, side="left")
+            sizes = np.searchsorted(sorted_keys, b, side="right") - starts
+            sizes[skip] = 0
+            # one row per (sample, candidate placement) pair
+            sample = np.repeat(np.arange(len(cells)), sizes)
+            cand = np.arange(len(sample)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+            inside = np.ones(len(sample), dtype=bool)
+            for k in range(t.dimension):
+                at = cells[sample, k]
+                inside &= (lo_sorted[cand, k] <= at) & (at < hi_sorted[cand, k])
+            covered = np.bincount(sample[inside], minlength=len(cells))
+            counts[probe_order[s0:s0 + len(cells)]] += covered
     if (counts != 1).any():
         idx = int(np.argmax(counts != 1))
         return VerifyReport(
             valid=False,
             mode="sampled",
             reason="sample_coverage",
-            placement_index=None,
-            expected_volume=1,
-            actual_volume=int(counts[idx]),
+            cell=tuple(pts[idx].tolist()),
+            cover_count=int(counts[idx]),
         )
     return VerifyReport(valid=True, mode="sampled", samples=samples)
 
@@ -362,8 +643,10 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
 # combinators
 # ---------------------------------------------------------------------------
 
-def _sorted_placements(placements: Iterable[Placement]) -> tuple[Placement, ...]:
-    return tuple(sorted(placements, key=lambda p: p.origin))
+def _by_origin(brick_index, orientation, origin):
+    """The columns reordered by origin, lexicographically; ties keep order."""
+    order = np.lexsort(origin.T[::-1])
+    return brick_index[order], orientation[order], origin[order]
 
 
 def remap_bricks(t: Tiling, bricks: Sequence[Brick], index_map: Sequence[int]) -> Tiling:
@@ -378,10 +661,44 @@ def remap_bricks(t: Tiling, bricks: Sequence[Brick], index_map: Sequence[int]) -
             raise ShapeMismatchError(
                 f"brick {i} maps to {bricks[index_map[i]].sides}, expected {old.sides}"
             )
-    placements = tuple(
-        Placement(index_map[p.brick_index], p.orientation, p.origin) for p in t.placements
+    new_index = np.asarray(index_map, dtype=np.int64)[t.brick_index]
+    return Tiling.from_arrays(
+        t.box, bricks, new_index, t.orientation, t.origin, rotation_policy=t.rotation_policy
     )
-    return Tiling(t.box, bricks, placements, rotation_policy=t.rotation_policy)
+
+
+def oriented_grid(
+    box_sides: Sequence[int],
+    bricks: Sequence[Brick],
+    index: int,
+    orientation: Sequence[int],
+    policy: str = ROTATION_FIXED,
+) -> Tiling:
+    """Grid one oriented brick over a box its oriented sides divide.
+
+    Placements come in lexicographic origin order.
+    """
+    box_sides = tuple(box_sides)
+    brick = bricks[index]
+    extents = [brick.sides[a] for a in orientation]
+    for k, (a, x) in enumerate(zip(box_sides, extents)):
+        if a % x != 0:
+            raise DivisibilityError(f"axis {k}: brick side {x} does not divide box side {a}")
+    n = len(box_sides)
+    counts = [a // x for a, x in zip(box_sides, extents)]
+    # origin[..., k] runs along grid axis k in steps of the extent
+    origin = np.empty(counts + [n], dtype=np.int64)
+    for k in range(n):
+        origin[..., k] = np.arange(0, box_sides[k], extents[k]).reshape([-1] + [1] * (n - 1 - k))
+    m = math.prod(counts)
+    return Tiling.from_arrays(
+        BoxShape(box_sides),
+        bricks,
+        np.full(m, index, dtype=np.int64),
+        np.full((m, n), orientation, dtype=np.int64),
+        origin.reshape(m, n),
+        rotation_policy=policy,
+    )
 
 
 def grid_fill(box: BoxShape, brick: Brick) -> Tiling:
@@ -390,19 +707,7 @@ def grid_fill(box: BoxShape, brick: Brick) -> Tiling:
         raise DimensionMismatchError(
             f"brick dimension {brick.dimension} != box dimension {box.dimension}"
         )
-    for k, (a, x) in enumerate(zip(box.sides, brick.sides)):
-        if a % x != 0:
-            raise DivisibilityError(f"axis {k}: brick side {x} does not divide box side {a}")
-    n = box.dimension
-    ident = identity_orientation(n)
-    from itertools import product as _product
-
-    ranges = [range(0, a, x) for a, x in zip(box.sides, brick.sides)]
-    placements = tuple(
-        Placement(brick_index=0, orientation=ident, origin=origin)
-        for origin in _product(*ranges)
-    )
-    return Tiling(box=box, bricks=(brick,), placements=placements)
+    return oriented_grid(box.sides, (brick,), 0, identity_orientation(box.dimension))
 
 
 def extrude(t: Tiling, full_bricks: Sequence[Brick], height_product: int) -> Tiling:
@@ -436,23 +741,18 @@ def extrude(t: Tiling, full_bricks: Sequence[Brick], height_product: int) -> Til
             raise DivisibilityError(
                 f"brick {i}: last side {full.sides[-1]} does not divide height {height_product}"
             )
-    ident = identity_orientation(n)
-    placements = []
-    for p in t.placements:
-        h = full_bricks[p.brick_index].sides[-1]
-        for c in range(height_product // h):
-            placements.append(
-                Placement(
-                    brick_index=p.brick_index,
-                    orientation=ident,
-                    origin=p.origin + (c * h,),
-                )
-            )
-    return Tiling(
-        box=BoxShape(t.box.sides + (height_product,)),
-        bricks=full_bricks,
-        placements=_sorted_placements(placements),
+    heights = np.array([full.sides[-1] for full in full_bricks], dtype=np.int64)[t.brick_index]
+    copies = height_product // heights
+    source = np.repeat(np.arange(len(copies)), copies)
+    level = np.arange(len(source)) - np.repeat(np.cumsum(copies) - copies, copies)
+    origin = np.empty((len(source), n), dtype=np.int64)
+    origin[:, :-1] = t.origin[source]
+    origin[:, -1] = level * heights[source]
+    brick_index, orientation, origin = _by_origin(
+        t.brick_index[source], np.broadcast_to(np.arange(n), (len(source), n)), origin
     )
+    box = BoxShape(t.box.sides + (height_product,))
+    return _trusted(box, full_bricks, brick_index, orientation, origin, ROTATION_FIXED)
 
 
 def stack(parts: Sequence[Tiling], axis: int) -> Tiling:
@@ -478,25 +778,18 @@ def stack(parts: Sequence[Tiling], axis: int) -> Tiling:
             raise ShapeMismatchError("stacked tilings must share the same brick list")
         if t.rotation_policy != first.rotation_policy:
             raise ShapeMismatchError("stacked tilings must share a rotation policy")
-    placements = []
-    offset = 0
-    for t in parts:
-        for p in t.placements:
-            origin = list(p.origin)
-            origin[axis] += offset
-            placements.append(
-                Placement(
-                    brick_index=p.brick_index,
-                    orientation=p.orientation,
-                    origin=tuple(origin),
-                )
-            )
-        offset += t.box.sides[axis]
+    thickness = [t.box.sides[axis] for t in parts]
+    origin = np.concatenate([t.origin for t in parts])
+    origin[:, axis] += np.repeat(
+        list(accumulate(thickness[:-1], initial=0)), [len(t.brick_index) for t in parts]
+    )
+    brick_index, orientation, origin = _by_origin(
+        np.concatenate([t.brick_index for t in parts]),
+        np.concatenate([t.orientation for t in parts]),
+        origin,
+    )
     sides = list(first.box.sides)
-    sides[axis] = offset
-    return Tiling(
-        box=BoxShape(sides),
-        bricks=first.bricks,
-        placements=_sorted_placements(placements),
-        rotation_policy=first.rotation_policy,
+    sides[axis] = sum(thickness)
+    return _trusted(
+        BoxShape(sides), first.bricks, brick_index, orientation, origin, first.rotation_policy
     )

@@ -42,7 +42,6 @@ from .model import (
     ROTATION_FIXED,
     BoxShape,
     Brick,
-    Placement,
     Tiling,
     identity_orientation,
 )
@@ -224,11 +223,8 @@ def _search_branch(args):
 
 
 def _build_tiling(box, bricks, policy, triples):
-    placements = tuple(
-        Placement(brick_index=bi, orientation=perm, origin=origin)
-        for bi, perm, origin in triples
-    )
-    return Tiling(box=box, bricks=tuple(bricks), placements=placements, rotation_policy=policy)
+    index, perms, origins = zip(*triples)
+    return Tiling.from_arrays(box, bricks, index, perms, origins, rotation_policy=policy)
 
 
 def exact_cover_search(

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from .constructor import BrickSystem, construct_box
 from .errors import (
     BoundNotMetError,
-    DivisibilityError,
     NonCoprimeError,
     PreconditionError,
     SearchLimitError,
@@ -37,8 +35,8 @@ from .model import (
     ROTATION_FIXED,
     BoxShape,
     Brick,
-    Placement,
     Tiling,
+    oriented_grid,
     stack,
 )
 from .oracle import FOUND, INFEASIBLE, SearchConfig, builtin_fixture, exact_cover_search
@@ -74,26 +72,6 @@ def _require_positive(**named: int) -> None:
             raise PreconditionError(f"{name} must be >= 1, got {value}")
 
 
-def _oriented_grid(
-    box_sides: tuple[int, ...],
-    bricks: tuple[Brick, ...],
-    index: int,
-    orientation: tuple[int, ...],
-    policy: str,
-) -> Tiling:
-    """Grid one oriented brick over a box it divides exactly."""
-    brick = bricks[index]
-    extents = tuple(brick.sides[orientation[axis]] for axis in range(len(box_sides)))
-    for side, extent in zip(box_sides, extents):
-        if side % extent:
-            raise DivisibilityError(f"extent {extent} does not divide side {side}")
-    placements = tuple(
-        Placement(index, orientation, origin)
-        for origin in product(*(range(0, side, extent) for side, extent in zip(box_sides, extents)))
-    )
-    return Tiling(BoxShape(box_sides), bricks, placements, rotation_policy=policy)
-
-
 def _strips(
     box_sides: tuple[int, ...],
     bricks: tuple[Brick, ...],
@@ -105,16 +83,16 @@ def _strips(
 
     parts lists (brick index, orientation, strip count); each strip is
     as thick as the oriented brick along the split axis, so the counts
-    must make the thicknesses sum to the box side.
+    must make the thicknesses sum to the box side.  A part's strips
+    together are one grid.
     """
     pieces = []
     for index, orientation, count in parts:
         if count == 0:
             continue
-        thickness = bricks[index].sides[orientation[axis]]
-        strip_sides = box_sides[:axis] + (thickness,) + box_sides[axis + 1 :]
-        piece = _oriented_grid(strip_sides, bricks, index, orientation, policy)
-        pieces.extend([piece] * count)
+        thickness = count * bricks[index].sides[orientation[axis]]
+        part_sides = box_sides[:axis] + (thickness,) + box_sides[axis + 1 :]
+        pieces.append(oriented_grid(part_sides, bricks, index, orientation, policy))
     return stack(pieces, axis=axis)
 
 
@@ -130,9 +108,9 @@ def decide_single_brick(a1: int, a2: int, x1: int, x2: int) -> Decision:
     box = (a1, a2)
     policy = ROTATION_AXIS_PERMUTATIONS
     if a1 % x1 == 0 and a2 % x2 == 0:
-        return Decision(True, _oriented_grid(box, bricks, 0, (0, 1), policy), "grid")
+        return Decision(True, oriented_grid(box, bricks, 0, (0, 1), policy), "grid")
     if a1 % x2 == 0 and a2 % x1 == 0:
-        return Decision(True, _oriented_grid(box, bricks, 0, (1, 0), policy), "rotated-grid")
+        return Decision(True, oriented_grid(box, bricks, 0, (1, 0), policy), "rotated-grid")
     if a1 % x1 == 0 and a1 % x2 == 0:
         rep = pair_representation(a2, x1, x2)
         if rep is not None:
@@ -163,7 +141,7 @@ def decide_two_squares(a1: int, a2: int, x: int, y: int) -> Decision:
     # larger divisor first: fewer placements in the witness
     for side, index in sorted(((x, 0), (y, 1)), reverse=True):
         if a1 % side == 0 and a2 % side == 0:
-            witness = _oriented_grid(box, bricks, index, ident, ROTATION_FIXED)
+            witness = oriented_grid(box, bricks, index, ident, ROTATION_FIXED)
             return Decision(True, witness, "grid")
     both = x * y
     if a1 % both == 0:
@@ -259,10 +237,10 @@ def _composed_square(
     ident = (0, 1)
     policy = ROTATION_FIXED
     parts = [(index, ident, count) for index, count in strip_parts]
-    r00 = _oriented_grid((u, u), bricks, u_index, ident, policy)
+    r00 = oriented_grid((u, u), bricks, u_index, ident, policy)
     r01 = _strips((u, v), bricks, 0, parts, policy)
     r10 = _strips((v, u), bricks, 1, parts, policy)
-    r11 = _oriented_grid((v, v), bricks, v_index, ident, policy)
+    r11 = oriented_grid((v, v), bricks, v_index, ident, policy)
     left = stack([r00, r01], axis=1)
     right = stack([r10, r11], axis=1)
     return stack([left, right], axis=0)
@@ -393,7 +371,7 @@ def tile_square_235p(a: int, p: int) -> Decision:
     ident = (0, 1)
     for side, index in ((p, 2), (3, 1), (2, 0)):
         if a % side == 0:
-            witness = _oriented_grid((a, a), bricks, index, ident, ROTATION_FIXED)
+            witness = oriented_grid((a, a), bricks, index, ident, ROTATION_FIXED)
             return Decision(True, witness, "grid")
     # a is now coprime to 6 and not a multiple of p
     if a < p:

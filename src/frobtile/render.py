@@ -64,38 +64,32 @@ def _require_2d(t: Tiling) -> None:
         raise DimensionUnsupportedError(f"rendering needs a 2-D tiling, got {t.dimension}-D")
 
 
-def _cell_rects(t: Tiling):
-    """(row0, row1, col0, col1) half-open cell ranges per placement."""
-    rects = []
-    for p in t.placements:
-        e0, e1 = p.oriented_sides(t.bricks[p.brick_index])
-        r0, c0 = p.origin
-        rects.append((r0, r0 + e0, c0, c0 + e1))
-    return rects
+def _cell_rects(t: Tiling) -> list[list[int]]:
+    """[row0, row1, col0, col1] half-open cell ranges per placement."""
+    lo = t.origin
+    hi = lo + t.oriented_extents()
+    return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).tolist()
 
 
-def _assign_letters(shape: tuple[int, int], rects) -> list[str]:
-    """One symbol per placement, cycling, never matching an edge neighbor."""
-    owners = np.full(shape, -1, dtype=np.int32)
-    for idx, (r0, r1, c0, c1) in enumerate(rects):
-        owners[r0:r1, c0:c1] = idx
+def _assign_letters(owners: np.ndarray, rects) -> list[str]:
+    """One symbol per placement, cycling, never matching an edge neighbor.
+
+    owners holds, per cell, the index of the last placement covering it.
+    """
+    rows, cols = owners.shape
+    grid = owners.tolist()
     letters: list[str] = []
     for idx, (r0, r1, c0, c1) in enumerate(rects):
-        ring = []
+        ring = set()
         if r0 > 0:
-            ring.append(owners[r0 - 1, c0:c1])
-        if r1 < shape[0]:
-            ring.append(owners[r1, c0:c1])
+            ring.update(grid[r0 - 1][c0:c1])
+        if r1 < rows:
+            ring.update(grid[r1][c0:c1])
         if c0 > 0:
-            ring.append(owners[r0:r1, c0 - 1])
-        if c1 < shape[1]:
-            ring.append(owners[r0:r1, c1])
-        taken = {
-            letters[n]
-            for piece in ring
-            for n in np.unique(piece)
-            if 0 <= n < idx
-        }
+            ring.update(grid[r][c0 - 1] for r in range(r0, r1))
+        if c1 < cols:
+            ring.update(grid[r][c1] for r in range(r0, r1))
+        taken = {letters[n] for n in ring if 0 <= n < idx}
         for offset in range(len(_ALPHABET)):
             symbol = _ALPHABET[(idx + offset) % len(_ALPHABET)]
             if symbol not in taken:
@@ -113,11 +107,12 @@ def render_ascii(t: Tiling) -> str:
             f"ascii rendering caps sides at {ASCII_SIDE_LIMIT}, got {rows} x {cols}"
         )
     rects = _cell_rects(t)
-    letters = _assign_letters((rows, cols), rects)
-    grid = np.full((rows, cols), ".", dtype="<U1")
-    for (r0, r1, c0, c1), symbol in zip(rects, letters):
-        grid[r0:r1, c0:c1] = symbol
-    return "\n".join("".join(row) for row in grid)
+    owners = np.full((rows, cols), -1, dtype=np.int32)
+    for idx, (r0, r1, c0, c1) in enumerate(rects):
+        owners[r0:r1, c0:c1] = idx
+    # index -1, an uncovered cell, picks the trailing "."
+    symbols = np.array(_assign_letters(owners, rects) + ["."])
+    return "\n".join("".join(row) for row in symbols[owners].tolist())
 
 
 def render_svg(t: Tiling, opts: RenderOptions = RenderOptions()) -> str:
@@ -131,8 +126,8 @@ def render_svg(t: Tiling, opts: RenderOptions = RenderOptions()) -> str:
         f'viewBox="0 0 {width} {height}">'
     ]
     palette = tuple(opts.palette)
-    for p, (r0, r1, c0, c1) in zip(t.placements, _cell_rects(t)):
-        color = palette[p.brick_index % len(palette)]
+    for index, (r0, r1, c0, c1) in zip(t.brick_index.tolist(), _cell_rects(t)):
+        color = palette[index % len(palette)]
         parts.append(
             f'<rect x="{c0 * cs}" y="{r0 * cs}" width="{(c1 - c0) * cs}" '
             f'height="{(r1 - r0) * cs}" fill="{color}" stroke="#222" stroke-width="1"/>'

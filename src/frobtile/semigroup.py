@@ -280,11 +280,18 @@ def pair_representation(target: int, x: int, y: int) -> Optional[tuple[int, int]
         return None
     if x <= 0 or y <= 0:
         raise PreconditionError("pair generators must be positive")
-    for v in range(target // y, -1, -1):
-        rem = target - v * y
-        if rem % x == 0:
-            return (rem // x, v)
-    return None
+    g = math.gcd(x, y)
+    if target % g:
+        return None
+    # x | target - v*y exactly when v = (target/g) * (y/g)^-1 modulo x/g;
+    # take the largest such v with v*y <= target
+    modulus = x // g
+    residue = (target // g) * pow(y // g, -1, modulus) % modulus
+    top = target // y
+    v = top - (top - residue) % modulus
+    if v < 0:
+        return None
+    return ((target - v * y) // x, v)
 
 
 def is_prime(n: int) -> bool:

@@ -152,13 +152,18 @@ def test_verify_sampled_rejects_volume_doubling():
 
 
 def test_verify_sampled_catches_overlap_with_matching_volume():
-    # volume matches (2+2 = 4) but cells 1,2 are doubled and 3 is bare
+    # volume matches (2+2 = 4) but cell 1 is doubled and cell 3 is bare
     box = BoxShape((4,))
     brick = Brick((2,))
     ps = (Placement(0, (0,), (0,)), Placement(0, (0,), (1,)))
     report = verify_sampled(Tiling(box, (brick,), ps), samples=200, seed=3)
     assert not report.valid
     assert report.reason == "sample_coverage"
+    # the report names the first bad sampled cell and how often it is covered
+    assert report.cell in ((1,), (3,))
+    assert report.cover_count == {(1,): 2, (3,): 0}[report.cell]
+    assert report.expected_volume is None and report.actual_volume is None
+    assert f"cell={report.cell}, cover_count={report.cover_count}" in str(report)
 
 
 def test_verify_sampled_agrees_with_full_on_random_grids():

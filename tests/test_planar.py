@@ -40,6 +40,11 @@ class TestDecideSingleBrick:
         d = decide_single_brick(7, 7, 2, 3)
         assert not d.tileable and d.witness is None
 
+    def test_long_odd_box_is_indivisible(self):
+        # 2 and 4 divide 4, but the odd side is no combination of them
+        d = decide_single_brick(4, 10**7 + 1, 2, 4)
+        assert not d.tileable and d.reason == "indivisible"
+
     def test_exact_fit(self):
         d = decide_single_brick(4, 6, 4, 6)
         assert d.tileable and len(d.witness.placements) == 1

@@ -21,7 +21,7 @@ from frobtile.semigroup import (
     represent,
 )
 
-from brute import brute_frobenius, brute_representable
+from brute import brute_frobenius, brute_representable, loop_pair_representation
 
 
 def random_valid_set(rng, max_size=4, max_value=40):
@@ -206,6 +206,25 @@ def test_pair_representation():
     assert pair_representation(0, 3, 5) == (0, 0)
     # works on non-coprime pairs, unlike represent
     assert pair_representation(8, 2, 4) == (0, 2)
+
+
+def test_pair_representation_matches_the_loop():
+    for x in range(1, 13):
+        for y in range(1, 13):
+            for target in range(-2, 150):
+                assert pair_representation(target, x, y) == loop_pair_representation(target, x, y)
+    rng = random.Random(4)
+    for _ in range(300):
+        g = rng.choice((1, 2, 3, 6))
+        x, y = g * rng.randint(1, 60), g * rng.randint(1, 60)
+        target = rng.randint(0, 20_000)
+        assert pair_representation(target, x, y) == loop_pair_representation(target, x, y)
+
+
+def test_pair_representation_is_constant_time_on_large_targets():
+    # gcd(2, 4) = 2 does not divide the odd target: no loop down from 2.5e6
+    assert pair_representation(10**7 + 1, 2, 4) is None
+    assert pair_representation(10**18 + 7, 4, 7) == loop_pair_representation(10**18 + 7, 4, 7)
 
 
 # ---------------------------------------------------------------------------
