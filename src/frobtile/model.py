@@ -22,11 +22,13 @@ every cell.  Coordinates are first compressed to the placements' own
 breakpoints, so a few large bricks in a huge box cost a few cells, and
 the raster is built in slabs along axis 0 under a fixed cell budget
 (RASTER_SLAB_CELLS, or one plane if that is larger), so memory stays
-bounded on any box.  Time is linear in cells plus placements, after one
-sort per axis.  verify_sampled swaps (ii) for a randomized unit-cell
-coverage check: it draws seeded random cells and asserts each is
-covered exactly once, locating candidate placements through a bucket
-grid.
+bounded on any box.  Time is linear in cells plus placements, after a
+few sorts of the placements' coordinates.  The fit check (i) compares
+origins with box - extent, so an origin near the int64 limit cannot
+wrap around into the box.  verify_sampled swaps (ii) for a randomized
+unit-cell coverage check: it draws seeded random cells and asserts
+each is covered exactly once, locating candidate placements through a
+bucket grid.
 
 Construction-time validation is structural only (dimensions, index
 ranges, permutation validity) and runs once per tiling, vectorized;
@@ -251,7 +253,7 @@ class Tiling:
 
     def __reduce__(self):
         columns = (self.brick_index, self.orientation, self.origin)
-        return _trusted, (self.box, self.bricks, *columns, self.rotation_policy)
+        return Tiling.from_arrays, (self.box, self.bricks, *columns, self.rotation_policy)
 
     @property
     def dimension(self) -> int:
@@ -354,7 +356,12 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
 
 
 def _trusted(box, bricks, brick_index, orientation, origin, policy) -> Tiling:
-    """A tiling from arrays already known to pass the structural checks."""
+    """A tiling from columns that stack or extrude built from validated tilings.
+
+    Those moves keep every structural check true, so the checks are not
+    run again; on tilings of a few placements they cost about as much as
+    the move itself.
+    """
     t = object.__new__(Tiling)
     columns = (_readonly(brick_index), _readonly(orientation), _readonly(origin))
     _init_fields(t, box, tuple(bricks), *columns, policy, None)
@@ -398,11 +405,18 @@ class VerifyReport:
 # verification
 # ---------------------------------------------------------------------------
 
-def _check_fits(t: Tiling, lo: np.ndarray, hi: np.ndarray, mode: str) -> Optional[VerifyReport]:
+def _check_fits(
+    t: Tiling, lo: np.ndarray, extents: np.ndarray, mode: str
+) -> Optional[VerifyReport]:
+    """The first placement not inside the box, as a report, or None.
+
+    lo + extents could wrap around in int64, so the far corner is tested
+    as lo <= box - extents; once this passes, lo + extents is exact.
+    """
     if len(lo) == 0:
         return None
     box = np.asarray(t.box.sides, dtype=np.int64)
-    bad = (lo < 0).any(axis=1) | (hi > box).any(axis=1)
+    bad = (lo < 0).any(axis=1) | (lo > box - extents).any(axis=1)
     if bad.any():
         idx = int(np.argmax(bad))
         return VerifyReport(
@@ -426,21 +440,22 @@ def _check_volume(t: Tiling, mode: str) -> Optional[VerifyReport]:
 
 
 def _corner_terms(lo: np.ndarray, hi: np.ndarray, strides: Sequence[int]):
-    """Flat offsets (m, 2^k) and signs (2^k,) of the corners over the given axes.
+    """Flat offsets (2^k, m) and signs (2^k,) of the corners over the given axes.
 
-    Corner c takes hi on the axes whose bit is set and lo elsewhere; its
-    sign is -1 to the number of hi coordinates.
+    lo and hi hold one row of m coordinates per axis.  Corner c takes hi
+    on the axes whose bit is set and lo elsewhere; its sign is -1 to the
+    number of hi coordinates.
     """
     k = len(strides)
-    offsets = np.zeros((len(lo), 2**k), dtype=np.int64)
+    offsets = np.zeros((2**k, lo.shape[1]), dtype=np.int64)
     signs = np.ones(2**k, dtype=np.int32)
     for c in range(2**k):
         for axis, stride in enumerate(strides):
             if c >> axis & 1:
-                offsets[:, c] += hi[:, axis] * stride
+                offsets[c] += hi[axis] * stride
                 signs[c] = -signs[c]
             else:
-                offsets[:, c] += lo[:, axis] * stride
+                offsets[c] += lo[axis] * stride
     return offsets, signs
 
 
@@ -448,24 +463,34 @@ def _raster_slabs(lo: np.ndarray, hi: np.ndarray, shape: Sequence[int]):
     """Yield (row0, counts) over slabs of axis 0; counts[r] is row row0 + r.
 
     counts has one extra plane of padding on every axis but 0, which
-    stays zero.  Each placement's +-1 corners are added to the slab
-    holding their axis-0 coordinate (a corner on the far side of axis 0
-    falls in none), every axis of the slab is summed, and the last row
-    of the previous slab is carried in.
+    stays zero.  Each placement adds +1 or -1 at each of its corners,
+    kept as offsets into the whole padded raster.  With several slabs
+    the +1 and the -1 offsets are each sorted once, in place, so a slab
+    adds one run of each.  Every axis of a slab is then summed, and the
+    last row of the previous slab is carried in.
     """
     plane_shape = tuple(s + 1 for s in shape[1:])
     plane = math.prod(plane_shape)
     strides = [math.prod(plane_shape[k:]) for k in range(len(shape))]
-    at, signs = _corner_terms(lo, hi, strides)
-    at = at.reshape(-1)
-    weights = np.tile(signs, len(lo))
     rows_per_slab = max(1, RASTER_SLAB_CELLS // plane)
+    at, signs = _corner_terms(lo.T, hi.T, strides)
+    corners = [(at[signs == sign].reshape(-1), sign) for sign in (1, -1)]
+    del at
+    several = rows_per_slab < shape[0]
+    if several:
+        for offsets, _ in corners:
+            offsets.sort()
     carry = 0
     for row0 in range(0, shape[0], rows_per_slab):
         row1 = min(row0 + rows_per_slab, shape[0])
-        counts = np.zeros((row1 - row0,) + plane_shape, dtype=np.int32)
-        sel = (at >= row0 * plane) & (at < row1 * plane)
-        np.add.at(counts.reshape(-1), at[sel] - row0 * plane, weights[sel])
+        # a spare last row takes the far corners at the end of the box
+        counts = np.zeros((row1 - row0 + 1,) + plane_shape, dtype=np.int32)
+        for offsets, sign in corners:
+            if several:
+                offsets = offsets[slice(*np.searchsorted(offsets, (row0 * plane, row1 * plane)))]
+            weights = np.full(len(offsets), sign, dtype=np.int32)
+            np.add.at(counts.reshape(-1), offsets - row0 * plane, weights)
+        counts = counts[:-1]
         for axis in range(counts.ndim):
             np.cumsum(counts, axis=axis, dtype=np.int32, out=counts)
         counts += carry
@@ -488,10 +513,10 @@ def _touching(lo, hi, row0, multi) -> np.ndarray:
     a[:, 0] = np.maximum(a[:, 0], row0) - row0
     b[:, 0] = np.minimum(b[:, 0], row0 + rows) - row0
     strides = [math.prod(table.shape[k + 1:]) for k in range(table.ndim)]
-    offsets, signs = _corner_terms(a, b, strides)
+    offsets, signs = _corner_terms(a.T, b.T, strides)
     # the signs are the difference array's, (-1)^n times the summed-area
     # table's, so each sum is +- the number of multi cells in the box
-    sums = table.reshape(-1)[offsets] @ signs.astype(np.int64)
+    sums = signs.astype(np.int64) @ table.reshape(-1)[offsets]
     return idx[sums != 0]
 
 
@@ -540,10 +565,11 @@ def verify_full(t: Tiling) -> VerifyReport:
     slab budget.
     """
     lo = t.origin
-    hi = lo + t.oriented_extents()
-    report = _check_fits(t, lo, hi, "full")
+    extents = t.oriented_extents()
+    report = _check_fits(t, lo, extents, "full")
     if report:
         return report
+    hi = lo + extents
     pair = _first_overlap(lo, hi)
     if pair is not None:
         return VerifyReport(valid=False, mode="full", reason="overlap", overlap_pair=pair)
@@ -567,10 +593,11 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
     lo = t.origin
-    hi = lo + t.oriented_extents()
-    report = _check_fits(t, lo, hi, "sampled")
+    extents = t.oriented_extents()
+    report = _check_fits(t, lo, extents, "sampled")
     if report:
         return report
+    hi = lo + extents
     report = _check_volume(t, "sampled")
     if report:
         return report
@@ -783,6 +810,9 @@ def stack(parts: Sequence[Tiling], axis: int) -> Tiling:
     origin[:, axis] += np.repeat(
         list(accumulate(thickness[:-1], initial=0)), [len(t.brick_index) for t in parts]
     )
+    if len(origin) and origin[:, axis].min() < 0:
+        # every origin was >= 0 and every shift is, so this one wrapped around
+        raise PreconditionError(f"stacking along axis {axis} moves an origin past 2^63 - 1")
     brick_index, orientation, origin = _by_origin(
         np.concatenate([t.brick_index for t in parts]),
         np.concatenate([t.orientation for t in parts]),

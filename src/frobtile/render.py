@@ -67,7 +67,11 @@ def _require_2d(t: Tiling) -> None:
 def _cell_rects(t: Tiling) -> list[list[int]]:
     """[row0, row1, col0, col1] half-open cell ranges per placement."""
     lo = t.origin
-    hi = lo + t.oriented_extents()
+    extents = t.oriented_extents()
+    if (lo > np.iinfo(np.int64).max - extents).any():
+        # a far corner beyond int64 would wrap around: sum as Python ints
+        lo, extents = lo.astype(object), extents.astype(object)
+    hi = lo + extents
     return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).tolist()
 
 

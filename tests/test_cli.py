@@ -124,6 +124,19 @@ class TestTileAndVerify:
         code, out, _ = run(capsys, "verify", "full", "--tiling", str(path))
         assert code == 1 and "volume" in out
 
+    def test_verify_full_rejects_origin_near_int64_max(self, capsys, tmp_path):
+        # origin + side wraps around in int64; the placement is still outside
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({
+            "format": "tiling/1", "box": [4], "rotation_policy": "fixed", "bricks": [[2]],
+            "placements": [
+                {"brick": 0, "orientation": [0], "origin": [0]},
+                {"brick": 0, "orientation": [0], "origin": [2**63 - 2]},
+            ],
+        }))
+        code, out, _ = run(capsys, "verify", "full", "--tiling", str(path))
+        assert code == 1 and "placement_out_of_bounds" in out and "placement=1" in out
+
     def test_verify_sampled(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         run(capsys, "tile", "construct", "--box", "30x30",

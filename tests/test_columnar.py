@@ -10,12 +10,14 @@ decode must invert encode.
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frobtile import model
 from frobtile.codec import decode, encode
 from frobtile.constructor import BrickSystem, construct_box, gn_bound
+from frobtile.errors import PreconditionError
 from frobtile.model import (
     ROTATION_AXIS_PERMUTATIONS,
     ROTATION_FIXED,
@@ -28,6 +30,7 @@ from frobtile.model import (
     oriented_grid,
     stack,
     verify_full,
+    verify_sampled,
 )
 
 from brute import pairwise_verify_full
@@ -154,6 +157,45 @@ def test_verify_full_slabs_match_one_raster(t, budget):
     # a tiny cell budget splits the raster into many slabs along axis 0
     with mock.patch.object(model, "RASTER_SLAB_CELLS", budget):
         assert_matches_pairwise(t)
+
+
+# placements whose far corner, origin + side, lies beyond 2^63 - 1
+NEAR_INT64_MAX = [
+    ([4], [2], [[0], [2**63 - 2]], 1),
+    ([4], [2], [[2**63 - 1], [0]], 0),
+    ([4, 4], [2, 2], [[0, 0], [0, 2], [2, 0], [2, 2**63 - 2]], 3),
+]
+
+
+@pytest.mark.parametrize("box, brick, origins, bad", NEAR_INT64_MAX)
+def test_origins_near_int64_max_are_out_of_bounds(box, brick, origins, bad):
+    n = len(box)
+    doc = {
+        "format": "tiling/1",
+        "box": box,
+        "rotation_policy": "fixed",
+        "bricks": [brick],
+        "placements": [
+            {"brick": 0, "orientation": list(range(n)), "origin": o} for o in origins
+        ],
+    }
+    t = decode(json.dumps(doc))
+    want = VerifyReport(
+        valid=False, mode="full", reason="placement_out_of_bounds", placement_index=bad
+    )
+    assert pairwise_verify_full(t) == {
+        "valid": False, "reason": "placement_out_of_bounds", "placement_index": bad
+    }
+    assert verify_full(t) == want
+    sampled = verify_sampled(t, samples=50, seed=1)
+    assert (sampled.reason, sampled.placement_index) == ("placement_out_of_bounds", bad)
+
+
+def test_stack_rejects_origin_pushed_past_int64_max():
+    # shifting the second part by the first's thickness wraps its origin
+    far = Tiling(BoxShape((4,)), (Brick((2,)),), [Placement(0, (0,), (2**63 - 2,))])
+    with pytest.raises(PreconditionError, match="past 2"):
+        stack([oriented_grid((4,), far.bricks, 0, (0,)), far], axis=0)
 
 
 @SETTINGS

@@ -127,3 +127,14 @@ class TestSvg:
             RenderOptions(format="png")
         with pytest.raises(PreconditionError):
             RenderOptions(palette=())
+
+    def test_far_origin_keeps_exact_coordinates(self):
+        # the far corner is past 2^63 - 1, where int64 would wrap around
+        far = 2**63 - 2
+        t = Tiling(
+            BoxShape((2, 2)),
+            (Brick((2, 2)),),
+            [Placement(0, (0, 1), (0, 0)), Placement(0, (0, 1), (0, far))],
+        )
+        svg = render_svg(t, RenderOptions(cell_size=1))
+        assert f'<rect x="{far}" y="0" width="2" height="2"' in svg
