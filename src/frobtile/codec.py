@@ -37,12 +37,46 @@ _TOP_FIELDS = {"format", "box", "rotation_policy", "bricks", "placements"}
 _PLACEMENT_FIELDS = {"brick", "orientation", "origin"}
 
 
+_PLACEMENTS_OPEN = '  "placements": [\n'
+_PLACEMENTS_CLOSE = "\n  ]\n}\n"
+# every byte but the ASCII digits becomes a space
+_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+# placements formatted per string, so that no temporary holds them all
+_LINES_CHUNK = 1 << 14
+
+
+def _placement_lines(brick_index, orientation, origin):
+    """The lines of at least one placement, joined by ",\n", as strings of
+    up to _LINES_CHUNK lines each."""
+    rows = np.column_stack([brick_index, orientation])
+    # distinct rows, compared as raw bytes
+    _, first, which = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1),
+        return_index=True,
+        return_inverse=True,
+    )
+    keys = rows[first]
+    origin_field = "[" + ", ".join(["%d"] * origin.shape[1]) + "]"
+    templates = [
+        '    {"brick": %d, "orientation": %s, "origin": ' % (key[0], json.dumps(key[1:]))
+        + origin_field
+        + "}"
+        for key in keys.tolist()
+    ]
+    which = which.reshape(-1).tolist()
+    for s in range(0, len(which), _LINES_CHUNK):
+        chunk = ",\n".join(map(templates.__getitem__, which[s : s + _LINES_CHUNK]))
+        if s:
+            chunk = ",\n" + chunk
+        yield chunk % tuple(origin[s : s + _LINES_CHUNK].reshape(-1).tolist())
+
+
 def encode(t: Tiling) -> str:
     """Serialize a tiling; placements one per line for diffability.
 
     Each distinct (brick, orientation) pair gets one cached line
     template; the origins are filled into the joined templates in one
-    formatting pass.
+    formatting pass per _LINES_CHUNK placements.
     """
     lines = [
         "{",
@@ -53,23 +87,7 @@ def encode(t: Tiling) -> str:
         '  "placements": [',
     ]
     if len(t.brick_index):
-        rows = np.column_stack([t.brick_index, t.orientation])
-        # distinct rows, compared as raw bytes
-        _, first, which = np.unique(
-            rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1),
-            return_index=True,
-            return_inverse=True,
-        )
-        keys = rows[first]
-        origin = "[" + ", ".join(["%d"] * t.dimension) + "]"
-        templates = [
-            '    {"brick": %d, "orientation": %s, "origin": ' % (key[0], json.dumps(key[1:]))
-            + origin
-            + "}"
-            for key in keys.tolist()
-        ]
-        body = ",\n".join(map(templates.__getitem__, which.reshape(-1).tolist()))
-        lines.append(body % tuple(t.origin.reshape(-1).tolist()))
+        lines.append("".join(_placement_lines(t.brick_index, t.orientation, t.origin)))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -139,17 +157,66 @@ def _columns(entries: list, n: int):
         return None
 
 
+def _canonical(text: str):
+    """(document, columns) when the placements are laid out exactly as
+    encode writes them, else None.
+
+    The text is cut at the placements list, which must run to its end.
+    The part before it, closed with an empty list, is parsed as JSON: that
+    parse succeeds only where the list is the top-level object's last
+    field.  The list's numbers are read in one pass and kept only if
+    writing them again gives back the same characters, so json.loads of
+    the whole text would give the same document with these placements.
+    The document's placements field is the empty list.
+    """
+    start = text.find(_PLACEMENTS_OPEN)
+    body_start = start + len(_PLACEMENTS_OPEN)
+    body_end = len(text) - len(_PLACEMENTS_CLOSE)
+    if start < 0 or body_end <= body_start or not text.endswith(_PLACEMENTS_CLOSE):
+        return None
+    try:
+        doc = json.loads(text[:start] + '  "placements": []\n}')
+        digits = text[body_start:body_end].encode("ascii").translate(_DIGITS_ONLY)
+        values = np.fromstring(digits, dtype=np.int64, sep=" ")
+    except (json.JSONDecodeError, UnicodeEncodeError, ValueError):
+        return None
+    del digits
+    if not isinstance(doc, dict) or not isinstance(doc.get("box"), list) or not doc["box"]:
+        return None
+    n = len(doc["box"])
+    if len(values) % (2 * n + 1):
+        return None
+    rows = values.reshape(-1, 2 * n + 1)
+    columns = tuple(np.ascontiguousarray(c) for c in (rows[:, 0], rows[:, 1 : n + 1], rows[:, n + 1 :]))
+    del values, rows
+    at = body_start
+    for chunk in _placement_lines(*columns):
+        if not text.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    if at != body_end:
+        return None
+    return doc, columns
+
+
 def decode(text: str) -> Tiling:
     """Parse a tiling/1 document into a Tiling.
 
-    Placements go straight into columns when every entry is well formed;
-    otherwise the entries are checked one by one, so that the error
-    names the first bad one by its JSON path.
+    A document laid out as encode writes it has its placements read
+    straight into columns (_canonical).  Any other goes through
+    json.loads: placements still go into columns when every entry is
+    well formed; otherwise the entries are checked one by one, so that
+    the error names the first bad one by its JSON path.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TilingParseError(f"line {e.lineno}: {e.msg}") from None
+    canonical = _canonical(text)
+    if canonical is not None:
+        doc, columns = canonical
+    else:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise TilingParseError(f"line {e.lineno}: {e.msg}") from None
+        columns = None
     if not isinstance(doc, dict):
         raise TilingParseError("top level: expected an object")
     unknown = set(doc) - _TOP_FIELDS
@@ -172,10 +239,11 @@ def decode(text: str) -> Tiling:
         _int_list(b, f"bricks[{i}]") for i, b in enumerate(doc["bricks"])
     ]
     entries = doc["placements"]
-    columns = _columns(entries, len(box_sides))
     if columns is None:
-        for i, entry in enumerate(entries):
-            _check_entry(entry, f"placements[{i}]")
+        columns = _columns(entries, len(box_sides))
+        if columns is None:
+            for i, entry in enumerate(entries):
+                _check_entry(entry, f"placements[{i}]")
     try:
         box = BoxShape(box_sides)
         bricks = tuple(Brick(b) for b in brick_sides)

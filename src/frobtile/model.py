@@ -267,8 +267,9 @@ class Tiling:
             if self.rotation_policy == ROTATION_FIXED:
                 orientations = [identity_orientation(self.dimension)] * len(self.brick_index)
             else:
-                orientations = map(tuple, self.orientation.tolist())
-            origins = map(tuple, self.origin.tolist())
+                orientations = zip(*self.orientation.T.tolist())
+            # one list per column, zipped into rows: no list per row
+            origins = zip(*self.origin.T.tolist())
             ps = tuple(map(Placement, self.brick_index.tolist(), orientations, origins))
             object.__setattr__(self, "_placements", ps)
         return ps

@@ -2,7 +2,7 @@
 
 import pytest
 
-from frobtile.codec import codec_roundtrip, decode, encode, load_tiling, save_tiling
+from frobtile.codec import _canonical, codec_roundtrip, decode, encode, load_tiling, save_tiling
 from frobtile.errors import TilingParseError
 from frobtile.model import BoxShape, Brick, Placement, Tiling, grid_fill
 
@@ -87,3 +87,63 @@ def test_semantic_violations_become_parse_errors():
 def test_load_missing_file(tmp_path):
     with pytest.raises(TilingParseError, match="cannot read"):
         load_tiling(tmp_path / "absent.json")
+
+
+def outcome(text):
+    """decode's result as comparable fields, or its error message."""
+    try:
+        t = decode(text)
+    except TilingParseError as e:
+        return ("error", str(e))
+    return ("ok", t.box, t.bricks, t.rotation_policy, t.placements)
+
+
+# edits of sample_tiling's document; a trailing space sends the edited
+# text through json.loads, which must give the same outcome
+EDITS = [
+    ('"origin": [0, 0]', '"origin": [00, 0]'),
+    ('"origin": [0, 0]', '"origin": [0, -0]'),
+    ('"origin": [0, 0]', '"origin": [-2, 0]'),
+    ('"origin": [0, 0]', '"origin": [0.0, 0]'),
+    ('"origin": [0, 0]', '"origin": [0, 1e1]'),
+    ('"origin": [0, 0]', '"origin": [9223372036854775808, 0]'),
+    ('"origin": [0, 0]', '"origin": [0 , 0]'),
+    ('"origin": [0, 0]', '"origin": [0, 0, 0]'),
+    ('"origin": [0, 0]', '"origin": [0]'),
+    ('"origin": [0, 0]', '"origin": [٠, 0]'),
+    ('"brick": 0', '"brick": 1'),
+    ('"brick": 0', '"brick": true'),
+    ('"brick": 0', '"b1rick": 0'),
+    ('"brick": 0', '"brick": 0, "brick": 0'),
+    ('"box": [4, 6]', '"box": [4, 6, 2]'),
+    ('"box": [4, 6]', '"box": [4]'),
+    ('"box": [4, 6]', '"box": []'),
+    ('"box": [4, 6]', '"box": 4'),
+    ('"format"', '"placements": 5,\n  "format"'),
+    ('"format"', '"bogus": 1,\n  "format"'),
+    ('{\n  "format"', '[{\n  "format"'),
+    ('"bricks": [[2, 3]],', '"bricks": {"a": [[2, 3]],'),
+    ('"bricks": [[2, 3]],', '"bricks": "[[2, 3]],\n  \\"placements\\": [\n"'),
+    ("},\n", "}\n"),
+    ("},\n", "},\n\n"),
+    ("},\n", "}, \n"),
+    ("},\n", "},,\n"),
+    ("}\n  ]", "},\n  ]"),
+    ("}\n  ]", "} \n  ]"),
+    ("}\n  ]", "}]\n  ]"),
+]
+
+
+@pytest.mark.parametrize("old, new", EDITS)
+def test_canonical_read_matches_json_read(old, new):
+    text = encode(sample_tiling())
+    assert old in text
+    edited = text.replace(old, new, 1)
+    assert outcome(edited) == outcome(edited + " ")
+
+
+def test_canonical_read_matches_json_read_on_every_document_of_encode():
+    for t in (sample_tiling(), rotated_tiling()):
+        text = encode(t)
+        assert _canonical(text) is not None and _canonical(text + " ") is None
+        assert outcome(text) == outcome(text + " ") == ("ok", t.box, t.bricks, t.rotation_policy, t.placements)
