@@ -9,6 +9,8 @@ Every failure is a single stderr line "error: <Type>: <message>".
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -202,6 +204,8 @@ def _cmd_oracle_search(args) -> int:
     bricks = tuple(Brick(sides) for sides in args.bricks)
     result = exact_cover_search(BoxShape(args.box), bricks, _search_config(args))
     print(str(result))
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
     if result.status == FOUND:
         if args.out is not None:
             save_tiling(result.tiling, args.out)
@@ -356,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bricks", type=_shape, nargs="+", required=True)
     _add_search_flags(s)
     s.add_argument("--out", help="write the found tiling here")
+    s.add_argument("--stats", action="store_true",
+                   help="print the search's counts as one JSON line on stderr")
     s.set_defaults(func=_cmd_oracle_search)
     s = sub.add_parser("scan", help="non-tileable square sides up to a limit")
     s.add_argument("--bricks", type=_shape, nargs="+", required=True)

@@ -1,39 +1,62 @@
 """Exhaustive exact-cover search over small boxes: the ground truth.
 
-Cells are numbered lexicographically and states are occupancy bitmasks
-(arbitrary-precision ints).  The search always branches on the
-lexicographically first free cell: any covering of that cell must be a
-brick whose origin IS that cell (an origin strictly before it would
-cover an earlier, already-filled cell), so trying every brick shape
-anchored there is complete.  Bricks are tried in declared order,
-orientations in permutation order, which makes the first solution found
-deterministic.
+The search always branches on the lexicographically first free cell:
+any covering of that cell must be a brick whose origin IS that cell (an
+origin strictly before it would cover an earlier, already-filled cell),
+so trying every brick shape anchored there is complete.  Bricks are
+tried in declared order, orientations in permutation order, which makes
+the first solution found deterministic.
 
-Prunes, all exactness-preserving:
+State.  Call the cells that share their coordinates on axes 1..n-1 a
+column, and flatten the cross-section of those axes lexicographically.
+Every placement sits on cells whose axis-0 predecessors are filled
+(they come earlier in lexicographic order), so the filled cells of each
+column always form a prefix along axis 0.  The state is therefore the
+vector of column heights, kept as a str of chr(height): one byte per
+column below 256, and still exact up to the cell cap.  The first free
+cell is the leftmost column of minimum height m, and a shape anchored
+there fits exactly when its axis-0 extent is at most H - m (H the box's
+axis-0 side) and every column under its footprint has height m: along
+the last axis that is the min-height run from the branch cell, in n-D
+the footprint's other rows are compared as well.
 
-  * volume precheck: the box volume must be a nonnegative integer
-    combination of the brick volumes, else Infeasible outright;
-  * row-run prune: after a placement, if the contiguous free run along
-    the last axis from the new first free cell is shorter than every
-    brick's smallest last-axis extent, the child state is dead;
-  * failed-state memo: occupancy masks proven unfillable are cached
-    (bounded; the cap only stops new inserts, never soundness).
+Prunes, each cutting only subtrees without a solution:
 
+  * volume: the box volume must be a nonnegative integer combination of
+    the brick volumes, else Infeasible before any node;
+  * column: every column is filled bottom-up by bricks whose origin sits
+    at its current height, so a placement that leaves H - height outside
+    the numerical semigroup of the shapes' axis-0 extents is dead;
+  * row-width: the cells of a min-height run at height m are covered by
+    bricks with origin on that row and lying inside the run, so the run
+    length must be a sum of last-axis extents of shapes that fit above m
+    (axis-0 extent at most H - m, leaving a representable remainder).
+    A placement is tested on the part of the run it leaves free, or,
+    when it closes the run, on the new leftmost min-height run;
+  * failed-state memo: height vectors proven unfillable are cached
+    under min(heights, reversed heights).  Reversing the flattened
+    cross-section reflects every trailing axis, a symmetry of the box
+    that maps every axis-aligned brick shape to itself, so a state and
+    its mirror are fillable together.  The cap (2M states) only stops
+    new inserts, never soundness.
+
+The DFS runs on an explicit frame stack, so depth costs no recursion.
 Infeasible is reported only after a complete search; hitting a node or
-time limit yields Exhausted instead.  Parallel mode distributes the
-root's candidate placements over worker processes and keeps the
-branch-order-first solution, so a Found result matches the sequential
-search whenever no limit truncates an earlier branch.
+time limit yields Exhausted instead.  Parallel mode expands the root,
+then finishes each surviving branch from its height vector in a worker
+process, all under one deadline and with the node limit split across
+the branches; it keeps the branch-order-first solution, so a Found
+result matches the sequential search whenever no limit truncates an
+earlier branch.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 import time
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, field
+from itertools import permutations, product
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, PreconditionError, SearchLimitError
@@ -69,11 +92,34 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """What one search cost.
+
+    nodes counts states entered (in parallel mode summed over the
+    workers; the root expansion in the calling process is not counted).
+    The prune counts and memo_hits count children cut before they were
+    entered; volume_prunes is 1 when the volume precheck settled the
+    box.  memo_size is the number of failed states stored, max_depth the
+    deepest frame stack, elapsed_s the wall time of the call.
+    """
+
+    nodes: int = 0
+    volume_prunes: int = 0
+    column_prunes: int = 0
+    row_width_prunes: int = 0
+    memo_hits: int = 0
+    memo_size: int = 0
+    max_depth: int = 0
+    elapsed_s: float = 0.0
+
+
+@dataclass(frozen=True)
 class SearchResult:
     status: str                      # found | infeasible | exhausted
     tiling: Optional[Tiling] = None
     nodes: int = 0
     reason: Optional[str] = None     # node_limit | time_limit when exhausted
+    stats: SearchStats = field(default_factory=SearchStats, compare=False)
 
     def __str__(self) -> str:
         if self.status == FOUND:
@@ -83,143 +129,199 @@ class SearchResult:
         return f"Exhausted({self.reason}, {self.nodes} nodes)"
 
 
-class _Limit(Exception):
-    def __init__(self, reason):
-        self.reason = reason
-
-
-class _Solved(Exception):
-    pass
-
-
-def _oriented_shapes(box_sides, bricks, policy):
-    """(brick_index, perm, extents, base_mask) per distinct oriented shape.
-
-    Declared brick order, then permutation order; duplicate extents of
-    the same brick keep only the first permutation.
-    """
-    n = len(box_sides)
-    strides = [1] * n
-    for k in range(n - 2, -1, -1):
-        strides[k] = strides[k + 1] * box_sides[k + 1]
-    perms = (
-        (identity_orientation(n),)
-        if policy == ROTATION_FIXED
-        else tuple(permutations(range(n)))
-    )
-    shapes = []
-    for bi, brick in enumerate(bricks):
-        seen = set()
-        for perm in perms:
-            ext = tuple(brick.sides[a] for a in perm)
-            if ext in seen:
-                continue
-            seen.add(ext)
-            if any(e > s for e, s in zip(ext, box_sides)):
-                continue
-            mask = 0
-            from itertools import product as _product
-
-            for cell in _product(*[range(e) for e in ext]):
-                mask |= 1 << sum(c * st for c, st in zip(cell, strides))
-            shapes.append((bi, perm, ext, mask))
-    return shapes, strides
-
-
-def _volume_representable(volume, brick_volumes):
+def _reachable(gens, bound):
+    """Bitmask over 0..bound: bit i set iff i is a sum of gens (with repeats)."""
     reach = 1
-    for v in sorted(set(brick_volumes)):
-        if v > volume:
-            continue
-        shift = v
-        mask = (1 << (volume + 1)) - 1
-        while shift <= volume:
+    mask = (1 << (bound + 1)) - 1
+    for g in sorted(set(gens)):
+        shift = g
+        while shift <= bound:
             reach |= (reach << shift) & mask
             shift <<= 1
-    return (reach >> volume) & 1 == 1
+    return reach
 
 
-def _run_dfs(box_sides, shapes, strides, occ0, node_limit, deadline):
-    """Sequential DFS from a given occupancy state.
+class _Problem:
+    """One box and brick list, prepared for the skyline DFS.
 
-    Returns (status, placements or None, nodes).  placements are
-    (brick_index, perm, origin) triples for the bricks placed BELOW
-    occ0 (the caller keeps its own prefix).
+    shapes[j] = (axis-0 extent, last-axis extent, offsets of the
+    footprint's other cross-section rows, bytes marking the columns
+    where the footprint stays inside the cross-section or None), with
+    placed[j] = (brick_index, perm): declared brick order, then
+    permutation order, duplicate extents of a brick dropped.  The
+    cross-section of a 1-D box is a single column of width 1.
     """
-    n = len(box_sides)
-    full = (1 << math.prod(box_sides)) - 1
-    s_last = box_sides[-1]
-    min_last = min(ext[-1] for _, _, ext, _ in shapes) if shapes else 1
-    failed = set()
-    placed = []
-    nodes = 0
 
-    def coords_of(idx):
-        out = []
-        for st in strides:
-            out.append(idx // st)
-            idx %= st
-        return tuple(out)
-
-    def dfs(occ):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise _Limit("node_limit")
-        if nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise _Limit("time_limit")
-        if occ == full:
-            raise _Solved
-        if occ in failed:
-            return
-        inv = ~occ & full
-        idx = (inv & -inv).bit_length() - 1
-        coords = coords_of(idx)
-        for bi, perm, ext, base in shapes:
-            fits = True
-            for c, e, s in zip(coords, ext, box_sides):
-                if c + e > s:
-                    fits = False
-                    break
-            if not fits:
-                continue
-            mask = base << idx
-            if mask & occ:
-                continue
-            child = occ | mask
-            if child != full:
-                inv2 = ~child & full
-                i2 = (inv2 & -inv2).bit_length() - 1
-                tail = inv2 >> i2
-                run = ((tail + 1) & ~tail).bit_length() - 1
-                room = s_last - (i2 % s_last)
-                if min(run, room) < min_last:
+    def __init__(self, box_sides, brick_sides, policy):
+        self.dimension = n = len(box_sides)
+        self.height = H = box_sides[0]
+        self.cross = cross = tuple(box_sides[1:]) or (1,)
+        self.row = cross[-1]
+        self.strides = strides = [1] * len(cross)
+        for k in range(len(cross) - 2, -1, -1):
+            strides[k] = strides[k + 1] * cross[k + 1]
+        perms = (
+            (identity_orientation(n),)
+            if policy == ROTATION_FIXED
+            else tuple(permutations(range(n)))
+        )
+        self.shapes, self.placed = shapes, placed = [], []
+        for bi, sides in enumerate(brick_sides):
+            seen = set()
+            for perm in perms:
+                ext = tuple(sides[a] for a in perm)
+                if ext in seen:
                     continue
-            placed.append((bi, perm, coords))
-            dfs(child)
-            placed.pop()
-        if len(failed) < _MEMO_CAP:
-            failed.add(occ)
+                seen.add(ext)
+                if any(e > s for e, s in zip(ext, box_sides)):
+                    continue
+                foot = ext[1:] or (1,)
+                extra = tuple(
+                    sum(k * st for k, st in zip(ks, strides))
+                    for ks in product(*(range(e) for e in foot[:-1]))
+                )[1:]
+                fits = None
+                if extra:
+                    fits = bytes(
+                        all(c + e <= s for c, e, s in zip(self.coords(x), foot, cross))
+                        for x in range(math.prod(cross))
+                    )
+                shapes.append((ext[0], foot[-1], extra, fits))
+                placed.append((bi, perm))
+        # column prune: colok[h] iff H - h is a sum of axis-0 extents
+        reach = _reachable([s[0] for s in shapes], H)
+        self.colok = colok = [bool(reach >> (H - h) & 1) for h in range(H + 1)]
+        # row-width prune: widthok[m][w] iff a run of w cells at height m
+        # is a sum of last-axis extents of shapes that fit above m
+        tables = {}
+        self.widthok = []
+        for m in range(H):
+            usable = frozenset(el for e0, el, _, _ in shapes if e0 <= H - m and colok[m + e0])
+            if usable not in tables:
+                reach = _reachable(usable, self.row)
+                tables[usable] = [bool(reach >> w & 1) for w in range(self.row + 1)]
+            self.widthok.append(tables[usable])
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * math.prod(box_sides) + 100))
-    try:
-        dfs(occ0)
-        return (INFEASIBLE, None, nodes)
-    except _Solved:
-        return (FOUND, list(placed), nodes)
-    except _Limit as e:
-        return (EXHAUSTED, e.reason, nodes)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    def coords(self, x):
+        """Cross-section coordinates of flattened column x."""
+        out = []
+        for st in self.strides:
+            out.append(x // st)
+            x %= st
+        return out
+
+    def origin(self, m, x):
+        return (m, *self.coords(x)) if self.dimension > 1 else (m,)
+
+
+def _skyline_dfs(prob, start, node_limit, deadline, split=False):
+    """Depth-first search from the height vector start.
+
+    Returns (status, payload, counts).  payload is the list of
+    (brick_index, perm, origin) placements below start when FOUND, the
+    limit's name when EXHAUSTED, and None when INFEASIBLE.  With split,
+    start is expanded but not descended into: the result is
+    (None, [(shape index, child heights), ...], counts) in branch order.
+    counts = [nodes, column, row-width, memo hits, memo size, depth].
+    """
+    H, row, shapes = prob.height, prob.row, prob.shapes
+    colok, widthok = prob.colok, prob.widthok
+    nshapes = len(shapes)
+    failed = set()
+    nodes = col = wid = hits = dmax = 0
+    stack = []      # parent frames: (heights, min char, min, column, run, next shape, key)
+    branches = []
+
+    def done(status, payload):
+        return status, payload, [nodes, col, wid, hits, len(failed), dmax]
+
+    def path(j, m, x):
+        frames = [(f[5] - 1, f[2], f[3]) for f in stack] + [(j, m, x)]
+        return [prob.placed[j] + (prob.origin(m, x),) for j, m, x in frames]
+
+    s = start
+    mc = min(s)
+    m = ord(mc)
+    if m == H:
+        return done(FOUND, [])
+    x = s.index(mc)
+    t = s[x:x - x % row + row]
+    L = len(t) - len(t.lstrip(mc))
+    key = min(s, s[::-1])
+    if node_limit < 1:
+        return done(EXHAUSTED, "node_limit")
+    nodes = 1
+    j0 = 0
+    while True:
+        hm = H - m
+        wok = widthok[m]
+        for j in range(j0, nshapes):
+            e0, el, extra, fits = shapes[j]
+            if el > L or e0 > hm:
+                continue
+            h = m + e0
+            if not colok[h]:
+                col += 1
+                continue
+            if extra and (not fits[x] or any(s[x + o:x + o + el] != mc * el for o in extra)):
+                continue
+            c = chr(h) * el
+            child = s[:x] + c + s[x + el:]
+            for o in extra:
+                child = child[:x + o] + c + child[x + o + el:]
+            rest = L - el
+            if rest:
+                if not wok[rest]:
+                    wid += 1
+                    continue
+                cmc, cm, cx, cL = mc, m, x + el, rest
+            else:
+                cmc = min(child)
+                cm = ord(cmc)
+                if cm == H:
+                    if not split:
+                        return done(FOUND, path(j, m, x))
+                    branches.append((j, child))
+                    continue
+                cx = child.index(cmc)
+                t = child[cx:cx - cx % row + row]
+                cL = len(t) - len(t.lstrip(cmc))
+                if not widthok[cm][cL]:
+                    wid += 1
+                    continue
+            r = child[::-1]
+            ckey = child if child <= r else r
+            if ckey in failed:
+                hits += 1
+                continue
+            if split:
+                branches.append((j, child))
+                continue
+            if nodes >= node_limit:
+                return done(EXHAUSTED, "node_limit")
+            nodes += 1
+            if not nodes & 4095 and time.monotonic() > deadline:
+                return done(EXHAUSTED, "time_limit")
+            stack.append((s, mc, m, x, L, j + 1, key))
+            if len(stack) > dmax:
+                dmax = len(stack)
+            s, mc, m, x, L, key = child, cmc, cm, cx, cL, ckey
+            j0 = 0
+            break
+        else:
+            if split:
+                return done(None, branches)
+            if len(failed) < _MEMO_CAP:
+                failed.add(key)
+            if not stack:
+                return done(INFEASIBLE, None)
+            s, mc, m, x, L, j0, key = stack.pop()
 
 
 def _search_branch(args):
     """Worker for parallel mode: finish the search below one root branch."""
-    box_sides, brick_sides, policy, occ0, node_limit, time_limit = args
-    shapes, strides = _oriented_shapes(box_sides, [Brick(s) for s in brick_sides], policy)
-    deadline = time.monotonic() + time_limit
-    return _run_dfs(box_sides, shapes, strides, occ0, node_limit, deadline)
+    box_sides, brick_sides, policy, start, node_limit, deadline = args
+    return _skyline_dfs(_Problem(box_sides, brick_sides, policy), start, node_limit, deadline)
 
 
 def _build_tiling(box, bricks, policy, triples):
@@ -231,6 +333,8 @@ def exact_cover_search(
     box: BoxShape, bricks: Sequence[Brick], cfg: SearchConfig = SearchConfig()
 ) -> SearchResult:
     """Complete search for a tiling of box by the given bricks."""
+    t0 = time.monotonic()
+    deadline = t0 + cfg.time_limit
     bricks = tuple(bricks)
     if not bricks:
         raise PreconditionError("need at least one brick")
@@ -244,56 +348,54 @@ def exact_cover_search(
         raise CapExceededError(
             f"box volume {volume} exceeds the search cell cap {DEFAULT_CELL_CAP}"
         )
-    if not _volume_representable(volume, [b.volume for b in bricks]):
-        return SearchResult(status=INFEASIBLE, nodes=0)
 
-    shapes, strides = _oriented_shapes(box.sides, bricks, cfg.rotation_policy)
-    if not shapes:
-        return SearchResult(status=INFEASIBLE, nodes=0)
-    deadline = time.monotonic() + cfg.time_limit
-
-    if not cfg.parallel:
-        status, payload, nodes = _run_dfs(
-            box.sides, shapes, strides, 0, cfg.node_limit, deadline
-        )
+    def finish(status, payload=None, counts=(0,) * 6, volume_prunes=0):
+        nodes, col, wid, hits, size, depth = counts
+        stats = SearchStats(nodes, volume_prunes, col, wid, hits, size, depth,
+                            time.monotonic() - t0)
         if status == FOUND:
-            return SearchResult(
-                status=FOUND,
-                tiling=_build_tiling(box, bricks, cfg.rotation_policy, payload),
-                nodes=nodes,
-            )
-        if status == INFEASIBLE:
-            return SearchResult(status=INFEASIBLE, nodes=nodes)
-        return SearchResult(status=EXHAUSTED, reason=payload, nodes=nodes)
+            tiling = _build_tiling(box, bricks, cfg.rotation_policy, payload)
+            return SearchResult(FOUND, tiling=tiling, nodes=nodes, stats=stats)
+        if status == EXHAUSTED:
+            return SearchResult(EXHAUSTED, reason=payload, nodes=nodes, stats=stats)
+        return SearchResult(INFEASIBLE, nodes=nodes, stats=stats)
 
-    # parallel: one branch per root candidate, joined in branch order
-    root = (0,) * box.dimension
-    branches = []
-    for bi, perm, ext, base in shapes:
-        if all(e <= s for e, s in zip(ext, box.sides)):
-            branches.append((bi, perm, root, base))
+    if not _reachable([b.volume for b in bricks], volume) >> volume & 1:
+        return finish(INFEASIBLE, volume_prunes=1)
+    brick_sides = [b.sides for b in bricks]
+    prob = _Problem(box.sides, brick_sides, cfg.rotation_policy)
+    if not prob.shapes:
+        return finish(INFEASIBLE)
+    start = chr(0) * math.prod(prob.cross)
+    if not cfg.parallel:
+        return finish(*_skyline_dfs(prob, start, cfg.node_limit, deadline))
+
+    # parallel: one worker per surviving root branch, joined in branch order;
+    # the coordinator's expansion of the root is not counted as a node
+    _, branches, counts = _skyline_dfs(prob, start, cfg.node_limit, deadline, split=True)
+    counts[0] = 0
+    if not branches:
+        return finish(INFEASIBLE, None, counts)
+    share, extra = divmod(cfg.node_limit, len(branches))
+    args = [
+        (box.sides, brick_sides, cfg.rotation_policy, child, share + (k < extra), deadline)
+        for k, (_, child) in enumerate(branches)
+    ]
     from concurrent.futures import ProcessPoolExecutor
 
-    args = [
-        (box.sides, [b.sides for b in bricks], cfg.rotation_policy, base, cfg.node_limit, cfg.time_limit)
-        for _, _, _, base in branches
-    ]
     with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
         results = list(pool.map(_search_branch, args))
-    total_nodes = sum(r[2] for r in results)
-    for (bi, perm, origin, _), (status, payload, _) in zip(branches, results):
+    for r in results:
+        counts = [a + b for a, b in zip(counts, r[2])]
+    counts[5] = 1 + max(r[2][5] for r in results)
+    for (j, _), (status, payload, _) in zip(branches, results):
         if status == FOUND:
-            triples = [(bi, perm, origin)] + payload
-            return SearchResult(
-                status=FOUND,
-                tiling=_build_tiling(box, bricks, cfg.rotation_policy, triples),
-                nodes=total_nodes,
-            )
-    if any(r[0] == EXHAUSTED for r in results):
-        reason = next(r[1] for r in results if r[0] == EXHAUSTED)
-        return SearchResult(status=EXHAUSTED, reason=reason, nodes=total_nodes)
-    return SearchResult(status=INFEASIBLE, nodes=total_nodes)
-
+            first = prob.placed[j] + (prob.origin(0, 0),)
+            return finish(FOUND, [first] + payload, counts)
+    exhausted = [r[1] for r in results if r[0] == EXHAUSTED]
+    if exhausted:
+        return finish(EXHAUSTED, exhausted[0], counts)
+    return finish(INFEASIBLE, None, counts)
 
 # ---------------------------------------------------------------------------
 # square-box threshold scanning

@@ -356,13 +356,18 @@ def tile_square_235p(a: int, p: int) -> Decision:
     """Decide whether the (a x a) square is tileable by squares 2, 3, p.
 
     p must be odd, above 4 and not divisible by 3 (primality is not
-    required).  Every a is settled: sides sharing a factor with 2, 3 or
-    p get grids; sides congruent to p mod 3 get the side-(p + 6k)
-    composition; sides in the other nonzero class get the side-(r + 2p)
-    composition once r = a - 2p reaches p; sides below p admit no brick
-    but 2 and 3 and fail their divisibility criterion; the finitely
-    many leftovers between p and 3p are settled by a stored layout or
-    an exact-cover search.
+    required).  Sides sharing a factor with 2, 3 or p get grids; sides
+    congruent to p mod 3 get the side-(p + 6k) composition; sides in the
+    other nonzero class get the side-(r + 2p) composition once
+    r = a - 2p reaches p; sides below p admit no brick but 2 and 3 and
+    fail their divisibility criterion.  Those cases are settled for
+    every p.  The finitely many leftovers between p and 3p are settled
+    by a stored layout or an exact-cover search, which finishes within
+    a few seconds for p in {5, 7, 11, 13}; for p = 5, 7 and 11 every
+    side is checked against the independent verdict table in
+    perfbench/.  For larger p a leftover may need more than the default
+    search limits, and then SearchLimitError is raised: side 31 at
+    p = 17 does.
     """
     _require_positive(a=a, p=p)
     if p % 2 == 0 or p % 3 == 0 or p <= 4:

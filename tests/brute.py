@@ -5,10 +5,13 @@ here is computed by closing a reachability bitmask under generator
 shifts (bit i set <=> i is a nonnegative combination), never by residue
 walks.  Doubling the shift closes the mask under one generator in
 O(log bound) big-int operations.  Tilings are checked pair by pair over
-Placement objects, never through the library's raster.
+Placement objects, never through the library's raster.  The
+exact-cover reference is the library's earlier bitmask search engine.
 """
 
 import math
+import sys
+from itertools import permutations, product
 
 
 def reachable_mask(gens, bound):
@@ -93,3 +96,128 @@ def pairwise_verify_full(t):
             "actual_volume": actual,
         }
     return {"valid": True}
+
+
+class _Limit(Exception):
+    pass
+
+
+class _Solved(Exception):
+    pass
+
+
+def _bitmask_shapes(box_sides, brick_sides, policy):
+    """(brick_index, perm, extents, base_mask) per distinct oriented shape,
+    in declared brick order, then permutation order."""
+    n = len(box_sides)
+    strides = [1] * n
+    for k in range(n - 2, -1, -1):
+        strides[k] = strides[k + 1] * box_sides[k + 1]
+    perms = (tuple(range(n)),) if policy == "fixed" else tuple(permutations(range(n)))
+    shapes = []
+    for bi, sides in enumerate(brick_sides):
+        seen = set()
+        for perm in perms:
+            ext = tuple(sides[a] for a in perm)
+            if ext in seen:
+                continue
+            seen.add(ext)
+            if any(e > s for e, s in zip(ext, box_sides)):
+                continue
+            mask = 0
+            for cell in product(*[range(e) for e in ext]):
+                mask |= 1 << sum(c * st for c, st in zip(cell, strides))
+            shapes.append((bi, perm, ext, mask))
+    return shapes, strides
+
+
+def _bitmask_dfs(box_sides, shapes, strides, occ0, node_limit):
+    """The library's earlier search engine: recursive DFS over occupancy
+    bitmasks, with a row-run prune and a failed-state memo.
+
+    Returns (status, placements or None, nodes); placements are
+    (brick_index, perm, origin) triples below occ0.
+    """
+    full = (1 << math.prod(box_sides)) - 1
+    s_last = box_sides[-1]
+    min_last = min(ext[-1] for _, _, ext, _ in shapes)
+    failed = set()
+    placed = []
+    nodes = 0
+
+    def coords_of(idx):
+        out = []
+        for st in strides:
+            out.append(idx // st)
+            idx %= st
+        return tuple(out)
+
+    def dfs(occ):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise _Limit
+        if occ == full:
+            raise _Solved
+        if occ in failed:
+            return
+        inv = ~occ & full
+        idx = (inv & -inv).bit_length() - 1
+        coords = coords_of(idx)
+        for bi, perm, ext, base in shapes:
+            if any(c + e > s for c, e, s in zip(coords, ext, box_sides)):
+                continue
+            mask = base << idx
+            if mask & occ:
+                continue
+            child = occ | mask
+            if child != full:
+                inv2 = ~child & full
+                i2 = (inv2 & -inv2).bit_length() - 1
+                tail = inv2 >> i2
+                run = ((tail + 1) & ~tail).bit_length() - 1
+                room = s_last - (i2 % s_last)
+                if min(run, room) < min_last:
+                    continue
+            placed.append((bi, perm, coords))
+            dfs(child)
+            placed.pop()
+        failed.add(occ)
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * math.prod(box_sides) + 100))
+    try:
+        dfs(occ0)
+        return ("infeasible", None, nodes)
+    except _Solved:
+        return ("found", list(placed), nodes)
+    except _Limit:
+        return ("exhausted", None, nodes)
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def bitmask_search(box_sides, brick_sides, policy, per_branch=False, node_limit=10**7):
+    """(status, placements, nodes) from the earlier bitmask engine.
+
+    per_branch mirrors its parallel mode: every root placement that fits
+    is searched on its own, with its own memo, and the nodes are summed;
+    the first branch in order with a solution supplies it.
+    """
+    if not brute_representable(math.prod(box_sides), [math.prod(s) for s in brick_sides]):
+        return ("infeasible", None, 0)
+    shapes, strides = _bitmask_shapes(box_sides, brick_sides, policy)
+    if not shapes:
+        return ("infeasible", None, 0)
+    if not per_branch:
+        return _bitmask_dfs(box_sides, shapes, strides, 0, node_limit)
+    root = (0,) * len(box_sides)
+    runs = [(bi, perm, _bitmask_dfs(box_sides, shapes, strides, base, node_limit))
+            for bi, perm, _, base in shapes]
+    nodes = sum(r[2] for _, _, r in runs)
+    for bi, perm, (status, placed, _) in runs:
+        if status == "found":
+            return ("found", [(bi, perm, root)] + placed, nodes)
+    if any(r[0] == "exhausted" for _, _, r in runs):
+        return ("exhausted", None, nodes)
+    return ("infeasible", None, nodes)

@@ -199,6 +199,20 @@ class TestOracle:
         )
         assert code == 3 and out.startswith("Exhausted(")
 
+    def test_search_stats_go_to_stderr(self, capsys):
+        argv = ("oracle", "search", "--box", "7x7", "--bricks", "2x2", "3x3", "5x5")
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        code_s, out_s, err_s = run(capsys, *argv, "--stats")
+        assert (code_s, out_s) == (code, out) == (1, out)
+        line, = err_s.splitlines()
+        stats = json.loads(line)
+        assert set(stats) == {
+            "nodes", "volume_prunes", "column_prunes", "row_width_prunes",
+            "memo_hits", "memo_size", "max_depth", "elapsed_s",
+        }
+        assert f"Infeasible({stats['nodes']} nodes)" == out.strip()
+
     def test_scan(self, capsys):
         code, out, _ = run(capsys, "oracle", "scan", "--bricks", "2x2", "3x3", "7x7",
                            "--limit", "30")

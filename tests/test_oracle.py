@@ -1,10 +1,13 @@
 """Exact-cover search: verdicts, determinism, limits, fixtures, scans."""
 
+import sys
+
 import pytest
+from brute import bitmask_search
 
 from frobtile.codec import encode
 from frobtile.errors import CapExceededError, PreconditionError, SearchLimitError
-from frobtile.model import BoxShape, Brick, verify_full
+from frobtile.model import BoxShape, Brick, Tiling, verify_full
 from frobtile.oracle import (
     BUILTIN_FIXTURES,
     SearchConfig,
@@ -136,3 +139,76 @@ def test_builtin_fixtures_match_regeneration(tmp_path):
 def test_unknown_fixture_name():
     with pytest.raises(PreconditionError):
         builtin_fixture("square99-000")
+
+
+# 1-D, 2-D and 3-D boxes, square and oblong bricks, found and infeasible
+DIFFERENTIAL_CASES = [
+    ((10,), ((4,), (3,))),
+    ((7,), ((2,), (5,))),
+    ((6, 6), ((2, 2), (3, 3))),
+    ((7, 7), ((2, 2), (3, 3), (5, 5))),
+    ((17, 17), ((2, 2), (3, 3), (7, 7))),
+    ((7, 23), ((2, 2), (3, 3))),
+    ((3, 2), ((2, 3),)),
+    ((9, 10), ((2, 5), (3, 4))),
+    ((9, 11), ((2, 3), (1, 5))),
+    ((8, 13), ((3, 5), (2, 4))),
+    ((4, 4, 4), ((1, 2, 2),)),
+    ((3, 4, 5), ((1, 2, 3), (1, 1, 2))),
+    ((5, 6, 7), ((2, 2, 2), (3, 3, 3))),
+    ((2, 5, 7), ((1, 2, 3), (2, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("policy", ["fixed", "axis-permutations"])
+@pytest.mark.parametrize("box,sides", DIFFERENTIAL_CASES)
+def test_matches_bitmask_reference(box, sides, policy, parallel):
+    """Same status and first solution as the earlier engine, never more nodes."""
+    bricks = [Brick(s) for s in sides]
+    cfg = SearchConfig(rotation_policy=policy, parallel=parallel)
+    got = exact_cover_search(BoxShape(box), bricks, cfg)
+    status, placed, nodes = bitmask_search(box, sides, policy, per_branch=parallel)
+    assert got.status == status
+    assert got.nodes <= nodes
+    if status == "found":
+        index, perms, origins = zip(*placed)
+        want = Tiling.from_arrays(BoxShape(box), bricks, index, perms, origins,
+                                  rotation_policy=policy)
+        assert encode(got.tiling) == encode(want)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("limit", [1, 2, 3, 100, 1000])
+def test_node_limit_holds_for_the_whole_search(limit, parallel):
+    cfg = SearchConfig(node_limit=limit, parallel=parallel)
+    r = exact_cover_search(BoxShape((7, 23)), squares(2, 3), cfg)
+    assert r.status == "exhausted" and r.reason == "node_limit"
+    assert r.nodes <= limit
+
+
+def test_parallel_time_limit_is_one_deadline():
+    cfg = SearchConfig(time_limit=0.05, parallel=True)
+    r = exact_cover_search(BoxShape((25, 25)), squares(2, 3, 17), cfg)
+    assert r.status == "exhausted" and r.reason == "time_limit"
+    assert r.stats.elapsed_s < 5
+
+
+def test_deep_search_needs_no_recursion_limit():
+    before = sys.getrecursionlimit()
+    r = exact_cover_search(BoxShape((4096,)), [Brick((1,))])
+    assert r.status == "found" and len(r.tiling.placements) == 4096
+    assert r.stats.max_depth == 4095 > before == sys.getrecursionlimit()
+
+
+def test_stats_record_counts_prunes():
+    r = exact_cover_search(BoxShape((17, 17)), squares(2, 3, 7))
+    st = r.stats
+    assert st.nodes == r.nodes
+    assert st.column_prunes > 0 and st.row_width_prunes > 0 and st.memo_hits > 0
+    assert 0 < st.memo_size <= st.nodes
+    assert st.max_depth >= len(r.tiling.placements) - 1
+    assert st.volume_prunes == 0 and st.elapsed_s > 0
+    v = exact_cover_search(BoxShape((3, 3)), squares(2))
+    assert v.stats.volume_prunes == 1 and v.stats.nodes == 0
+
