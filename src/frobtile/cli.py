@@ -31,7 +31,6 @@ from .oracle import (
     FOUND,
     SearchConfig,
     exact_cover_search,
-    regenerate_fixtures,
     threshold_scan,
 )
 from .planar import (
@@ -74,20 +73,24 @@ def _shape(text: str) -> tuple[int, ...]:
     return sides
 
 
+def _write_tiling(t: Tiling, path: str) -> None:
+    save_tiling(t, path)
+    print(f"wrote {path} ({len(t.brick_index)} placements)")
+
+
 def _emit_tiling(t: Tiling, out: Optional[str]) -> None:
     if out is None:
         print(encode(t))
     else:
-        save_tiling(t, out)
-        print(f"wrote {out} ({len(t.brick_index)} placements)")
+        _write_tiling(t, out)
 
 
-def _search_config(args, parallel_default: bool = False) -> SearchConfig:
+def _search_config(args) -> SearchConfig:
     return SearchConfig(
-        rotation_policy=getattr(args, "rotations", ROTATION_AXIS_PERMUTATIONS),
+        rotation_policy=args.rotations,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        parallel=getattr(args, "parallel", parallel_default),
+        parallel=args.parallel,
     )
 
 
@@ -177,8 +180,7 @@ def _cmd_tile_squares_235p(args) -> int:
 def _finish_decision(decision: Decision, witness_path: Optional[str]) -> int:
     print(str(decision))
     if decision.tileable and witness_path is not None:
-        save_tiling(decision.witness, witness_path)
-        print(f"wrote {witness_path} ({len(decision.witness.brick_index)} placements)")
+        _write_tiling(decision.witness, witness_path)
     return 0 if decision.tileable else 1
 
 
@@ -208,8 +210,7 @@ def _cmd_oracle_search(args) -> int:
         print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
     if result.status == FOUND:
         if args.out is not None:
-            save_tiling(result.tiling, args.out)
-            print(f"wrote {args.out} ({len(result.tiling.brick_index)} placements)")
+            _write_tiling(result.tiling, args.out)
         return 0
     return 3 if result.status == EXHAUSTED else 1
 
@@ -218,12 +219,6 @@ def _cmd_oracle_scan(args) -> int:
     bricks = tuple(Brick(sides) for sides in args.bricks)
     misses = threshold_scan(bricks, args.limit, _search_config(args))
     print(" ".join(str(a) for a in misses))
-    return 0
-
-
-def _cmd_oracle_regen_fixtures(args) -> int:
-    for path in regenerate_fixtures(args.out_dir):
-        print(f"wrote {path}")
     return 0
 
 
@@ -263,14 +258,13 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_search_flags(sub, parallel: bool = True) -> None:
+def _add_search_flags(sub) -> None:
     sub.add_argument("--rotations", choices=(ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS),
                      default=ROTATION_AXIS_PERMUTATIONS, help="brick rotation policy")
     sub.add_argument("--node-limit", type=int, default=100_000_000)
     sub.add_argument("--time-limit", type=float, default=600.0)
-    if parallel:
-        sub.add_argument("--parallel", action="store_true",
-                         help="split the root branches over worker processes")
+    sub.add_argument("--parallel", action="store_true",
+                     help="split the root branches over worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,13 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--limit", type=int, required=True)
     _add_search_flags(s)
     s.set_defaults(func=_cmd_oracle_scan)
-    s = sub.add_parser("regen-fixtures", help="re-run the stored fixture searches")
-    s.add_argument("--out-dir", required=True)
-    s.set_defaults(func=_cmd_oracle_regen_fixtures)
 
     verify = top.add_parser("verify", help="check a serialized tiling")
     sub = verify.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("full", help="exact pairwise verification")
+    s = sub.add_parser("full", help="exact cell-coverage verification")
     s.add_argument("--tiling", required=True)
     s.set_defaults(func=_cmd_verify_full)
     s = sub.add_parser("sampled", help="randomized cell-coverage verification")

@@ -68,6 +68,7 @@ from .model import (
     Tiling,
     identity_orientation,
 )
+from .semigroup import two_squares_split
 
 DEFAULT_CELL_CAP = 4096          # max box volume in unit cells (64x64 in 2-D)
 _MEMO_CAP = 2_000_000            # max failed states remembered per search
@@ -87,8 +88,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.rotation_policy not in (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS):
             raise PreconditionError(f"unknown rotation policy {self.rotation_policy!r}")
-        if self.node_limit < 1 or self.time_limit <= 0:
-            raise PreconditionError("search limits must be >= 1")
+        if self.node_limit < 1:
+            raise PreconditionError(f"node_limit must be >= 1, got {self.node_limit}")
+        if not self.time_limit > 0:
+            raise PreconditionError(f"time_limit must be > 0, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -401,24 +404,9 @@ def exact_cover_search(
 # square-box threshold scanning
 # ---------------------------------------------------------------------------
 
-def _fricke_pair_tileable(w, h, x, y):
-    """Rectangle w x h by squares x, y with gcd(x, y) = 1."""
-    if w % x == 0 and h % x == 0:
-        return True
-    if w % y == 0 and h % y == 0:
-        return True
-    from .semigroup import pair_representation
-
-    if w % (x * y) == 0 and pair_representation(h, x, y) is not None:
-        return True
-    if h % (x * y) == 0 and pair_representation(w, x, y) is not None:
-        return True
-    return False
-
-
 def _guillotine_positive(w, h, sides, memo):
     """Sound-but-incomplete fast path: can w x h be cut into rectangles
-    that the square-pair criterion settles?  True means tileable."""
+    that the two-squares criterion settles?  True means tileable."""
     if w > h:
         w, h = h, w
     key = (w, h)
@@ -434,7 +422,7 @@ def _guillotine_positive(w, h, sides, memo):
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
                 x, y = sides[i], sides[j]
-                if math.gcd(x, y) == 1 and _fricke_pair_tileable(w, h, x, y):
+                if math.gcd(x, y) == 1 and two_squares_split(w, h, x, y) is not None:
                     ok = True
                     break
             if ok:
@@ -456,55 +444,6 @@ def _guillotine_positive(w, h, sides, memo):
                     break
     memo[key] = ok
     return ok
-
-
-# ---------------------------------------------------------------------------
-# committed fixtures: small square tilings the search found once
-# ---------------------------------------------------------------------------
-
-# name -> (box side, square brick sides, declared ascending)
-BUILTIN_FIXTURES = {
-    "square13-235": (13, (2, 3, 5)),
-    "square17-237": (17, (2, 3, 7)),
-}
-
-
-def builtin_fixture(name: str) -> Tiling:
-    """Load a committed search-found tiling by name."""
-    if name not in BUILTIN_FIXTURES:
-        raise PreconditionError(
-            f"unknown fixture {name!r}; have {sorted(BUILTIN_FIXTURES)}"
-        )
-    from importlib.resources import files
-
-    from .codec import decode
-
-    text = files("frobtile").joinpath("fixtures", f"{name}.json").read_text("utf-8")
-    return decode(text)
-
-
-def regenerate_fixtures(out_dir) -> list[str]:
-    """Re-run the canonical searches and write the fixture files.
-
-    Deterministic: sequential search, bricks declared in ascending side
-    order, axis-permutation rotations.  Returns the paths written.
-    """
-    from pathlib import Path
-
-    from .codec import save_tiling
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, (side, sq) in sorted(BUILTIN_FIXTURES.items()):
-        bricks = [Brick((s, s)) for s in sq]
-        result = exact_cover_search(BoxShape((side, side)), bricks, SearchConfig())
-        if result.status != FOUND:
-            raise SearchLimitError(f"fixture {name}: search did not find a tiling")
-        path = out / f"{name}.json"
-        save_tiling(result.tiling, path)
-        written.append(str(path))
-    return written
 
 
 def threshold_scan(

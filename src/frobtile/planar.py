@@ -5,8 +5,8 @@ a short tag naming the branch that settled the question.  Witnesses
 come from the cheapest applicable construction: a plain grid when
 divisibility settles it, strip decompositions when one side has to be
 split as a nonnegative combination of brick sides, block compositions
-for large squares, and stored or freshly searched layouts for the few
-small squares no construction covers.
+for large squares, and exact-cover search for the few small squares
+no construction covers.
 
 The single-brick criterion is the full one: a rectangle is tileable by
 one brick (rotations allowed) exactly when the brick grids it directly
@@ -39,13 +39,14 @@ from .model import (
     oriented_grid,
     stack,
 )
-from .oracle import FOUND, INFEASIBLE, SearchConfig, builtin_fixture, exact_cover_search
+from .oracle import EXHAUSTED, FOUND, exact_cover_search
 from .semigroup import (
     checked_mul,
     checked_prod,
     closed_form_primes,
     frobenius_pair,
     pair_representation,
+    two_squares_split,
 )
 
 
@@ -127,34 +128,25 @@ def decide_single_brick(a1: int, a2: int, x1: int, x2: int) -> Decision:
 def decide_two_squares(a1: int, a2: int, x: int, y: int) -> Decision:
     """Decide whether (a1 x a2) can be tiled by squares (x x x), (y x y).
 
-    Requires gcd(x, y) = 1.  Tileable exactly when both box sides are
-    multiples of one square side, or one box side is a multiple of x*y
-    and the other is a nonnegative combination of x and y.
+    Requires gcd(x, y) = 1.  The verdict is two_squares_split's
+    criterion; the witness is a grid of one square ("grid") or that
+    split's strips ("strips").
     """
     _require_positive(a1=a1, a2=a2, x=x, y=y)
     g = math.gcd(x, y)
     if g != 1:
         raise NonCoprimeError(f"square sides must be coprime, gcd({x}, {y}) = {g}")
+    split = two_squares_split(a1, a2, x, y)
+    if split is None:
+        return Decision(False, None, "indivisible")
+    axis, (u, v) = split
     bricks = (Brick((x, x)), Brick((y, y)))
-    box = (a1, a2)
     ident = (0, 1)
-    # larger divisor first: fewer placements in the witness
-    for side, index in sorted(((x, 0), (y, 1)), reverse=True):
-        if a1 % side == 0 and a2 % side == 0:
-            witness = oriented_grid(box, bricks, index, ident, ROTATION_FIXED)
-            return Decision(True, witness, "grid")
-    both = x * y
-    if a1 % both == 0:
-        rep = pair_representation(a2, x, y)
-        if rep is not None:
-            parts = [(0, ident, rep[0]), (1, ident, rep[1])]
-            return Decision(True, _strips(box, bricks, 1, parts, ROTATION_FIXED), "strips")
-    if a2 % both == 0:
-        rep = pair_representation(a1, x, y)
-        if rep is not None:
-            parts = [(0, ident, rep[0]), (1, ident, rep[1])]
-            return Decision(True, _strips(box, bricks, 0, parts, ROTATION_FIXED), "strips")
-    return Decision(False, None, "indivisible")
+    if u and v:
+        parts = [(0, ident, u), (1, ident, v)]
+        return Decision(True, _strips((a1, a2), bricks, axis, parts, ROTATION_FIXED), "strips")
+    witness = oriented_grid((a1, a2), bricks, 0 if u else 1, ident, ROTATION_FIXED)
+    return Decision(True, witness, "grid")
 
 
 def _corollary1_validate(p: int, q: int, r: int, s: int) -> None:
@@ -284,9 +276,6 @@ def compose_squares(a: int, b: int, c: int, r: int, L: int, k: int) -> tuple[Til
     return first, second
 
 
-_STORED_GAP_TILINGS = {(13, 5): "square13-235", (17, 7): "square17-237"}
-
-
 def _frame_extend(core: Tiling, a: int) -> Tiling:
     """Grow a square tiling of side b to side a, a - b a multiple of 6.
 
@@ -310,24 +299,6 @@ def _frame_extend(core: Tiling, a: int) -> Tiling:
     return stack([stack([core, right], axis=1), bottom], axis=0)
 
 
-def _gap_witness(b: int, p: int, bricks: tuple[Brick, ...], required: bool):
-    """Stored or searched tiling of (b x b), None when settled negative.
-
-    A search that hits its limits is only an error when this member's
-    verdict is required (b is the side being decided); for smaller
-    class members it just forfeits the extension shortcut.
-    """
-    stored = _STORED_GAP_TILINGS.get((b, p))
-    if stored is not None:
-        return builtin_fixture(stored), "fixture"
-    result = exact_cover_search(BoxShape((b, b)), bricks, SearchConfig())
-    if result.status == FOUND:
-        return result.tiling, "search"
-    if result.status == INFEASIBLE or not required:
-        return None
-    raise SearchLimitError(f"search gave up on ({b} x {b}) with bricks 2, 3, {p}: {result.reason}")
-
-
 def _gap_decision(a: int, p: int, bricks: tuple[Brick, ...]) -> Decision:
     """Settle a side in the window p < a < 3p outside both compositions.
 
@@ -335,20 +306,22 @@ def _gap_decision(a: int, p: int, bricks: tuple[Brick, ...]) -> Decision:
     member above p: the first tileable member extends to every later
     one by 6-wide frames, so positives are found at the smallest (and
     cheapest) sides; when no member helps, the verdict is the target's
-    own exhaustive search.
+    own exhaustive search.  A smaller member whose search hits its
+    limits is skipped; only the target's own search raises.
     """
     start = p + 1
     while start % 6 != a % 6:
         start += 1
     for b in range(start, a + 1, 6):
-        found = _gap_witness(b, p, bricks, required=b == a)
-        if found is None:
-            continue
-        witness, tag = found
-        if b < a:
-            witness = _frame_extend(witness, a)
-            tag = "framed-" + tag
-        return Decision(True, witness, tag)
+        result = exact_cover_search(BoxShape((b, b)), bricks)
+        if result.status == FOUND:
+            if b == a:
+                return Decision(True, result.tiling, "search")
+            return Decision(True, _frame_extend(result.tiling, a), "framed-search")
+        if result.status == EXHAUSTED and b == a:
+            raise SearchLimitError(
+                f"search gave up on ({b} x {b}) with bricks 2, 3, {p}: {result.reason}"
+            )
     return Decision(False, None, "search-infeasible")
 
 
@@ -362,8 +335,8 @@ def tile_square_235p(a: int, p: int) -> Decision:
     r = a - 2p reaches p; sides below p admit no brick but 2 and 3 and
     fail their divisibility criterion.  Those cases are settled for
     every p.  The finitely many leftovers between p and 3p are settled
-    by a stored layout or an exact-cover search, which finishes within
-    a few seconds for p in {5, 7, 11, 13}; for p = 5, 7 and 11 every
+    by exact-cover search, which finishes within a few seconds for
+    p in {5, 7, 11, 13}; for p = 5, 7 and 11 every
     side is checked against the independent verdict table in
     perfbench/.  For larger p a leftover may need more than the default
     search limits, and then SearchLimitError is raised: side 31 at

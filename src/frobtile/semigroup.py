@@ -294,6 +294,32 @@ def pair_representation(target: int, x: int, y: int) -> Optional[tuple[int, int]
     return ((target - v * y) // x, v)
 
 
+def two_squares_split(a1: int, a2: int, x: int, y: int) -> Optional[tuple[int, tuple[int, int]]]:
+    """How squares (x x x) and (y x y), gcd(x, y) = 1, tile (a1 x a2); or None.
+
+    The two-squares criterion: tileable exactly when x or y divides
+    both sides, or x*y divides one side and the other side is a
+    nonnegative combination of x and y.  The answer (axis, (u, v)) cuts
+    the box across axis into u strips of thickness x and v of thickness
+    y, each strip a grid of its square.  A one-square grid is the split
+    with the other count 0, the larger square (y on a tie) preferred.
+    """
+    for side in (x, y) if x > y else (y, x):
+        if a1 % side == 0 and a2 % side == 0:
+            count = a2 // side
+            return 1, ((0, count) if side == y else (count, 0))
+    both = x * y
+    if a1 % both == 0:
+        rep = pair_representation(a2, x, y)
+        if rep is not None:
+            return 1, rep
+    if a2 % both == 0:
+        rep = pair_representation(a1, x, y)
+        if rep is not None:
+            return 0, rep
+    return None
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers."""
     if n < 2:

@@ -174,7 +174,7 @@ class TestDecide:
 
     def test_235p(self, capsys):
         code, out, _ = run(capsys, "decide", "235p", "--side", "17", "--p", "7")
-        assert code == 0 and "fixture" in out
+        assert code == 0 and out == "tileable (search)\n"
 
 
 class TestOracle:
@@ -223,11 +223,11 @@ class TestOracle:
                            "--limit", "200")
         assert code == 3 and "CapExceededError" in err
 
-    def test_regen_fixtures(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "oracle", "regen-fixtures", "--out-dir", str(tmp_path))
-        assert code == 0
-        assert (tmp_path / "square13-235.json").exists()
-        assert (tmp_path / "square17-237.json").exists()
+    def test_zero_time_limit_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "oracle", "search", "--box", "6x6",
+                             "--bricks", "2x2", "--time-limit", "0")
+        assert code == 2 and out == ""
+        assert err == "error: PreconditionError: time_limit must be > 0, got 0.0\n"
 
 
 class TestRender:

@@ -1,4 +1,4 @@
-"""Exact-cover search: verdicts, determinism, limits, fixtures, scans."""
+"""Exact-cover search: verdicts, determinism, limits, stats, scans."""
 
 import sys
 
@@ -6,16 +6,9 @@ import pytest
 from brute import bitmask_search
 
 from frobtile.codec import encode
-from frobtile.errors import CapExceededError, PreconditionError, SearchLimitError
+from frobtile.errors import CapExceededError, PreconditionError
 from frobtile.model import BoxShape, Brick, Tiling, verify_full
-from frobtile.oracle import (
-    BUILTIN_FIXTURES,
-    SearchConfig,
-    builtin_fixture,
-    exact_cover_search,
-    regenerate_fixtures,
-    threshold_scan,
-)
+from frobtile.oracle import SearchConfig, exact_cover_search, threshold_scan
 
 
 def squares(*sides):
@@ -122,23 +115,10 @@ def test_threshold_scan_validates():
 def test_search_config_validates():
     with pytest.raises(PreconditionError):
         SearchConfig(node_limit=0)
+    with pytest.raises(PreconditionError, match="time_limit must be > 0, got 0"):
+        SearchConfig(time_limit=0)
     with pytest.raises(PreconditionError):
         SearchConfig(rotation_policy="mirror")
-
-
-def test_builtin_fixtures_match_regeneration(tmp_path):
-    paths = regenerate_fixtures(tmp_path)
-    assert len(paths) == len(BUILTIN_FIXTURES)
-    for name in BUILTIN_FIXTURES:
-        committed = builtin_fixture(name)
-        assert verify_full(committed).valid
-        regen = (tmp_path / f"{name}.json").read_text()
-        assert regen == encode(committed)
-
-
-def test_unknown_fixture_name():
-    with pytest.raises(PreconditionError):
-        builtin_fixture("square99-000")
 
 
 # 1-D, 2-D and 3-D boxes, square and oblong bricks, found and infeasible
@@ -147,6 +127,7 @@ DIFFERENTIAL_CASES = [
     ((7,), ((2,), (5,))),
     ((6, 6), ((2, 2), (3, 3))),
     ((7, 7), ((2, 2), (3, 3), (5, 5))),
+    ((13, 13), ((2, 2), (3, 3), (5, 5))),
     ((17, 17), ((2, 2), (3, 3), (7, 7))),
     ((7, 23), ((2, 2), (3, 3))),
     ((3, 2), ((2, 3),)),

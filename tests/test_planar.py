@@ -1,7 +1,10 @@
 """Tests for the 2-D deciders, thresholds and square compositions."""
 
+import hashlib
+
 import pytest
 
+from frobtile.codec import encode
 from frobtile.constructor import BrickSystem, gn_bound
 from frobtile.errors import (
     BoundNotMetError,
@@ -206,11 +209,20 @@ class TestTileSquare235p:
         assert not tile_square_235p(7, 5).tileable
         assert not tile_square_235p(11, 7).tileable
         d = tile_square_235p(13, 5)
-        assert d.tileable and d.reason == "fixture"
+        assert d.tileable and d.reason == "search"
         assert_valid(d.witness)
         d = tile_square_235p(17, 7)
-        assert d.tileable and d.reason == "fixture"
+        assert d.tileable and d.reason == "search"
         assert_valid(d.witness)
+
+    @pytest.mark.parametrize("a,p,digest", [
+        (13, 5, "446afcaeb80a9dcc7ce3df2b6989bfad0005f0eca7a4a8046e0e6e05f6cad75b"),
+        (17, 7, "84140c7743778dd9ac7eaa8c978da6410abacc933d890a2c781f0ee7a1ace3ed"),
+    ])
+    def test_searched_gap_witness_is_pinned(self, a, p, digest):
+        d = tile_square_235p(a, p)
+        assert d.reason == "search"
+        assert hashlib.sha256(encode(d.witness).encode()).hexdigest() == digest
 
     def test_brick_sized_square(self):
         d = tile_square_235p(5, 5)

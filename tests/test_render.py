@@ -4,8 +4,14 @@ import pytest
 
 from frobtile.errors import DimensionUnsupportedError, PreconditionError
 from frobtile.model import BoxShape, Brick, Placement, Tiling, grid_fill
-from frobtile.oracle import builtin_fixture
+from frobtile.oracle import exact_cover_search
 from frobtile.render import RenderOptions, render_ascii, render_svg
+
+
+def searched_square(side, *squares):
+    """The first tiling the exact-cover search finds for a square box."""
+    bricks = [Brick((s, s)) for s in squares]
+    return exact_cover_search(BoxShape((side, side)), bricks).tiling
 
 
 def reconstruct_partition(text):
@@ -74,7 +80,7 @@ class TestAscii:
         assert text.count(".") == 12 and text.count("A") == 4
 
     def test_partition_roundtrip_fixture(self):
-        t = builtin_fixture("square13-235")
+        t = searched_square(13, 2, 3, 5)
         text = render_ascii(t)
         assert reconstruct_partition(text) == placement_cells(t)
 
@@ -85,13 +91,13 @@ class TestAscii:
         assert reconstruct_partition(text) == placement_cells(t)
 
     def test_deterministic(self):
-        t = builtin_fixture("square17-237")
+        t = searched_square(17, 2, 3, 7)
         assert render_ascii(t) == render_ascii(t)
 
 
 class TestSvg:
     def test_fixture_canvas_and_count(self):
-        t = builtin_fixture("square13-235")
+        t = searched_square(13, 2, 3, 5)
         doc = render_svg(t, RenderOptions(cell_size=10))
         assert 'width="130" height="130"' in doc
         assert doc.count("<rect") == len(t.placements)
