@@ -9,32 +9,48 @@ generators:
 
 The general computation walks residue classes modulo the smallest
 generator m: for each residue r, find the least representable integer
-congruent to r (the Apery set of S with respect to m).  Then
+congruent to r (the Apery table of S with respect to m).  Then
 
     g(S) = max_r apery[r] - m
 
-The Apery set is computed by relaxing, one generator at a time, the
-cycles that the generator induces on Z/mZ -- a single pass per cycle
-starting from its current minimum is exact, giving O(m) work per
-generator and no heap.
+and x is representable exactly when x >= apery[x mod m].  The table is
+built one generator at a time: each generator a splits Z/mZ into cycles
+r, r + a, r + 2a, ... and relaxing a cycle once around from its minimum
+is exact.  Along a cycle that relaxation is a running minimum of
+dist[j] - j*a, so numpy does all cycles of one generator in one
+np.minimum.accumulate; below m = 128, or where the entries could leave
+int64, a Python loop does the same pass.  Each generator tuple gets one
+cached table, built from the table of its prefix without the last
+generator, and every operation reads it:
 
-Two identity-based reductions are also implemented:
-
-  * scaling: if gcd of all generators but one equals d > 1, then
+  * frobenius_general takes the table's maximum;
+  * represent walks back from the largest generator, taking the largest
+    coefficient that leaves a remainder in the semigroup of the smaller
+    generators (read from that prefix's table; the largest such
+    coefficient is among the top m candidates, which numpy tests at
+    once);
+  * reduce_brauer_shockley drops the generators representable over the
+    rest (x is redundant exactly when x - y is in <S> for a smaller
+    generator y, one table read each) and scales out common factors:
       g(d*t_1, ..., d*t_k, s) = d*g(t_1, ..., t_k, s) + (d-1)*s
-  * dropping: a generator representable over the others is redundant.
 
-All arithmetic is checked against a signed 64-bit contract; results or
-intermediates beyond 2^63 - 1 raise OverflowError rather than silently
+The cache holds the most recently used tables: at most 256 of them and
+at most 64 MB.
+
+Results are checked against a signed 64-bit contract: a Frobenius
+number beyond 2^63 - 1 raises OverflowError rather than silently
 degrading.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import NonCoprimeError, NotPrimeError, PreconditionError
 
@@ -121,65 +137,201 @@ class Representation:
 
 
 # ---------------------------------------------------------------------------
-# Apery-set machinery
+# Apery tables
 # ---------------------------------------------------------------------------
 
 _INF = float("inf")
 
+# a numpy table's entry for a class its generators cannot reach: above
+# every real entry, and far enough below 2^63 that a pass cannot overflow
+_UNREACHED = INT64_MAX // 2
 
-@lru_cache(maxsize=256)
-def _apery_distances(gens: tuple[int, ...]) -> tuple:
-    """Least representable integer in each residue class mod gens[0].
+# below this modulus the loop builds a table faster than numpy's fixed
+# cost per pass
+_VECTOR_MIN_M = 128
 
-    Requires gens sorted ascending with gcd 1.  Entry r is the smallest
-    nonnegative integer combination of gens congruent to r mod gens[0].
+# the table cache's bounds: 256 tables at m = 10^6 would be 2 GB
+_TABLE_CACHE_ENTRIES = 256
+_TABLE_CACHE_BYTES = 64 << 20
+# a tuple entry is a pointer and a boxed int
+_TUPLE_ENTRY_BYTES = 40
+
+
+def _vectorized(m: int, top: int) -> bool:
+    """Does numpy build the table of generators mod m up to top?
+
+    Real entries stay below m*top <= _UNREACHED, and a pass adds at most
+    m*top to an entry, so int64 holds every value when 2*m*top does.
     """
-    m = gens[0]
-    dist = [0] + [_INF] * (m - 1)
-    for a in gens[1:]:
-        step = a % m
-        if step == 0:
+    return m >= _VECTOR_MIN_M and 2 * m * top <= INT64_MAX
+
+
+def _table_nbytes(table) -> int:
+    if isinstance(table, np.ndarray):
+        return table.nbytes
+    return _TUPLE_ENTRY_BYTES * len(table)
+
+
+class _TableCache:
+    """The most recently used tables, at most max_entries and max_bytes."""
+
+    def __init__(self, max_entries: int, max_bytes: int):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, gens: tuple[int, ...]):
+        with self._lock:
+            table = self.tables.get(gens)
+            if table is not None:
+                self.tables.move_to_end(gens)
+            return table
+
+    def put(self, gens: tuple[int, ...], table) -> None:
+        with self._lock:
+            if gens in self.tables:
+                return
+            self.tables[gens] = table
+            self.nbytes += _table_nbytes(table)
+            while len(self.tables) > self.max_entries or self.nbytes > self.max_bytes:
+                _, old = self.tables.popitem(last=False)
+                self.nbytes -= _table_nbytes(old)
+
+
+_TABLES = _TableCache(_TABLE_CACHE_ENTRIES, _TABLE_CACHE_BYTES)
+
+
+def _apery_table(gens: tuple[int, ...]):
+    """Least element of <gens> in each residue class mod m = gens[0].
+
+    gens is sorted ascending, of any gcd; a class <gens> cannot reach
+    holds _INF in a tuple table and _UNREACHED in a numpy table.  The
+    table of gens extends the table of gens[:-1] by one pass, so a
+    generator set caches the table of each of its prefixes.  Tables are
+    numpy int64 arrays (read-only) where _vectorized(m, gens[-1]) holds,
+    tuples otherwise.
+    """
+    table = _TABLES.get(gens)
+    if table is not None:
+        return table
+    m, a = gens[0], gens[-1]
+    vector = _vectorized(m, a)
+    if len(gens) == 1:
+        if vector:
+            table = np.full(m, _UNREACHED, dtype=np.int64)
+            table[0] = 0
+            return table
+        return (0,) + (_INF,) * (m - 1)
+    prev = _apery_table(gens[:-1])
+    if vector:
+        table = _relax_vector(np.array(prev), a)
+        table.flags.writeable = False
+    else:
+        if isinstance(prev, np.ndarray):
+            prev = _as_tuple(prev)
+        table = tuple(_relax_loop(list(prev), a))
+    _TABLES.put(gens, table)
+    return table
+
+
+def _as_tuple(table: np.ndarray) -> tuple:
+    return tuple(w if w < _UNREACHED else _INF for w in table.tolist())
+
+
+def _relax_loop(dist: list, a: int) -> list:
+    """Close dist under adding a, one pass per cycle a induces mod m.
+
+    Relaxing a cycle once around, starting from its minimum, is exact.
+    """
+    m = len(dist)
+    step = a % m
+    if step == 0:
+        return dist
+    n_cycles = math.gcd(m, step)
+    cycle_len = m // n_cycles
+    for r0 in range(n_cycles):
+        # locate the cycle minimum, then relax once around from it
+        r = r0
+        best_r, best = r0, dist[r0]
+        for _ in range(cycle_len - 1):
+            r = (r + step) % m
+            if dist[r] < best:
+                best_r, best = r, dist[r]
+        if best is _INF:
             continue
-        n_cycles = math.gcd(m, step)
-        cycle_len = m // n_cycles
-        for r0 in range(n_cycles):
-            # locate the cycle minimum, then relax once around from it
-            r = r0
-            best_r, best = r0, dist[r0]
-            for _ in range(cycle_len - 1):
-                r = (r + step) % m
-                if dist[r] < best:
-                    best_r, best = r, dist[r]
-            if best is _INF:
-                continue
-            r = best_r
-            cur = best
-            for _ in range(cycle_len - 1):
-                nxt = (r + step) % m
-                cand = cur + a
-                if cand < dist[nxt]:
-                    dist[nxt] = cand
-                r, cur = nxt, dist[nxt]
-    return tuple(dist)
+        r = best_r
+        cur = best
+        for _ in range(cycle_len - 1):
+            nxt = (r + step) % m
+            cand = cur + a
+            if cand < dist[nxt]:
+                dist[nxt] = cand
+            r, cur = nxt, dist[nxt]
+    return dist
 
 
-def _representable_over(x: int, gens: tuple[int, ...]) -> bool:
-    """Is x a nonnegative integer combination of gens (any gcd)?"""
-    if x < 0:
-        return False
-    if x == 0:
-        return True
-    d = math.gcd(*gens)
-    if x % d:
-        return False
-    x //= d
-    scaled = tuple(sorted(set(g // d for g in gens)))
-    if scaled[0] == 1:
-        return True
-    if len(scaled) == 1:
-        return x % scaled[0] == 0
-    dist = _apery_distances(scaled)
-    return dist[x % scaled[0]] <= x
+def _relax_vector(dist: np.ndarray, a: int) -> np.ndarray:
+    """_relax_loop on an int64 array, all cycles at once.
+
+    Along a cycle r, r + a, r + 2a, ... (mod m) of length L, position t
+    becomes t*a + min over j <= t of (dist[j] - j*a), or that minimum
+    taken over the whole cycle plus L*a when the best source lies past
+    the row's end: one running minimum per row.
+    """
+    m = dist.size
+    step = a % m
+    if step == 0:
+        return dist
+    n_cycles = math.gcd(m, step)
+    length = m // n_cycles
+    # row r0 lists the residues of the cycle through r0, in walking order
+    order = np.arange(length, dtype=np.int64) * step % m + np.arange(n_cycles, dtype=np.int64)[:, None]
+    ramp = np.arange(length, dtype=np.int64) * a
+    run = np.minimum.accumulate(dist[order] - ramp, axis=1)
+    np.minimum(run, run[:, -1:] + length * a, out=run)
+    dist[order] = run + ramp
+    return dist
+
+
+def _member(table, x: int) -> bool:
+    """Is x >= 0 in the semigroup?  table must reach every class."""
+    return int(table[x % len(table)]) <= x
+
+
+def _largest_multiple(rem: int, prefix: tuple[int, ...], s: int) -> int:
+    """Largest c <= rem // s with rem - c*s in <prefix>; one must exist.
+
+    The answer is among the top m candidates.  If c works and
+    c + m <= rem // s, then x = rem - c*s >= m*s; with d = gcd(prefix)
+    and e = d / gcd(d, s), x - e*s is a multiple of d above every gap of
+    <prefix> (those lie below m*s - d*s), so c + e works too.
+    """
+    m = prefix[0]
+    table = _apery_table(prefix)
+    top, low = divmod(rem, s)
+    if isinstance(table, np.ndarray):
+        if _vectorized(m, s):
+            # candidate c = top - j leaves low + j*s < m*s <= _UNREACHED
+            left = low + s * np.arange(min(m, top + 1), dtype=np.int64)
+            return top - int(np.argmax(table[left % m] <= left))
+        table = _as_tuple(table)
+    for c in range(top, -1, -1):
+        x = rem - c * s
+        if table[x % m] <= x:
+            return c
+    raise AssertionError(f"{rem} is not in <{prefix + (s,)}>")
+
+
+def _max_entry(table) -> int:
+    return int(table.max()) if isinstance(table, np.ndarray) else max(table)
+
+
+def _checked_g(g: int, gens: tuple[int, ...]) -> int:
+    if g > INT64_MAX:
+        raise OverflowError(f"Frobenius number of {gens} exceeds the 64-bit contract")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +344,16 @@ def frobenius_pair(s1: int, s2: int) -> int:
         raise PreconditionError(f"generators must be >= 2, got ({s1}, {s2})")
     if math.gcd(s1, s2) != 1:
         raise NonCoprimeError(f"gcd({s1}, {s2}) = {math.gcd(s1, s2)}, expected 1")
-    return checked_mul(s1, s2) - s1 - s2
+    return _checked_g(s1 * s2 - s1 - s2, (s1, s2))
 
 
 def frobenius_general(S: GeneratorSet) -> int:
-    """Largest integer not representable over S, via the Apery set."""
+    """Largest integer not representable over S, via the Apery table."""
     S.require_frobenius_valid()
     gens = S.generators
     if len(gens) == 2:
         return frobenius_pair(*gens)
-    dist = _apery_distances(gens)
-    g = max(dist) - gens[0]
-    if g > INT64_MAX:
-        raise OverflowError(f"Frobenius number of {gens} exceeds the 64-bit contract")
-    return g
+    return _checked_g(_max_entry(_apery_table(gens)) - gens[0], gens)
 
 
 def _frobenius_reduced(gens: tuple[int, ...]) -> int:
@@ -215,29 +363,29 @@ def _frobenius_reduced(gens: tuple[int, ...]) -> int:
         return -1
     if len(gens) == 2:
         return frobenius_pair(*gens)
-    # drop any generator representable over the others (largest first)
-    for i in range(len(gens) - 1, -1, -1):
-        others = gens[:i] + gens[i + 1:]
-        if _representable_over(gens[i], others):
-            return _frobenius_reduced(others)
+    # x is redundant exactly when x - y is in <gens> for a smaller
+    # generator y: elements below x are combinations without x.
+    # Dropping it changes neither the semigroup nor its table.
+    table = _apery_table(gens)
+    kept = tuple(x for i, x in enumerate(gens) if not any(_member(table, x - y) for y in gens[:i]))
+    if len(kept) == 2:
+        return frobenius_pair(*kept)
     # scale out a common factor of all generators but one
-    for j in range(len(gens) - 1, -1, -1):
-        rest = gens[:j] + gens[j + 1:]
+    for j in range(len(kept) - 1, -1, -1):
+        rest = kept[:j] + kept[j + 1:]
         d = math.gcd(*rest)
         if d > 1:
-            core = tuple(sorted(set(t // d for t in rest) | {gens[j]}))
-            inner = _frobenius_reduced(core)
-            return checked_add(checked_mul(d, inner), checked_mul(d - 1, gens[j]))
-    return frobenius_general(GeneratorSet(gens))
+            core = tuple(sorted(set(t // d for t in rest) | {kept[j]}))
+            return _checked_g(d * _frobenius_reduced(core) + (d - 1) * kept[j], gens)
+    return _checked_g(_max_entry(table) - gens[0], gens)
 
 
 def reduce_brauer_shockley(S: GeneratorSet) -> int:
     """Frobenius number via identity-based reduction.
 
-    Repeatedly drops generators representable over the rest and scales
-    out common factors shared by all generators but one, falling back to
-    the Apery computation on irreducible cores.  Always equals
-    frobenius_general(S).
+    Drops the generators representable over the rest and scales out
+    common factors shared by all generators but one, falling back to the
+    Apery table on irreducible cores.  Always equals frobenius_general(S).
     """
     S.require_frobenius_valid()
     return _frobenius_reduced(S.generators)
@@ -255,19 +403,18 @@ def represent(a: int, S: GeneratorSet) -> Optional[Representation]:
     if a < 0:
         raise PreconditionError(f"target must be >= 0, got {a}")
     gens = S.generators
-    if not _representable_over(a, gens):
+    if len(gens) > 2 and not _member(_apery_table(gens), a):
         return None
     coeffs = [0] * len(gens)
     rem = a
-    for i in range(len(gens) - 1, 0, -1):
-        prefix = gens[:i]
-        s = gens[i]
-        for c in range(rem // s, -1, -1):
-            if _representable_over(rem - c * s, prefix):
-                coeffs[i] = c
-                rem -= c * s
-                break
-    coeffs[0] = rem // gens[0]
+    for i in range(len(gens) - 1, 1, -1):
+        coeffs[i] = _largest_multiple(rem, gens[:i], gens[i])
+        rem -= coeffs[i] * gens[i]
+    # the last step is the pair's own: the largest coefficient of gens[1]
+    pair = pair_representation(rem, gens[0], gens[1])
+    if pair is None:
+        return None
+    coeffs[0], coeffs[1] = pair
     return Representation(coefficients=tuple(coeffs), target=a)
 
 

@@ -67,6 +67,30 @@ def loop_pair_representation(target, x, y):
     return None
 
 
+def walk_back_representation(a, gens):
+    """Coefficients of a over ascending gens, greatest read from the top; or None.
+
+    For each generator from the largest down, tries every coefficient
+    from a // s down until the remainder is representable over the
+    smaller generators, the way the library once did; representability
+    comes from reachability masks.
+    """
+    masks = [reachable_mask(gens[:i], max(a, 0)) for i in range(1, len(gens) + 1)]
+    if a < 0 or not (masks[-1] >> a) & 1:
+        return None
+    coeffs = [0] * len(gens)
+    rem = a
+    for i in range(len(gens) - 1, 0, -1):
+        s = gens[i]
+        for c in range(rem // s, -1, -1):
+            if (masks[i - 1] >> (rem - c * s)) & 1:
+                coeffs[i] = c
+                rem -= c * s
+                break
+    coeffs[0] = rem // gens[0]
+    return tuple(coeffs)
+
+
 def pairwise_verify_full(t):
     """verify_full's report fields, from an O(m^2) scan of Placement objects.
 

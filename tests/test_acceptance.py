@@ -38,6 +38,7 @@ from frobtile import (
     prime_cubes_construct,
     quotient_set,
     reduce_brauer_shockley,
+    represent,
     threshold_scan,
     tile_square_235p,
     verify_full,
@@ -302,3 +303,24 @@ def test_criterion_11_scaling_identity_randomized():
         assert scaled == d * base + (d - 1) * s, (core, s, d)
         produced += 1
     _conclude(11, started, 5.0, "200 randomized instances match exactly")
+
+
+def test_criterion_12_frobenius_at_m_one_million():
+    """m = 10^6: the three semigroup paths agree within the budget.
+
+    One fixed set of five generators in [m, 2m), no four of them sharing
+    a factor, so no reduction applies and every path reads a table of a
+    million residues.
+    """
+    started = time.monotonic()
+    gens = (1_000_000, 1_234_567, 1_414_213, 1_618_033, 1_732_051)
+    assert all(math.gcd(*(gens[:j] + gens[j + 1:])) == 1 for j in range(len(gens)))
+    S = GeneratorSet(gens)
+    g = frobenius_general(S)
+    assert reduce_brauer_shockley(S) == g
+    assert represent(g, S) is None
+    rep = represent(g + 1, S)
+    assert rep.target == g + 1
+    assert min(rep.coefficients) >= 0
+    assert sum(c * s for c, s in zip(rep.coefficients, gens)) == g + 1
+    _conclude(12, started, 5.0, f"g = {g} three ways at m = 10^6")

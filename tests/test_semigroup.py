@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from frobtile import semigroup
 from frobtile.errors import NonCoprimeError, NotPrimeError, PreconditionError
 from frobtile.semigroup import (
     INT64_MAX,
@@ -21,7 +23,12 @@ from frobtile.semigroup import (
     represent,
 )
 
-from brute import brute_frobenius, brute_representable, loop_pair_representation
+from brute import (
+    brute_frobenius,
+    brute_representable,
+    loop_pair_representation,
+    walk_back_representation,
+)
 
 
 def random_valid_set(rng, max_size=4, max_value=40):
@@ -57,6 +64,13 @@ def test_pair_rejects_bad_input():
         frobenius_pair(1, 5)
     with pytest.raises(OverflowError):
         frobenius_pair(2**32, 2**32 + 1)
+
+
+def test_pair_checks_its_result_not_its_product():
+    # 3 * (2^62 + 1) leaves int64, but g = 2^63 - 1 does not
+    assert frobenius_pair(3, 2**62 + 1) == INT64_MAX
+    with pytest.raises(OverflowError):
+        frobenius_pair(3, 2**62 + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +125,13 @@ def test_reduction_drops_redundant_generators():
             assert reduce_brauer_shockley(widened) == g
 
 
+def test_reduction_agrees_with_general_at_the_int64_edge():
+    # 2^62 + 4 = (2^62 + 1) + 3 drops, leaving the pair (3, 2^62 + 1)
+    S = GeneratorSet([3, 2**62 + 1, 2**62 + 4])
+    assert frobenius_general(S) == INT64_MAX
+    assert reduce_brauer_shockley(S) == INT64_MAX
+
+
 def test_scaling_identity():
     # g(d*t_1,...,d*t_k, s) = d*g(t_1,...,t_k, s) + (d-1)*s
     rng = random.Random(99)
@@ -128,6 +149,123 @@ def test_scaling_identity():
         rhs = d * frobenius_general(GeneratorSet(tuple(core) + (s,))) + (d - 1) * s
         assert lhs == rhs, (d, core, s)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Apery tables: the numpy pass, int64 headroom and the cache
+# ---------------------------------------------------------------------------
+
+def loop_table(gens):
+    """The Apery table of ascending gens, built by the loop pass alone."""
+    dist = [0] + [semigroup._INF] * (gens[0] - 1)
+    for a in gens[1:]:
+        semigroup._relax_loop(dist, a)
+    return tuple(dist)
+
+
+def loop_walk_back(a, gens):
+    """walk_back_representation with membership read from loop tables."""
+    tables = [loop_table(gens[:i]) for i in range(1, len(gens) + 1)]
+    m = gens[0]
+    if tables[-1][a % m] > a:
+        return None
+    coeffs = [0] * len(gens)
+    rem = a
+    for i in range(len(gens) - 1, 0, -1):
+        s = gens[i]
+        coeffs[i] = next(c for c in range(rem // s, -1, -1) if tables[i - 1][(rem - c * s) % m] <= rem - c * s)
+        rem -= coeffs[i] * s
+    coeffs[0] = rem // m
+    return tuple(coeffs)
+
+
+def numpy_path_sets(rng, count):
+    """Valid sets with m in [256, 4000] and 3 to 6 generators.
+
+    A generator sharing a factor with m splits Z/mZ into several cycles,
+    and 2m (0 mod m) gives a pass with nothing to relax.
+    """
+    out = []
+    while len(out) < count:
+        m = rng.randint(256, 4000)
+        gens = {m}
+        shared = [p for p in (2, 3, 5, 7) if m % p == 0]
+        if shared:
+            p = rng.choice(shared)
+            gens.add(m + p * rng.randint(1, m // p - 1))
+        if rng.random() < 0.5:
+            gens.add(2 * m)
+        k = rng.randint(max(3, len(gens)), 6)
+        while len(gens) < k:
+            gens.add(rng.randint(m + 1, 3 * m))
+        gens = tuple(sorted(gens))
+        if math.gcd(*gens) == 1:
+            out.append(gens)
+    return out
+
+
+def test_numpy_pass_matches_the_loop():
+    rng = random.Random(2026)
+    sets = numpy_path_sets(rng, 12)
+    assert any(math.gcd(g[0], g[i] % g[0]) > 1 for g in sets for i in range(1, len(g)))
+    assert any(g[i] % g[0] == 0 for g in sets for i in range(1, len(g)))
+    for gens in sets:
+        for i in range(2, len(gens) + 1):
+            table = semigroup._apery_table(gens[:i])
+            assert isinstance(table, np.ndarray), gens[:i]
+            # prefixes of gcd > 1 leave classes unreached
+            assert semigroup._as_tuple(table) == loop_table(gens[:i]), gens[:i]
+        S = GeneratorSet(gens)
+        g = frobenius_general(S)
+        assert g == max(loop_table(gens)) - gens[0]
+        assert reduce_brauer_shockley(S) == g, gens
+        for a in (0, g, g + 1, rng.randint(0, g), g + 1 + rng.randrange(gens[0])):
+            rep = represent(a, S)
+            assert (rep and rep.coefficients) == walk_back_representation(a, gens), (a, gens)
+
+
+def test_int64_headroom_keeps_exact_python_ints():
+    # 2*m*max(S) > 2^63 - 1: the loop builds these tables, in Python ints
+    gens = (300, 2**54 + 1, 2**54 + 7)
+    S = GeneratorSet(gens)
+    table = semigroup._apery_table(gens)
+    assert isinstance(table, tuple)
+    assert table == loop_table(gens)
+    g = max(table) - 300
+    assert frobenius_general(S) == g == 558446353793941289
+    assert reduce_brauer_shockley(S) == g
+    # numpy prefixes, then a last generator past the int64 headroom
+    mixed = (256, 300, 2**55 + 3, 2**56 + 1)
+    assert isinstance(semigroup._apery_table(mixed[:2]), np.ndarray)
+    assert isinstance(semigroup._apery_table(mixed), tuple)
+    for gens in (gens, mixed):
+        S = GeneratorSet(gens)
+        g = frobenius_general(S)
+        assert g == max(loop_table(gens)) - gens[0]
+        assert reduce_brauer_shockley(S) == g
+        assert represent(g, S) is None
+        for a in (g + 1, g + 12_345, g // 2, 2**63 + 7):
+            rep = represent(a, S)
+            assert (rep and rep.coefficients) == loop_walk_back(a, gens), (a, gens)
+    assert frobenius_general(GeneratorSet([3, 4, 2**62])) == 5
+
+
+def test_table_cache_evicts_the_oldest_past_its_byte_bound(monkeypatch):
+    cache = semigroup._TableCache(max_entries=256, max_bytes=3 * 8 * 1000)
+    monkeypatch.setattr(semigroup, "_TABLES", cache)
+    keys = [(1000, 1000 + a) for a in (1, 3, 7, 9, 11)]
+    for key in keys[:3]:
+        semigroup._apery_table(key)
+    semigroup._apery_table(keys[0])  # a hit makes keys[0] the newest
+    for key in keys[3:]:
+        semigroup._apery_table(key)
+    assert list(cache.tables) == [keys[0], keys[3], keys[4]]
+    assert cache.nbytes == 3 * 8 * 1000
+    # the count bound holds on its own
+    cache.max_entries = 2
+    semigroup._apery_table((1000, 1013))
+    assert list(cache.tables) == [keys[4], (1000, 1013)]
+    assert cache.nbytes == 2 * 8 * 1000
 
 
 # ---------------------------------------------------------------------------
