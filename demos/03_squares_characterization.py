@@ -1,9 +1,9 @@
 """Which squares do squares of sides 2, 3 and p fill?
 
 For p = 5 and p = 7 the answer is exact: every side works except 1
-and 7, respectively 1, 5 and 11.  The decider reproduces this without
-an exhaustive search for the easy sides, and the exhaustive oracle
-confirms both the misses and the decider's verdicts up to side 30.
+and 7, respectively 1, 5 and 11.  The decider reproduces this in
+closed form, without any search, and the exhaustive oracle confirms
+both the misses and the decider's verdicts up to side 30.
 """
 
 from frobtile import Brick, render_ascii, threshold_scan, tile_square_235p
@@ -22,7 +22,7 @@ decision = tile_square_235p(13, 5)
 print("13 x 13 from {2,3,5}:", decision)
 print(render_ascii(decision.witness))
 
-# the same question for a p the tables were never built for: the
-# decider composes or searches as needed and explains which it did
+# the same question for another p: the decider composes, builds a
+# pinwheel or applies the weight argument, and names which it did
 for a in (25, 29, 31):
     print(f"{a} x {a} from {{2,3,11}}:", tile_square_235p(a, 11))

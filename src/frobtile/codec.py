@@ -22,7 +22,6 @@ lossless field-for-field.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -127,36 +126,6 @@ def _check_entry(entry, path: str) -> None:
             raise TilingParseError(f"{path}.origin: expected integers, found {v!r}")
 
 
-def _columns(entries: list, n: int):
-    """(brick, orientation, origin) arrays when every entry is well formed
-    with n-long lists of int64 values, else None."""
-    if not entries or set(map(type, entries)) - {dict} or set(map(len, entries)) - {3}:
-        return None
-    try:
-        bricks = [e["brick"] for e in entries]
-        orientations = [e["orientation"] for e in entries]
-        origins = [e["origin"] for e in entries]
-    except KeyError:
-        return None
-    if set(map(type, bricks)) - {int}:
-        return None
-    for rows in (orientations, origins):
-        if (
-            set(map(type, rows)) - {list}
-            or set(map(len, rows)) - {n}
-            or set(map(type, chain.from_iterable(rows))) - {int}
-        ):
-            return None
-    try:
-        return (
-            np.fromiter(bricks, dtype=np.int64, count=len(bricks)),
-            np.fromiter(chain.from_iterable(orientations), dtype=np.int64).reshape(-1, n),
-            np.fromiter(chain.from_iterable(origins), dtype=np.int64).reshape(-1, n),
-        )
-    except OverflowError:
-        return None
-
-
 def _canonical(text: str):
     """(document, columns) when the placements are laid out exactly as
     encode writes them, else None.
@@ -204,9 +173,8 @@ def decode(text: str) -> Tiling:
 
     A document laid out as encode writes it has its placements read
     straight into columns (_canonical).  Any other goes through
-    json.loads: placements still go into columns when every entry is
-    well formed; otherwise the entries are checked one by one, so that
-    the error names the first bad one by its JSON path.
+    json.loads, and its entries are checked one by one, so that the
+    error names the first bad one by its JSON path.
     """
     canonical = _canonical(text)
     if canonical is not None:
@@ -240,17 +208,15 @@ def decode(text: str) -> Tiling:
     ]
     entries = doc["placements"]
     if columns is None:
-        columns = _columns(entries, len(box_sides))
-        if columns is None:
-            for i, entry in enumerate(entries):
-                _check_entry(entry, f"placements[{i}]")
+        for i, entry in enumerate(entries):
+            _check_entry(entry, f"placements[{i}]")
     try:
         box = BoxShape(box_sides)
         bricks = tuple(Brick(b) for b in brick_sides)
         if columns is not None:
             return Tiling.from_arrays(box, bricks, *columns, rotation_policy=doc["rotation_policy"])
-        # no entries, or well formed ones with lists of the wrong length
-        # or values past int64: the constructor names the first such one
+        # well formed entries, maybe with lists of the wrong length or
+        # values past int64: the constructor names the first such one
         placements = [
             Placement(e["brick"], tuple(e["orientation"]), tuple(e["origin"])) for e in entries
         ]

@@ -357,7 +357,7 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
 
 
 def _trusted(box, bricks, brick_index, orientation, origin, policy) -> Tiling:
-    """A tiling from columns that stack or extrude built from validated tilings.
+    """A tiling from columns that _join or extrude built from validated tilings.
 
     Those moves keep every structural check true, so the checks are not
     run again; on tilings of a few placements they cost about as much as
@@ -807,20 +807,31 @@ def stack(parts: Sequence[Tiling], axis: int) -> Tiling:
         if t.rotation_policy != first.rotation_policy:
             raise ShapeMismatchError("stacked tilings must share a rotation policy")
     thickness = [t.box.sides[axis] for t in parts]
+    offsets = accumulate(thickness[:-1], initial=0)
+    shifts = [(0,) * axis + (offset,) + (0,) * (n - axis - 1) for offset in offsets]
+    sides = list(first.box.sides)
+    sides[axis] = sum(thickness)
+    return _join(BoxShape(sides), parts, shifts)
+
+
+def _join(box: BoxShape, parts: Sequence[Tiling], shifts: Sequence[Sequence[int]]) -> Tiling:
+    """The parts, each moved by its shift, as one tiling of box.
+
+    The caller vouches that the moved parts fill box exactly and share
+    one brick list and rotation policy; every shift is >= 0.
+    """
     origin = np.concatenate([t.origin for t in parts])
-    origin[:, axis] += np.repeat(
-        list(accumulate(thickness[:-1], initial=0)), [len(t.brick_index) for t in parts]
-    )
-    if len(origin) and origin[:, axis].min() < 0:
+    end = 0
+    for t, shift in zip(parts, shifts):
+        start, end = end, end + len(t.brick_index)
+        origin[start:end] += shift
+    if len(origin) and origin.min() < 0:
         # every origin was >= 0 and every shift is, so this one wrapped around
-        raise PreconditionError(f"stacking along axis {axis} moves an origin past 2^63 - 1")
+        raise PreconditionError("joining tilings moves an origin past 2^63 - 1")
     brick_index, orientation, origin = _by_origin(
         np.concatenate([t.brick_index for t in parts]),
         np.concatenate([t.orientation for t in parts]),
         origin,
     )
-    sides = list(first.box.sides)
-    sides[axis] = sum(thickness)
-    return _trusted(
-        BoxShape(sides), first.bricks, brick_index, orientation, origin, first.rotation_policy
-    )
+    first = parts[0]
+    return _trusted(box, first.bricks, brick_index, orientation, origin, first.rotation_policy)

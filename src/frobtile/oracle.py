@@ -126,7 +126,7 @@ class SearchResult:
 
     def __str__(self) -> str:
         if self.status == FOUND:
-            return f"Found({len(self.tiling.placements)} placements, {self.nodes} nodes)"
+            return f"Found({len(self.tiling.brick_index)} placements, {self.nodes} nodes)"
         if self.status == INFEASIBLE:
             return f"Infeasible({self.nodes} nodes)"
         return f"Exhausted({self.reason}, {self.nodes} nodes)"

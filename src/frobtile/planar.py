@@ -5,8 +5,8 @@ a short tag naming the branch that settled the question.  Witnesses
 come from the cheapest applicable construction: a plain grid when
 divisibility settles it, strip decompositions when one side has to be
 split as a nonnegative combination of brick sides, block compositions
-for large squares, and exact-cover search for the few small squares
-no construction covers.
+for large squares, and pinwheels (a square ringed by four rectangles)
+for the squares between them.  Nothing here searches.
 
 The single-brick criterion is the full one: a rectangle is tileable by
 one brick (rotations allowed) exactly when the brick grids it directly
@@ -24,22 +24,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .constructor import BrickSystem, construct_box
-from .errors import (
-    BoundNotMetError,
-    NonCoprimeError,
-    PreconditionError,
-    SearchLimitError,
-)
+from .errors import BoundNotMetError, NonCoprimeError, PreconditionError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
     ROTATION_FIXED,
     BoxShape,
     Brick,
     Tiling,
+    _join,
     oriented_grid,
     stack,
 )
-from .oracle import EXHAUSTED, FOUND, exact_cover_search
 from .semigroup import (
     checked_mul,
     checked_prod,
@@ -276,71 +271,72 @@ def compose_squares(a: int, b: int, c: int, r: int, L: int, k: int) -> tuple[Til
     return first, second
 
 
-def _frame_extend(core: Tiling, a: int) -> Tiling:
-    """Grow a square tiling of side b to side a, a - b a multiple of 6.
-
-    The widening L is two rectangles: [b x (a-b)] to the right of the
-    core and [(a-b) x a] below it, each strip-filled with the 2- and
-    3-squares (every strip dimension is even or a multiple of 3).
-    """
-    b = core.box.sides[0]
-    pad = a - b
-    bricks = core.bricks
-    policy = core.rotation_policy
+def _ring_part(h: int, w: int, bricks: tuple[Brick, ...]) -> Tiling:
+    """A ring rectangle of a pinwheel: strips of the 2- and 3-squares, or
+    a grid of the third square when those two cannot tile it."""
     ident = (0, 1)
-    side_parts = pair_representation(b, 2, 3)
-    full_parts = pair_representation(a, 2, 3)
-    right = _strips(
-        (b, pad), bricks, 0, [(0, ident, side_parts[0]), (1, ident, side_parts[1])], policy
-    )
-    bottom = _strips(
-        (pad, a), bricks, 1, [(0, ident, full_parts[0]), (1, ident, full_parts[1])], policy
-    )
-    return stack([stack([core, right], axis=1), bottom], axis=0)
+    split = two_squares_split(h, w, 2, 3)
+    if split is None:
+        return oriented_grid((h, w), bricks, 2, ident, ROTATION_FIXED)
+    axis, (u, v) = split
+    return _strips((h, w), bricks, axis, [(0, ident, u), (1, ident, v)], ROTATION_FIXED)
 
 
-def _gap_decision(a: int, p: int, bricks: tuple[Brick, ...]) -> Decision:
-    """Settle a side in the window p < a < 3p outside both compositions.
+def _pinwheel(H: int, W: int, y: int, x: int, c: int, bricks: tuple[Brick, ...]) -> Tiling:
+    """The (H x W) box as a c-square at (y, x) ringed by four rectangles.
 
-    Walks the arithmetic progression a mod 6 upward from its smallest
-    member above p: the first tileable member extends to every later
-    one by 6-wide frames, so positives are found at the smallest (and
-    cheapest) sides; when no member helps, the verdict is the target's
-    own exhaustive search.  A smaller member whose search hits its
-    limits is skipped; only the target's own search raises.
+    The rectangles are top [0, y) x [0, x+c), right [0, y+c) x [x+c, W),
+    bottom [y+c, H) x [x, W) and left [y, H) x [0, x); each must be
+    tileable by _ring_part.  bricks lists the 2-, 3- and p-squares.
     """
-    start = p + 1
-    while start % 6 != a % 6:
-        start += 1
-    for b in range(start, a + 1, 6):
-        result = exact_cover_search(BoxShape((b, b)), bricks)
-        if result.status == FOUND:
-            if b == a:
-                return Decision(True, result.tiling, "search")
-            return Decision(True, _frame_extend(result.tiling, a), "framed-search")
-        if result.status == EXHAUSTED and b == a:
-            raise SearchLimitError(
-                f"search gave up on ({b} x {b}) with bricks 2, 3, {p}: {result.reason}"
-            )
-    return Decision(False, None, "search-infeasible")
+    index = [b.sides[0] for b in bricks].index(c)
+    centre = oriented_grid((c, c), bricks, index, (0, 1), ROTATION_FIXED)
+    parts = [
+        (centre, (y, x)),
+        (_ring_part(y, x + c, bricks), (0, 0)),
+        (_ring_part(y + c, W - x - c, bricks), (0, x + c)),
+        (_ring_part(H - y - c, W - x, bricks), (y + c, x)),
+        (_ring_part(H - y, x, bricks), (y, 0)),
+    ]
+    return _join(BoxShape((H, W)), [t for t, _ in parts], [shift for _, shift in parts])
 
 
 def tile_square_235p(a: int, p: int) -> Decision:
     """Decide whether the (a x a) square is tileable by squares 2, 3, p.
 
     p must be odd, above 4 and not divisible by 3 (primality is not
-    required).  Sides sharing a factor with 2, 3 or p get grids; sides
-    congruent to p mod 3 get the side-(p + 6k) composition; sides in the
-    other nonzero class get the side-(r + 2p) composition once
+    required).  Every side is settled in closed form, for every such p;
+    nothing searches.  Sides sharing a factor with 2, 3 or p get grids;
+    sides congruent to p mod 3 get the side-(p + 6k) composition; sides
+    in the other nonzero class get the side-(r + 2p) composition once
     r = a - 2p reaches p; sides below p admit no brick but 2 and 3 and
-    fail their divisibility criterion.  Those cases are settled for
-    every p.  The finitely many leftovers between p and 3p are settled
-    by exact-cover search, which finishes within a few seconds for
-    p in {5, 7, 11, 13}; for p = 5, 7 and 11 every
-    side is checked against the independent verdict table in
-    perfbench/.  For larger p a leftover may need more than the default
-    search limits, and then SearchLimitError is raised: side 31 at
-    p = 17 does.
+    fail their divisibility criterion.
+
+    That leaves the window p < a < 3p with a = -p (mod 6).  Let
+    u = (a - p) / 2.  A side a >= p + 10 (the least is p + 10 when
+    p = 1 (mod 6), p + 14 when p = 5 (mod 6)) is a "pinwheel": a
+    p-square at (y, y), y = u for odd u and u - 3 for even u, ringed
+    by four rectangles, each with one side divisible by 6 and the
+    other a nonnegative combination of 2 and 3.  Side 13 at p = 5 is
+    6 x 13 strips on the 7 x 13 pinwheel with a 3-square at (2, 5).
+
+    Every other window side (p + 4 for p = 1 (mod 6); p + 2 and p + 8
+    for p = 5 (mod 6); side 7 at p = 5) is not tileable, by the
+    "weight-invariant" argument of de Bruijn, "Filling boxes with
+    bricks" (Amer. Math. Monthly, 1969):
+
+    - Since a < 2p, at most one p-square fits; with none, the 2- and
+      3-squares fail the two-squares criterion, as 6 does not divide a.
+    - Weight cell (i, j) by x^i y^j.  A 2-square's weights carry the
+      factor (1 + x)(1 + y), a 3-square's (1 + x + x^2)(1 + y + y^2), so
+      a region they tile weighs 0 at (x, y) = (-1, w) and at (w, -1),
+      w a primitive cube root of unity.  Subtracting the p-square at
+      (i, j) from the whole square, this forces i = j = 1 (mod 6) when
+      a = 1 (mod 3) and i = j = 5 (mod 6) when a = 2 (mod 3).
+    - Within 0 <= i, j <= a - p, which is 2, 4 or 8, such a coordinate
+      can only be 1 or a - p - 1, and either leaves a strip 1 cell wide
+      between the p-square and the box edge, which no brick can fill.
+      No origin is left.
     """
     _require_positive(a=a, p=p)
     if p % 2 == 0 or p % 3 == 0 or p <= 4:
@@ -363,4 +359,15 @@ def tile_square_235p(a: int, p: int) -> Decision:
         # r = a - 2p is odd, >= p (hence a combination of 2 and p) and 3 | r
         witness = compose_squares(2, 3, p, a - 2 * p, 1, 1)[0]
         return Decision(True, witness, "composition")
-    return _gap_decision(a, p, bricks)
+    # a = -p (mod 6) and p < a < 3p: the window the compositions leave
+    if a >= p + 10:
+        # odd u: four u x (u + p) rectangles; even u: the centre moves 3
+        # up and left, so that each ring rectangle keeps a side 6 divides
+        u = (a - p) // 2
+        y = u if u % 2 else u - 3
+        return Decision(True, _pinwheel(a, a, y, y, p, bricks), "pinwheel")
+    if (a, p) == (13, 5):
+        # a >= 2p here, so two p-squares fit and the weight argument does not apply
+        top = _ring_part(6, 13, bricks)
+        return Decision(True, stack([top, _pinwheel(7, 13, 2, 5, 3, bricks)], axis=0), "pinwheel")
+    return Decision(False, None, "weight-invariant")

@@ -174,7 +174,11 @@ class TestDecide:
 
     def test_235p(self, capsys):
         code, out, _ = run(capsys, "decide", "235p", "--side", "17", "--p", "7")
-        assert code == 0 and out == "tileable (search)\n"
+        assert code == 0 and out == "tileable (pinwheel)\n"
+
+    def test_235p_window_side_past_search_reach(self, capsys):
+        code, out, _ = run(capsys, "decide", "235p", "--side", "31", "--p", "17")
+        assert code == 0 and out == "tileable (pinwheel)\n"
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 """Tests for the 2-D deciders, thresholds and square compositions."""
 
+import functools
 import hashlib
 
 import pytest
@@ -13,7 +14,7 @@ from frobtile.errors import (
     PreconditionError,
 )
 from frobtile.model import BoxShape, Brick, verify_full
-from frobtile.oracle import FOUND, SearchConfig, exact_cover_search
+from frobtile.oracle import FOUND, INFEASIBLE, SearchConfig, exact_cover_search
 from frobtile.planar import (
     Decision,
     compose_squares,
@@ -204,15 +205,63 @@ class TestComposeSquares:
             compose_squares(2, 3, 5, 5, 1, 1)
 
 
+# every window side p < a < 3p left by the grids and compositions, that
+# is a = -p (mod 6), for p from 5 to 59 coprime to 6
+WINDOW = [
+    (a, p)
+    for p in range(5, 60)
+    if p % 2 and p % 3
+    for a in range(p + 1, 3 * p)
+    if (a + p) % 6 == 0
+]
+
+
+def mul(s, t):
+    """Product in Z[w], w a primitive cube root of unity (w^2 = -1 - w);
+    (c0, c1) stands for c0 + c1*w."""
+    return (s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0] - s[1] * t[1])
+
+
+@functools.cache
+def power_sum(z, lo, hi):
+    """Sum of z^k over lo <= k < hi, in Z[w]."""
+    term, total = (1, 0), (0, 0)
+    for k in range(hi):
+        if k >= lo:
+            total = (total[0] + term[0], total[1] + term[1])
+        term = mul(term, z)
+    return total
+
+
+def admissible_origins(a, p):
+    """Origins (i, j) of one p-square in the (a x a) square whose
+    complement leaves no strip 1 cell wide and, like every region of 2-
+    and 3-squares, weighs 0 under x^i y^j at (x, y) = (-1, w) and (w, -1)."""
+    def complement_weighs_zero(x, y, i, j):
+        whole = mul(power_sum(x, 0, a), power_sum(y, 0, a))
+        return whole == mul(power_sum(x, i, i + p), power_sum(y, j, j + p))
+
+    minus_one, w = (-1, 0), (0, 1)
+    return [
+        (i, j)
+        for i in range(a - p + 1)
+        for j in range(a - p + 1)
+        if 1 not in (i, j, a - p - i, a - p - j)
+        and complement_weighs_zero(minus_one, w, i, j)
+        and complement_weighs_zero(w, minus_one, i, j)
+    ]
+
+
 class TestTileSquare235p:
     def test_paper_characterization_values(self):
-        assert not tile_square_235p(7, 5).tileable
-        assert not tile_square_235p(11, 7).tileable
+        for a, p in ((7, 5), (11, 7)):
+            d = tile_square_235p(a, p)
+            assert not d.tileable and d.reason == "weight-invariant"
         d = tile_square_235p(13, 5)
-        assert d.tileable and d.reason == "search"
+        assert d.tileable and d.reason == "pinwheel"
         assert_valid(d.witness)
         d = tile_square_235p(17, 7)
-        assert d.tileable and d.reason == "search"
+        assert d.tileable and d.reason == "pinwheel"
         assert_valid(d.witness)
 
     @pytest.mark.parametrize("a,p,digest", [
@@ -220,9 +269,53 @@ class TestTileSquare235p:
         (17, 7, "84140c7743778dd9ac7eaa8c978da6410abacc933d890a2c781f0ee7a1ace3ed"),
     ])
     def test_searched_gap_witness_is_pinned(self, a, p, digest):
+        result = exact_cover_search(BoxShape((a, a)), [Brick((s, s)) for s in (2, 3, p)])
+        assert result.status == FOUND
+        assert hashlib.sha256(encode(result.tiling).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("a,p,digest", [
+        (13, 5, "99b7a6c1c217ce8de4b0729b2997cc9b2699086b7eba9b77f19504b4e1868706"),
+        (17, 7, "098bb69c750bdbeb21fdd885f725b6494f6ac43a8193a3ee3a8c6399277d0f8e"),
+    ])
+    def test_pinwheel_witness_is_pinned(self, a, p, digest):
         d = tile_square_235p(a, p)
-        assert d.reason == "search"
+        assert d.reason == "pinwheel"
         assert hashlib.sha256(encode(d.witness).encode()).hexdigest() == digest
+
+    def test_window_is_settled_by_pinwheel_or_weights(self):
+        for a, p in WINDOW:
+            d = tile_square_235p(a, p)
+            s0 = p + (10 if p % 6 == 1 else 14)
+            assert d.tileable == (a >= s0 or (a, p) == (13, 5)), (a, p)
+            if d.tileable:
+                assert d.reason == "pinwheel" and d.witness.box.sides == (a, a)
+                assert_valid(d.witness)
+            else:
+                assert d.reason == "weight-invariant"
+
+    def test_weight_invariant_leaves_no_origin(self):
+        decisions = [(a, p, tile_square_235p(a, p)) for a, p in WINDOW]
+        negatives = [(a, p) for a, p, d in decisions if not d.tileable]
+        assert len(negatives) == 28
+        for a, p in negatives:
+            assert a < 2 * p  # so at most one p-square fits
+            assert admissible_origins(a, p) == [], (a, p)
+        # the origin test is not vacuous: each pinwheel below 2p puts its
+        # p-square on an admissible origin
+        for a, p, d in decisions:
+            if d.tileable and a < 2 * p:
+                (origin,) = d.witness.origin[d.witness.brick_index == 2].tolist()
+                assert tuple(origin) in admissible_origins(a, p), (a, p)
+
+    def test_weight_invariant_agrees_with_search(self):
+        # the negatives with p <= 23 but 31 at p = 23, whose search runs for minutes
+        negatives = [(a, p) for a, p in WINDOW if a <= 25 and not tile_square_235p(a, p).tileable]
+        assert negatives == [
+            (7, 5), (11, 7), (13, 11), (19, 11), (17, 13), (19, 17), (25, 17), (23, 19), (25, 23)
+        ]
+        for a, p in negatives:
+            result = exact_cover_search(BoxShape((a, a)), [Brick((s, s)) for s in (2, 3, p)])
+            assert result.status == INFEASIBLE, (a, p, str(result))
 
     def test_brick_sized_square(self):
         d = tile_square_235p(5, 5)
@@ -249,14 +342,15 @@ class TestTileSquare235p:
             if d.tileable:
                 assert_valid(d.witness)
 
-    def test_gap_walk_p11(self):
-        # 31 is 6 above a searchable positive (25), which in turn sits
-        # above two provably impossible class members (13, 19)
+    def test_window_pinwheel_p11(self):
+        # 13 and 19 are provably impossible; 25 and 31 are single pinwheels
         assert not tile_square_235p(13, 11).tileable
-        d = tile_square_235p(31, 11)
-        assert d.tileable and d.reason == "framed-search"
-        assert d.witness.box.sides == (31, 31)
-        assert_valid(d.witness)
+        assert not tile_square_235p(19, 11).tileable
+        for a in (25, 31):
+            d = tile_square_235p(a, 11)
+            assert d.tileable and d.reason == "pinwheel"
+            assert d.witness.box.sides == (a, a)
+            assert_valid(d.witness)
 
     def test_composite_p_allowed(self):
         d = tile_square_235p(31, 25)  # 31 = 25 + 6, matching residue
