@@ -13,6 +13,19 @@ Layout:
       ]
     }
 
+Every placement line follows one layout (_layout): fixed literal text
+around 2n + 1 integers, the brick index, the orientation and the
+origin, each written as its shortest decimal.  encode fills the lines
+into byte matrices from that layout.  decode reads a document in that
+layout straight into columns (_canonical): it finds the runs of digits
+in the placements list and accepts the list only when the text between
+the runs is the layout's, piece by piece, and every run is a shortest
+decimal of at most 18 digits, so that it fits int64.  For any columns,
+encode writes exactly such a text, and two different texts of that form
+never hold the same numbers, so the check says the same as writing the
+columns again and comparing.  Any other document, 19-digit numbers
+included, goes through json.loads.
+
 Decoding is strict: unknown fields are rejected by name, missing or
 mistyped fields are reported with their JSON path, and syntax errors
 carry the line number from the parser.  encode/decode round-trips are
@@ -37,59 +50,91 @@ _PLACEMENT_FIELDS = {"brick", "orientation", "origin"}
 
 
 _PLACEMENTS_OPEN = '  "placements": [\n'
-_PLACEMENTS_CLOSE = "\n  ]\n}\n"
-# every byte but the ASCII digits becomes a space
-_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
-# placements formatted per string, so that no temporary holds them all
+_PLACEMENTS_CLOSE = "  ]\n}\n"
+# placements written and read this many lines at a time, so that no
+# temporary holds them all
 _LINES_CHUNK = 1 << 14
+# 10**k for k = 0..18; the longest run the reader converts has 18 digits
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _group_table() -> np.ndarray:
+    """Three decimal digits as four bytes, the first of them NUL: entry v
+    < 1000 is v padded with NULs, entry 1000 + v is v padded with zeros,
+    entry 2000 is all NULs."""
+    v = np.arange(1000)[:, None]
+    digits = v // np.array([100, 10, 1]) % 10 + ord("0")
+    table = np.zeros((2001, 4), dtype=np.uint8)
+    table[:1000, 1:] = np.where(v < np.array([100, 10, 0]), 0, digits)
+    table[1000:2000, 1:] = digits
+    return table.view(np.uint32).reshape(-1)
+
+
+_GROUPS = _group_table()
+
+
+def _layout(n: int) -> list[bytes]:
+    """The literal text around a placement line's 2n + 1 integers (brick,
+    orientation, origin), the last piece closing the line."""
+    between = [b", "] * (n - 1)
+    return [b'    {"brick": ', b', "orientation": [', *between, b'], "origin": [', *between, b"]},\n"]
+
+
+def _decimals(values: np.ndarray, groups: int) -> np.ndarray:
+    """values in [0, 1000**groups) as right-aligned ASCII decimals, a
+    row of 4 * groups bytes each, NUL wherever there is no digit."""
+    out = np.empty((len(values), groups), dtype=np.uint32)
+    for g in range(groups):
+        index = values // 1000**g % 1000 if groups > 1 else values
+        if g + 1 < groups:
+            index += 1000 * (values >= 1000 ** (g + 1))
+        if g:
+            index[values < 1000**g] = 2000
+        out[:, groups - 1 - g] = _GROUPS[index]
+    return out.view(np.uint8)
 
 
 def _placement_lines(brick_index, orientation, origin):
-    """The lines of at least one placement, joined by ",\n", as strings of
-    up to _LINES_CHUNK lines each."""
-    rows = np.column_stack([brick_index, orientation])
-    # distinct rows, compared as raw bytes
-    _, first, which = np.unique(
-        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1),
-        return_index=True,
-        return_inverse=True,
-    )
-    keys = rows[first]
-    origin_field = "[" + ", ".join(["%d"] * origin.shape[1]) + "]"
-    templates = [
-        '    {"brick": %d, "orientation": %s, "origin": ' % (key[0], json.dumps(key[1:]))
-        + origin_field
-        + "}"
-        for key in keys.tolist()
-    ]
-    which = which.reshape(-1).tolist()
-    for s in range(0, len(which), _LINES_CHUNK):
-        chunk = ",\n".join(map(templates.__getitem__, which[s : s + _LINES_CHUNK]))
-        if s:
-            chunk = ",\n" + chunk
-        yield chunk % tuple(origin[s : s + _LINES_CHUNK].reshape(-1).tolist())
+    """The placement lines, _LINES_CHUNK lines per string; the last line
+    ends without its comma."""
+    layout = _layout(origin.shape[1])
+    m = len(brick_index)
+    for s in range(0, m, _LINES_CHUNK):
+        e = min(s + _LINES_CHUNK, m)
+        columns = [brick_index[s:e], *orientation[s:e].T, *origin[s:e].T]
+        groups = [(len(str(c.max())) + 2) // 3 for c in columns]
+        template = layout[0] + b"".join(b"\0" * 4 * g + text for g, text in zip(groups, layout[1:]))
+        lines = np.empty((e - s, len(template)), dtype=np.uint8)
+        lines[:] = np.frombuffer(template, dtype=np.uint8)
+        at = len(layout[0])
+        for c, g, text in zip(columns, groups, layout[1:]):
+            lines[:, at : at + 4 * g] = _decimals(c, g)
+            at += 4 * g + len(text)
+        if e == m:
+            lines[-1, -2] = 0  # the comma in "]},\n"
+        yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def encode(t: Tiling) -> str:
     """Serialize a tiling; placements one per line for diffability.
 
-    Each distinct (brick, orientation) pair gets one cached line
-    template; the origins are filled into the joined templates in one
-    formatting pass per _LINES_CHUNK placements.
+    The placement lines are filled into a byte matrix per _LINES_CHUNK
+    placements from the layout (_layout), every number right-aligned in
+    a field as wide as the longest of its column; the NULs that pad the
+    shorter ones are dropped, and the text is decoded once per matrix.
     """
-    lines = [
-        "{",
-        f'  "format": {json.dumps(FORMAT_TAG)},',
-        f'  "box": {json.dumps(list(t.box.sides))},',
-        f'  "rotation_policy": {json.dumps(t.rotation_policy)},',
-        f'  "bricks": {json.dumps([list(b.sides) for b in t.bricks])},',
-        '  "placements": [',
-    ]
-    if len(t.brick_index):
-        lines.append("".join(_placement_lines(t.brick_index, t.orientation, t.origin)))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    head = "\n".join(
+        [
+            "{",
+            f'  "format": {json.dumps(FORMAT_TAG)},',
+            f'  "box": {json.dumps(list(t.box.sides))},',
+            f'  "rotation_policy": {json.dumps(t.rotation_policy)},',
+            f'  "bricks": {json.dumps([list(b.sides) for b in t.bricks])},',
+            _PLACEMENTS_OPEN,
+        ]
+    )
+    lines = _placement_lines(t.brick_index, t.orientation, t.origin)
+    return "".join([head, *lines, _PLACEMENTS_CLOSE])
 
 
 def _is_int(v) -> bool:
@@ -126,6 +171,43 @@ def _check_entry(entry, path: str) -> None:
             raise TilingParseError(f"{path}.origin: expected integers, found {v!r}")
 
 
+def _window_rows(window: bytes, layout: list[bytes]):
+    """The integers of whole placement lines, one row per line, or None
+    unless the text between the runs of digits is the layout's, piece by
+    piece, and every run a shortest decimal of at most 18 digits."""
+    w = np.frombuffer(window, dtype=np.uint8)
+    digit = (w >= ord("0")) & (w <= ord("9"))
+    if digit[0] or digit[-1]:
+        return None
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    # the lengths of the text before each run, of the runs, and of the
+    # text after the last run as if one more line followed, which makes
+    # the gaps of every line the same
+    bounds = np.concatenate(([0], edges, [len(w) + len(layout[0])]))
+    spans = bounds[1:] - bounds[:-1]
+    gaps, lengths = spans[::2], spans[1::2]
+    cols = len(layout) - 1
+    rows = len(lengths) // cols
+    line_gaps = [len(text) for text in layout[1:-1]] + [len(layout[-1] + layout[0])]
+    if (
+        not rows
+        or len(lengths) != rows * cols
+        or gaps[0] != len(layout[0])
+        or (gaps[1:].reshape(rows, cols) != line_gaps).any()
+        or window.translate(None, b"0123456789") != b"".join(layout) * rows
+        or lengths.max() > 18
+        or ((w[edges[::2]] == ord("0")) & (lengths > 1)).any()
+    ):
+        return None
+    ends = edges[1::2]
+    values = (w[ends - 1] - ord("0")).astype(np.int64)
+    for k in range(1, lengths.max()):
+        digits = w[ends - 1 - k] - ord("0")
+        digits[lengths <= k] = 0
+        values += digits * _POW10[k]
+    return values.reshape(rows, cols)
+
+
 def _canonical(text: str):
     """(document, columns) when the placements are laid out exactly as
     encode writes them, else None.
@@ -133,39 +215,56 @@ def _canonical(text: str):
     The text is cut at the placements list, which must run to its end.
     The part before it, closed with an empty list, is parsed as JSON: that
     parse succeeds only where the list is the top-level object's last
-    field.  The list's numbers are read in one pass and kept only if
-    writing them again gives back the same characters, so json.loads of
-    the whole text would give the same document with these placements.
-    The document's placements field is the empty list.
+    field.  The list is read in windows of whole lines, at most
+    _LINES_CHUNK lines of the layout each.  In each, the runs of ASCII
+    digits are found; the text between them must be the layout's literal
+    text (_layout), piece by piece, and every run a number as encode
+    writes it: no leading zero and at most 18 digits.  encode writes
+    exactly such a list for any columns, and the runs determine the
+    columns, so this is the same check as writing the columns again and
+    comparing the text.  json.loads of the whole text would then give
+    the same document with these placements.  The document's placements
+    field is the empty list.
     """
     start = text.find(_PLACEMENTS_OPEN)
     body_start = start + len(_PLACEMENTS_OPEN)
     body_end = len(text) - len(_PLACEMENTS_CLOSE)
-    if start < 0 or body_end <= body_start or not text.endswith(_PLACEMENTS_CLOSE):
+    # the last line ends "}\n", without the comma the others have
+    if start < 0 or body_end - 2 < body_start or not text.endswith("}\n" + _PLACEMENTS_CLOSE):
         return None
     try:
         doc = json.loads(text[:start] + '  "placements": []\n}')
-        digits = text[body_start:body_end].encode("ascii").translate(_DIGITS_ONLY)
-        values = np.fromstring(digits, dtype=np.int64, sep=" ")
-    except (json.JSONDecodeError, UnicodeEncodeError, ValueError):
+    except json.JSONDecodeError:
         return None
-    del digits
     if not isinstance(doc, dict) or not isinstance(doc.get("box"), list) or not doc["box"]:
         return None
     n = len(doc["box"])
-    if len(values) % (2 * n + 1):
-        return None
-    rows = values.reshape(-1, 2 * n + 1)
-    columns = tuple(np.ascontiguousarray(c) for c in (rows[:, 0], rows[:, 1 : n + 1], rows[:, n + 1 :]))
-    del values, rows
-    at = body_start
-    for chunk in _placement_lines(*columns):
-        if not text.startswith(chunk, at):
+    layout = _layout(n)
+    m = text.count("\n", body_start, body_end)
+    brick_index = np.empty(m, dtype=np.int64)
+    orientation = np.empty((m, n), dtype=np.int64)
+    origin = np.empty((m, n), dtype=np.int64)
+    # the length of _LINES_CHUNK of the layout's shortest lines; a window
+    # ends with the line that reaches it, so it holds at most
+    # _LINES_CHUNK lines of the layout
+    span = _LINES_CHUNK * (sum(map(len, layout)) + 2 * n + 1)
+    at, row = body_start, 0
+    while at < body_end:
+        stop = text.find("\n", at + span - 1, body_end) + 1 or body_end
+        # the last line gets the comma the others end with
+        window = text[at:stop] if stop < body_end else text[at : body_end - 2] + "},\n"
+        try:
+            window = window.encode("ascii")
+        except UnicodeEncodeError:
             return None
-        at += len(chunk)
-    if at != body_end:
-        return None
-    return doc, columns
+        rows = _window_rows(window, layout)
+        if rows is None:
+            return None
+        brick_index[row : row + len(rows)] = rows[:, 0]
+        orientation[row : row + len(rows)] = rows[:, 1 : n + 1]
+        origin[row : row + len(rows)] = rows[:, n + 1 :]
+        at, row = stop, row + len(rows)
+    return doc, (brick_index, orientation, origin)
 
 
 def decode(text: str) -> Tiling:

@@ -605,30 +605,30 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, np.asarray(t.box.sides, dtype=np.int64), size=(samples, t.dimension))
 
-    # bucket grid over up to three axes, keys kept below 2^62
-    grid_axes, widths, nb = [], [], []
-    for k in range(min(3, t.dimension)):
-        width = max(1, int((hi[:, k] - lo[:, k]).max(initial=0)))
-        buckets = t.box.sides[k] // width + 1
-        if math.prod(nb) * buckets > 2**62:
-            break
-        grid_axes.append(k)
-        widths.append(width)
-        nb.append(buckets)
+    # bucket grid over up to three axes.  Fit and volume hold, so the
+    # box's section over them is at most m times the product of the
+    # widths, and each width is at most the box's side: that makes at
+    # most 8m buckets, since side // width + 1 <= 2 * side / width.
+    grid_axes = range(min(3, t.dimension))
+    widths = [max(1, int((hi[:, k] - lo[:, k]).max(initial=0))) for k in grid_axes]
+    nb = [t.box.sides[k] // widths[k] + 1 for k in grid_axes]
 
     def bucket_key(coords: np.ndarray) -> np.ndarray:
         key = np.zeros(len(coords), dtype=np.int64)
-        for i, k in enumerate(grid_axes):
-            key = key * nb[i] + coords[:, k] // widths[i]
+        for k in grid_axes:
+            key = key * nb[k] + coords[:, k] // widths[k]
         return key
 
     place_key = bucket_key(lo)
     order = np.argsort(place_key, kind="stable")
-    sorted_keys = place_key[order]
     lo_sorted = lo[order]
     hi_sorted = hi[order]
+    # bucket b's placements are rows bucket_start[b] to bucket_start[b + 1]
+    buckets = math.prod(nb)
+    bucket_start = np.zeros(buckets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(place_key, minlength=buckets), out=bucket_start[1:])
 
-    # probe the cells in bucket order, which keeps the searches local
+    # probe the cells in bucket order, which keeps the lookups local
     probe_order = np.argsort(bucket_key(pts), kind="stable")
     probes = pts[probe_order]
     counts = np.zeros(samples, dtype=np.int64)
@@ -639,12 +639,13 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
         for delta in product((0, -1), repeat=len(grid_axes)):
             b = np.zeros(len(cells), dtype=np.int64)
             skip = np.zeros(len(cells), dtype=bool)
-            for i, k in enumerate(grid_axes):
-                bk = cells[:, k] // widths[i] + delta[i]
+            for k in grid_axes:
+                bk = cells[:, k] // widths[k] + delta[k]
                 skip |= bk < 0
-                b = b * nb[i] + bk
-            starts = np.searchsorted(sorted_keys, b, side="left")
-            sizes = np.searchsorted(sorted_keys, b, side="right") - starts
+                b = b * nb[k] + bk
+            b[skip] = 0
+            starts = bucket_start[b]
+            sizes = bucket_start[b + 1] - starts
             sizes[skip] = 0
             # one row per (sample, candidate placement) pair
             sample = np.repeat(np.arange(len(cells)), sizes)

@@ -1,7 +1,12 @@
 """Serialization round-trips and strict parsing."""
 
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
 
+from frobtile import codec
 from frobtile.codec import _canonical, codec_roundtrip, decode, encode, load_tiling, save_tiling
 from frobtile.errors import TilingParseError
 from frobtile.model import BoxShape, Brick, Placement, Tiling, grid_fill
@@ -147,3 +152,57 @@ def test_canonical_read_matches_json_read_on_every_document_of_encode():
         text = encode(t)
         assert _canonical(text) is not None and _canonical(text + " ") is None
         assert outcome(text) == outcome(text + " ") == ("ok", t.box, t.bricks, t.rotation_policy, t.placements)
+
+
+def test_canonical_read_checks_where_each_gap_falls():
+    # the same text between the runs, and as many runs, but a digit moved
+    # into a gap and two numbers joined: not JSON
+    t = Tiling(BoxShape((40, 40)), (Brick((1, 1)),) * 12, (Placement(11, (0, 1), (23, 45)),))
+    old = '{"brick": 11, "orientation": [0, 1], "origin": [23, 45]}'
+    new = '{"brick": 1, 1"orientation": [0, 1], "origin": [2345, ]}'
+    text = encode(t)
+    assert old in text
+    edited = text.replace(old, new)
+    assert _canonical(edited) is None
+    assert outcome(edited)[0] == "error"
+    assert outcome(edited) == outcome(edited + " ")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_canonical_read_splits_into_windows_of_lines(chunk):
+    t = grid_fill(BoxShape((12, 18)), Brick((2, 3)))
+    text = encode(t)
+    want = _canonical(text)
+    windows = []
+
+    def window_rows(window, layout):
+        windows.append(window)
+        return real(window, layout)
+
+    real = codec._window_rows
+    with mock.patch.object(codec, "_LINES_CHUNK", chunk), mock.patch.object(codec, "_window_rows", window_rows):
+        got = _canonical(text)
+    # a window holds at most _LINES_CHUNK lines, and ends with one
+    assert len(windows) >= len(t.brick_index) / chunk > 1
+    assert all(w.endswith(b"},\n") for w in windows)
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a, b)
+
+
+def test_decode_memory_is_bounded_by_windows():
+    """decode holds the text, the columns and one window of lines: an
+    unwindowed reader holds several copies of the text."""
+    t = grid_fill(BoxShape((400, 250)), Brick((1, 1)))
+    text = encode(t)
+    assert len(t.brick_index) == 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = decode(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert back == t
+    assert peak < 3 * len(text)

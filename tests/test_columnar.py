@@ -298,3 +298,34 @@ def test_canonical_read_matches_json_read_on_edits(t, chunk, data):
     assert outcome(text) == outcome(text + " ")
     with mock.patch.object(codec, "_LINES_CHUNK", chunk):
         assert outcome(text) == outcome(text + " ")
+
+
+# every number of digits the writer's three-digit groups meet, up to
+# int64's largest; the reader converts runs of at most 18 digits
+WIDE_VALUES = [0, 9, 10, 999, 1000, 10**6, 10**18 - 1, 10**18, 2**63 - 1]
+
+
+def wide_tiling(values):
+    """Placements whose brick indices and origins hold the given values."""
+    bricks = (Brick((1, 1)),) * 1001
+    ps = [
+        Placement(b, o, (x, y))
+        for b in (0, 9, 10, 999, 1000)
+        for o in ((0, 1), (1, 0))
+        for x in values
+        for y in values[::-1]
+    ]
+    return Tiling(BoxShape((1, 1)), bricks, ps, rotation_policy=ROTATION_AXIS_PERMUTATIONS)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 5, 7])
+def test_wide_values_match_reference_writer(chunk):
+    with mock.patch.object(codec, "_LINES_CHUNK", chunk or codec._LINES_CHUNK):
+        for values in (WIDE_VALUES, WIDE_VALUES[:7]):
+            t = wide_tiling(values)
+            text = encode(t)
+            assert text == reference_encode(t)
+            assert decode(text) == t
+            assert decode(text).placements == t.placements
+            # 19-digit numbers are read by json.loads, shorter ones are not
+            assert (codec._canonical(text) is None) == (values == WIDE_VALUES)
