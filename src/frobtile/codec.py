@@ -70,6 +70,9 @@ def _group_table() -> np.ndarray:
     return table.view(np.uint32).reshape(-1)
 
 
+# one gather writes three digits; a pass per digit costs a division, a
+# remainder and a mask each, and made encoding the side-384 cube about
+# 30 ms slower
 _GROUPS = _group_table()
 
 
@@ -200,9 +203,10 @@ def _window_rows(window: bytes, layout: list[bytes]):
     ):
         return None
     ends = edges[1::2]
-    values = (w[ends - 1] - ord("0")).astype(np.int64)
+    # widened before any arithmetic: uint8 digits times 10**k would wrap
+    values = w[ends - 1].astype(np.int64) - ord("0")
     for k in range(1, lengths.max()):
-        digits = w[ends - 1 - k] - ord("0")
+        digits = w[ends - 1 - k].astype(np.int64) - ord("0")
         digits[lengths <= k] = 0
         values += digits * _POW10[k]
     return values.reshape(rows, cols)
