@@ -117,6 +117,10 @@ def gn_bound(sys: BrickSystem) -> int:
     report = check_admissible(sys)
     if not report.valid:
         raise NotAdmissibleError(str(report))
+    return _largest_frobenius(sys)
+
+
+def _largest_frobenius(sys: BrickSystem) -> int:
     best = -1
     for k in range(1, sys.n + 1):
         for subset in combinations(range(sys.n + 1), k + 1):
@@ -177,7 +181,9 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
         raise DimensionMismatchError(
             f"box dimension {box.dimension} != system dimension {sys.n}"
         )
-    bound = gn_bound(sys)
+    # gn_bound without its second admissibility check; it comes after the
+    # dimension check because it can build a table as large as a generator
+    bound = _largest_frobenius(sys)
     for axis, side in enumerate(box.sides):
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)

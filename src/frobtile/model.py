@@ -36,18 +36,19 @@ geometric soundness is always the verifier's job, so malformed geometry
 can be loaded and diagnosed.
 
 The combinators mirror how larger tilings are assembled from smaller
-ones: oriented_grid and grid_fill (divisible sides), extrude (lift an
+ones: grid_blocks (a union of blocks, each a grid of one oriented brick)
+and grid_fill (one brick over a box it divides), extrude (lift an
 (n-1)-dim tiling to n dimensions by stacking copies of each brick up to
 a common height), and stack (concatenate tilings along one axis).  Each
-is array concatenation or broadcasting; stack and extrude sort the
-result by origin.
+is array concatenation or broadcasting, and each returns its placements
+in lexicographic origin order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -357,7 +358,7 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
 
 
 def _trusted(box, bricks, brick_index, orientation, origin, policy) -> Tiling:
-    """A tiling from columns that _join or extrude built from validated tilings.
+    """A tiling from columns that stack or extrude built from validated tilings.
 
     Those moves keep every structural check true, so the checks are not
     run again; on tilings of a few placements they cost about as much as
@@ -696,37 +697,42 @@ def remap_bricks(t: Tiling, bricks: Sequence[Brick], index_map: Sequence[int]) -
     )
 
 
-def oriented_grid(
+def grid_blocks(
     box_sides: Sequence[int],
     bricks: Sequence[Brick],
-    index: int,
-    orientation: Sequence[int],
+    blocks: Sequence[tuple[int, Sequence[int], Sequence[int], Sequence[int]]],
     policy: str = ROTATION_FIXED,
 ) -> Tiling:
-    """Grid one oriented brick over a box its oriented sides divide.
+    """One tiling of a box from blocks, each a grid of one oriented brick.
 
-    Placements come in lexicographic origin order.
+    A block (brick index, orientation, corner, sides) is the box of the
+    given sides at corner, gridded by the brick with its axis
+    orientation[j] along box axis j; the oriented brick sides must divide
+    the block's.  The blocks should fill the box exactly: that is the
+    verifier's to check.  Placements come in lexicographic origin order.
     """
-    box_sides = tuple(box_sides)
-    brick = bricks[index]
-    extents = [brick.sides[a] for a in orientation]
-    for k, (a, x) in enumerate(zip(box_sides, extents)):
-        if a % x != 0:
-            raise DivisibilityError(f"axis {k}: brick side {x} does not divide box side {a}")
     n = len(box_sides)
-    counts = [a // x for a, x in zip(box_sides, extents)]
-    # origin[..., k] runs along grid axis k in steps of the extent
-    origin = np.empty(counts + [n], dtype=np.int64)
-    for k in range(n):
-        origin[..., k] = np.arange(0, box_sides[k], extents[k]).reshape([-1] + [1] * (n - 1 - k))
-    m = math.prod(counts)
+    columns = []
+    for index, orientation, corner, sides in blocks:
+        extents = [bricks[index].sides[a] for a in orientation]
+        for k, (a, x) in enumerate(zip(sides, extents)):
+            if a % x != 0:
+                raise DivisibilityError(f"axis {k}: brick side {x} does not divide box side {a}")
+        # origin[..., k] runs along grid axis k in steps of the extent
+        origin = np.empty([a // x for a, x in zip(sides, extents)] + [n], dtype=np.int64)
+        for k in range(n):
+            steps = np.arange(corner[k], corner[k] + sides[k], extents[k])
+            origin[..., k] = steps.reshape([-1] + [1] * (n - 1 - k))
+        origin = origin.reshape(-1, n)
+        brick_index = np.full(len(origin), index, dtype=np.int64)
+        columns.append((brick_index, np.full(origin.shape, orientation, dtype=np.int64), origin))
+    if len(columns) == 1:
+        # one grid is already in origin order
+        brick_index, orientation, origin = columns[0]
+    else:
+        brick_index, orientation, origin = _by_origin(*map(np.concatenate, zip(*columns)))
     return Tiling.from_arrays(
-        BoxShape(box_sides),
-        bricks,
-        np.full(m, index, dtype=np.int64),
-        np.full((m, n), orientation, dtype=np.int64),
-        origin.reshape(m, n),
-        rotation_policy=policy,
+        BoxShape(box_sides), bricks, brick_index, orientation, origin, rotation_policy=policy
     )
 
 
@@ -736,7 +742,8 @@ def grid_fill(box: BoxShape, brick: Brick) -> Tiling:
         raise DimensionMismatchError(
             f"brick dimension {brick.dimension} != box dimension {box.dimension}"
         )
-    return oriented_grid(box.sides, (brick,), 0, identity_orientation(box.dimension))
+    n = box.dimension
+    return grid_blocks(box.sides, (brick,), [(0, identity_orientation(n), (0,) * n, box.sides)])
 
 
 def extrude(t: Tiling, full_bricks: Sequence[Brick], height_product: int) -> Tiling:
@@ -807,25 +814,15 @@ def stack(parts: Sequence[Tiling], axis: int) -> Tiling:
             raise ShapeMismatchError("stacked tilings must share the same brick list")
         if t.rotation_policy != first.rotation_policy:
             raise ShapeMismatchError("stacked tilings must share a rotation policy")
-    thickness = [t.box.sides[axis] for t in parts]
-    offsets = accumulate(thickness[:-1], initial=0)
-    shifts = [(0,) * axis + (offset,) + (0,) * (n - axis - 1) for offset in offsets]
     sides = list(first.box.sides)
-    sides[axis] = sum(thickness)
-    return _join(BoxShape(sides), parts, shifts)
-
-
-def _join(box: BoxShape, parts: Sequence[Tiling], shifts: Sequence[Sequence[int]]) -> Tiling:
-    """The parts, each moved by its shift, as one tiling of box.
-
-    The caller vouches that the moved parts fill box exactly and share
-    one brick list and rotation policy; every shift is >= 0.
-    """
+    sides[axis] = sum(t.box.sides[axis] for t in parts)
+    # move each part's rows along axis by the thickness of the parts before it
     origin = np.concatenate([t.origin for t in parts])
-    end = 0
-    for t, shift in zip(parts, shifts):
+    offset = end = 0
+    for t in parts:
         start, end = end, end + len(t.brick_index)
-        origin[start:end] += shift
+        origin[start:end, axis] += offset
+        offset += t.box.sides[axis]
     if len(origin) and origin.min() < 0:
         # every origin was >= 0 and every shift is, so this one wrapped around
         raise PreconditionError("joining tilings moves an origin past 2^63 - 1")
@@ -834,5 +831,5 @@ def _join(box: BoxShape, parts: Sequence[Tiling], shifts: Sequence[Sequence[int]
         np.concatenate([t.orientation for t in parts]),
         origin,
     )
-    first = parts[0]
+    box = BoxShape(sides)
     return _trusted(box, first.bricks, brick_index, orientation, origin, first.rotation_policy)

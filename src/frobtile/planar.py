@@ -6,7 +6,9 @@ come from the cheapest applicable construction: a plain grid when
 divisibility settles it, strip decompositions when one side has to be
 split as a nonnegative combination of brick sides, block compositions
 for large squares, and pinwheels (a square ringed by four rectangles)
-for the squares between them.  Nothing here searches.
+for the squares between them.  Each construction is a list of grid
+blocks, (brick index, orientation, corner, sides), and a witness is
+one model.grid_blocks call over its list.  Nothing here searches.
 
 The single-brick criterion is the full one: a rectangle is tileable by
 one brick (rotations allowed) exactly when the brick grids it directly
@@ -31,9 +33,7 @@ from .model import (
     BoxShape,
     Brick,
     Tiling,
-    _join,
-    oriented_grid,
-    stack,
+    grid_blocks,
 )
 from .semigroup import (
     checked_mul,
@@ -69,27 +69,28 @@ def _require_positive(**named: int) -> None:
 
 
 def _strips(
-    box_sides: tuple[int, ...],
+    corner: tuple[int, ...],
+    sides: tuple[int, ...],
     bricks: tuple[Brick, ...],
     axis: int,
     parts: Sequence[tuple[int, tuple[int, ...], int]],
-    policy: str,
-) -> Tiling:
-    """Split the box along one axis into grid-filled full-width strips.
+) -> list:
+    """Grid blocks splitting the box of these sides at corner along one
+    axis into full-width strips.
 
     parts lists (brick index, orientation, strip count); each strip is
     as thick as the oriented brick along the split axis, so the counts
     must make the thicknesses sum to the box side.  A part's strips
-    together are one grid.
+    together are one block.
     """
-    pieces = []
+    blocks, at = [], list(corner)
     for index, orientation, count in parts:
-        if count == 0:
-            continue
-        thickness = count * bricks[index].sides[orientation[axis]]
-        part_sides = box_sides[:axis] + (thickness,) + box_sides[axis + 1 :]
-        pieces.append(oriented_grid(part_sides, bricks, index, orientation, policy))
-    return stack(pieces, axis=axis)
+        if count:
+            block = list(sides)
+            block[axis] = count * bricks[index].sides[orientation[axis]]
+            blocks.append((index, orientation, tuple(at), tuple(block)))
+            at[axis] += block[axis]
+    return blocks
 
 
 def decide_single_brick(a1: int, a2: int, x1: int, x2: int) -> Decision:
@@ -104,19 +105,23 @@ def decide_single_brick(a1: int, a2: int, x1: int, x2: int) -> Decision:
     box = (a1, a2)
     policy = ROTATION_AXIS_PERMUTATIONS
     if a1 % x1 == 0 and a2 % x2 == 0:
-        return Decision(True, oriented_grid(box, bricks, 0, (0, 1), policy), "grid")
+        witness = grid_blocks(box, bricks, [(0, (0, 1), (0, 0), box)], policy)
+        return Decision(True, witness, "grid")
     if a1 % x2 == 0 and a2 % x1 == 0:
-        return Decision(True, oriented_grid(box, bricks, 0, (1, 0), policy), "rotated-grid")
+        witness = grid_blocks(box, bricks, [(0, (1, 0), (0, 0), box)], policy)
+        return Decision(True, witness, "rotated-grid")
     if a1 % x1 == 0 and a1 % x2 == 0:
         rep = pair_representation(a2, x1, x2)
         if rep is not None:
             parts = [(0, (1, 0), rep[0]), (0, (0, 1), rep[1])]
-            return Decision(True, _strips(box, bricks, 1, parts, policy), "strips")
+            witness = grid_blocks(box, bricks, _strips((0, 0), box, bricks, 1, parts), policy)
+            return Decision(True, witness, "strips")
     if a2 % x1 == 0 and a2 % x2 == 0:
         rep = pair_representation(a1, x1, x2)
         if rep is not None:
             parts = [(0, (0, 1), rep[0]), (0, (1, 0), rep[1])]
-            return Decision(True, _strips(box, bricks, 0, parts, policy), "strips")
+            witness = grid_blocks(box, bricks, _strips((0, 0), box, bricks, 0, parts), policy)
+            return Decision(True, witness, "strips")
     return Decision(False, None, "indivisible")
 
 
@@ -135,13 +140,12 @@ def decide_two_squares(a1: int, a2: int, x: int, y: int) -> Decision:
     if split is None:
         return Decision(False, None, "indivisible")
     axis, (u, v) = split
+    box = (a1, a2)
     bricks = (Brick((x, x)), Brick((y, y)))
     ident = (0, 1)
-    if u and v:
-        parts = [(0, ident, u), (1, ident, v)]
-        return Decision(True, _strips((a1, a2), bricks, axis, parts, ROTATION_FIXED), "strips")
-    witness = oriented_grid((a1, a2), bricks, 0 if u else 1, ident, ROTATION_FIXED)
-    return Decision(True, witness, "grid")
+    blocks = _strips((0, 0), box, bricks, axis, [(0, ident, u), (1, ident, v)])
+    witness = grid_blocks(box, bricks, blocks, ROTATION_FIXED)
+    return Decision(True, witness, "strips" if u and v else "grid")
 
 
 def _corollary1_validate(p: int, q: int, r: int, s: int) -> None:
@@ -207,30 +211,26 @@ def prime_cubes_construct(a: int, primes: Sequence[int]) -> Tiling:
 
 
 def _composed_square(
-    bricks: tuple[Brick, ...],
-    u: int,
-    v: int,
-    u_index: int,
-    v_index: int,
-    strip_parts: Sequence[tuple[int, int]],
+    bricks: tuple[Brick, ...], u: int, v: int, u_index: int, strip_index: int
 ) -> Tiling:
-    """Square of side u + v as a 2x2 block layout.
+    """Square of side u + v as a 2x2 block layout of squares (a, b, c).
 
-    Diagonal blocks [u x u] and [v x v] are grids of single squares;
-    the off-diagonal [u x v] and [v x u] blocks are strip-filled, with
-    strip_parts = (brick index, count) splitting the u extent.  Every
-    strip brick side must divide v.
+    Diagonal blocks [u x u] and [v x v] are grids of brick u_index and
+    of the a-square; the off-diagonal [u x v] and [v x u] blocks are
+    strips of the a-square and brick strip_index, splitting the u
+    extent.  u must be a nonnegative combination of those two sides, and
+    both must divide v.
     """
     ident = (0, 1)
-    policy = ROTATION_FIXED
-    parts = [(index, ident, count) for index, count in strip_parts]
-    r00 = oriented_grid((u, u), bricks, u_index, ident, policy)
-    r01 = _strips((u, v), bricks, 0, parts, policy)
-    r10 = _strips((v, u), bricks, 1, parts, policy)
-    r11 = oriented_grid((v, v), bricks, v_index, ident, policy)
-    left = stack([r00, r01], axis=1)
-    right = stack([r10, r11], axis=1)
-    return stack([left, right], axis=0)
+    counts = pair_representation(u, bricks[0].sides[0], bricks[strip_index].sides[0])
+    parts = [(0, ident, counts[0]), (strip_index, ident, counts[1])]
+    blocks = [
+        (u_index, ident, (0, 0), (u, u)),
+        *_strips((0, u), (u, v), bricks, 0, parts),
+        *_strips((u, 0), (v, u), bricks, 1, parts),
+        (0, ident, (u, u), (v, v)),
+    ]
+    return grid_blocks((u + v, u + v), bricks, blocks, ROTATION_FIXED)
 
 
 def compose_squares(a: int, b: int, c: int, r: int, L: int, k: int) -> tuple[Tiling, Tiling]:
@@ -244,61 +244,49 @@ def compose_squares(a: int, b: int, c: int, r: int, L: int, k: int) -> tuple[Til
     _require_positive(a=a, b=b, c=c, r=r, L=L, k=k)
     if r % b != 0:
         raise PreconditionError(f"b must divide r, got b={b}, r={r}")
-    r_parts = pair_representation(r, a, c)
-    if r_parts is None:
+    if pair_representation(r, a, c) is None:
         raise PreconditionError(f"r={r} is not representable over {{{a}, {c}}}")
     lc = checked_mul(L, c)
-    lc_parts = pair_representation(lc, a, b)
-    if lc_parts is None:
+    if pair_representation(lc, a, b) is None:
         raise PreconditionError(f"L*c={lc} is not representable over {{{a}, {b}}}")
     bricks = (Brick((a, a)), Brick((b, b)), Brick((c, c)))
-    first = _composed_square(
-        bricks,
-        u=r,
-        v=checked_mul(a, c),
-        u_index=1,
-        v_index=0,
-        strip_parts=((0, r_parts[0]), (2, r_parts[1])),
-    )
-    second = _composed_square(
-        bricks,
-        u=lc,
-        v=checked_prod((k, a, b)),
-        u_index=2,
-        v_index=0,
-        strip_parts=((0, lc_parts[0]), (1, lc_parts[1])),
-    )
+    first = _composed_square(bricks, r, checked_mul(a, c), u_index=1, strip_index=2)
+    second = _composed_square(bricks, lc, checked_prod((k, a, b)), u_index=2, strip_index=1)
     return first, second
 
 
-def _ring_part(h: int, w: int, bricks: tuple[Brick, ...]) -> Tiling:
-    """A ring rectangle of a pinwheel: strips of the 2- and 3-squares, or
-    a grid of the third square when those two cannot tile it."""
+def _ring_part(corner: tuple[int, int], h: int, w: int, bricks: tuple[Brick, ...]) -> list:
+    """Grid blocks of a pinwheel's ring rectangle (h x w) at corner:
+    strips of the 2- and 3-squares, or a grid of the third square when
+    those two cannot tile it."""
     ident = (0, 1)
     split = two_squares_split(h, w, 2, 3)
     if split is None:
-        return oriented_grid((h, w), bricks, 2, ident, ROTATION_FIXED)
+        return [(2, ident, corner, (h, w))]
     axis, (u, v) = split
-    return _strips((h, w), bricks, axis, [(0, ident, u), (1, ident, v)], ROTATION_FIXED)
+    return _strips(corner, (h, w), bricks, axis, [(0, ident, u), (1, ident, v)])
 
 
-def _pinwheel(H: int, W: int, y: int, x: int, c: int, bricks: tuple[Brick, ...]) -> Tiling:
-    """The (H x W) box as a c-square at (y, x) ringed by four rectangles.
+def _pinwheel(
+    corner: tuple[int, int], H: int, W: int, y: int, x: int, c: int, bricks: tuple[Brick, ...]
+) -> list:
+    """Grid blocks of an (H x W) box at corner: a c-square at (y, x)
+    ringed by four rectangles.
 
-    The rectangles are top [0, y) x [0, x+c), right [0, y+c) x [x+c, W),
-    bottom [y+c, H) x [x, W) and left [y, H) x [0, x); each must be
-    tileable by _ring_part.  bricks lists the 2-, 3- and p-squares.
+    Relative to corner, the rectangles are top [0, y) x [0, x+c), right
+    [0, y+c) x [x+c, W), bottom [y+c, H) x [x, W) and left [y, H) x [0, x);
+    each must be tileable by _ring_part.  bricks lists the 2-, 3- and
+    p-squares.
     """
     index = [b.sides[0] for b in bricks].index(c)
-    centre = oriented_grid((c, c), bricks, index, (0, 1), ROTATION_FIXED)
-    parts = [
-        (centre, (y, x)),
-        (_ring_part(y, x + c, bricks), (0, 0)),
-        (_ring_part(y + c, W - x - c, bricks), (0, x + c)),
-        (_ring_part(H - y - c, W - x, bricks), (y + c, x)),
-        (_ring_part(H - y, x, bricks), (y, 0)),
+    i, j = corner
+    return [
+        (index, (0, 1), (i + y, j + x), (c, c)),
+        *_ring_part((i, j), y, x + c, bricks),
+        *_ring_part((i, j + x + c), y + c, W - x - c, bricks),
+        *_ring_part((i + y + c, j + x), H - y - c, W - x, bricks),
+        *_ring_part((i + y, j), H - y, x, bricks),
     ]
-    return _join(BoxShape((H, W)), [t for t, _ in parts], [shift for _, shift in parts])
 
 
 def tile_square_235p(a: int, p: int) -> Decision:
@@ -341,23 +329,24 @@ def tile_square_235p(a: int, p: int) -> Decision:
     _require_positive(a=a, p=p)
     if p % 2 == 0 or p % 3 == 0 or p <= 4:
         raise PreconditionError(f"p must be odd, above 4 and not divisible by 3, got {p}")
+    box = (a, a)
     bricks = (Brick((2, 2)), Brick((3, 3)), Brick((p, p)))
-    ident = (0, 1)
     for side, index in ((p, 2), (3, 1), (2, 0)):
         if a % side == 0:
-            witness = oriented_grid((a, a), bricks, index, ident, ROTATION_FIXED)
+            witness = grid_blocks(box, bricks, [(index, (0, 1), (0, 0), box)], ROTATION_FIXED)
             return Decision(True, witness, "grid")
     # a is now coprime to 6 and not a multiple of p
     if a < p:
         # only the 2- and 3-squares fit, and a is divisible by neither
         return Decision(False, None, "too-small")
     if a % 3 == p % 3:
-        # a = p + 6k with k >= 1; second composed square with r = 6, L = 1
-        witness = compose_squares(2, 3, p, 6, 1, (a - p) // 6)[1]
+        # a = p + 6k with k >= 1: compose_squares(2, 3, p, 6, 1, k)'s second square
+        witness = _composed_square(bricks, p, a - p, u_index=2, strip_index=1)
         return Decision(True, witness, "composition")
     if a - 2 * p >= p:
-        # r = a - 2p is odd, >= p (hence a combination of 2 and p) and 3 | r
-        witness = compose_squares(2, 3, p, a - 2 * p, 1, 1)[0]
+        # r = a - 2p is odd, >= p (hence a combination of 2 and p) and 3 | r:
+        # compose_squares(2, 3, p, r, 1, 1)'s first square
+        witness = _composed_square(bricks, a - 2 * p, 2 * p, u_index=1, strip_index=2)
         return Decision(True, witness, "composition")
     # a = -p (mod 6) and p < a < 3p: the window the compositions leave
     if a >= p + 10:
@@ -365,9 +354,10 @@ def tile_square_235p(a: int, p: int) -> Decision:
         # up and left, so that each ring rectangle keeps a side 6 divides
         u = (a - p) // 2
         y = u if u % 2 else u - 3
-        return Decision(True, _pinwheel(a, a, y, y, p, bricks), "pinwheel")
+        witness = grid_blocks(box, bricks, _pinwheel((0, 0), a, a, y, y, p, bricks), ROTATION_FIXED)
+        return Decision(True, witness, "pinwheel")
     if (a, p) == (13, 5):
         # a >= 2p here, so two p-squares fit and the weight argument does not apply
-        top = _ring_part(6, 13, bricks)
-        return Decision(True, stack([top, _pinwheel(7, 13, 2, 5, 3, bricks)], axis=0), "pinwheel")
+        blocks = _ring_part((0, 0), 6, 13, bricks) + _pinwheel((6, 0), 7, 13, 2, 5, 3, bricks)
+        return Decision(True, grid_blocks(box, bricks, blocks, ROTATION_FIXED), "pinwheel")
     return Decision(False, None, "weight-invariant")

@@ -3,21 +3,22 @@
 Random strip, grid and constructed tilings get one corruption each; the
 raster verify_full must report exactly what the pairwise scan in
 brute.py reports.  encode must match a line-by-line json.dumps writer,
-stack and extrude must order placements like sorted(key=origin), and
-decode must invert encode.
+stack and extrude must order placements like sorted(key=origin), decode
+must invert encode, and grid_blocks must build what stack builds from
+one grid per block.
 """
 
 import json
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from frobtile import codec, model
 from frobtile.codec import decode, encode
 from frobtile.constructor import BrickSystem, construct_box, gn_bound
-from frobtile.errors import PreconditionError, TilingParseError
+from frobtile.errors import DivisibilityError, PreconditionError, TilingParseError
 from frobtile.model import (
     ROTATION_AXIS_PERMUTATIONS,
     ROTATION_FIXED,
@@ -27,7 +28,7 @@ from frobtile.model import (
     Tiling,
     VerifyReport,
     extrude,
-    oriented_grid,
+    grid_blocks,
     stack,
     verify_full,
     verify_sampled,
@@ -93,7 +94,7 @@ def strip_tilings(draw):
         orientation = draw(orientations(n, policy))
         sides = list(cross)
         sides[axis] = bricks[index].sides[orientation[axis]]
-        strips.append(oriented_grid(sides, bricks, index, orientation, policy))
+        strips.append(grid_blocks(sides, bricks, [(index, orientation, (0,) * n, sides)], policy))
     return stack(strips, axis=axis)
 
 
@@ -195,7 +196,106 @@ def test_stack_rejects_origin_pushed_past_int64_max():
     # shifting the second part by the first's thickness wraps its origin
     far = Tiling(BoxShape((4,)), (Brick((2,)),), [Placement(0, (0,), (2**63 - 2,))])
     with pytest.raises(PreconditionError, match="past 2"):
-        stack([oriented_grid((4,), far.bricks, 0, (0,)), far], axis=0)
+        stack([grid_blocks((4,), far.bricks, [(0, (0,), (0,), (4,))]), far], axis=0)
+
+
+@st.composite
+def block_layouts(draw):
+    """Strips along one axis, or 2 x 2 blocks over two axes, each block a
+    grid of one random oriented brick.
+
+    Returns (bricks, policy, layout).  A layout is a block (brick index,
+    orientation, sides) or a split (axis, [layouts]) whose parts follow
+    each other along axis.
+    """
+    n = draw(st.integers(1, 3))
+    policy = draw(st.sampled_from((ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS)))
+    bricks = tuple(
+        Brick(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+
+    def oriented_brick():
+        return draw(st.integers(0, len(bricks) - 1)), draw(orientations(n, policy))
+
+    axis = draw(st.integers(0, n - 1))
+    # 6 is a multiple of every side, so every brick divides every such block
+    sixes = [6 * draw(st.integers(1, 2)) for _ in range(n)]
+    if n == 1 or draw(st.booleans()):
+        strips = []
+        for _ in range(draw(st.integers(1, 4))):
+            index, orientation = oriented_brick()
+            sides = list(sixes)
+            sides[axis] = draw(st.integers(1, 2)) * bricks[index].sides[orientation[axis]]
+            strips.append((index, orientation, tuple(sides)))
+        return bricks, policy, (axis, strips)
+    other = draw(st.sampled_from([k for k in range(n) if k != axis]))
+    # every row splits the other axis at the same place
+    splits = [[6 * draw(st.integers(1, 2)) for _ in range(2)] for _ in range(2)]
+    rows = []
+    for first in splits[0]:
+        row = []
+        for second in splits[1]:
+            sides = list(sixes)
+            sides[axis], sides[other] = first, second
+            row.append((*oriented_brick(), tuple(sides)))
+        rows.append((other, row))
+    return bricks, policy, (axis, rows)
+
+
+def stacked(layout, bricks, policy):
+    """The layout as one grid per block, joined by stack."""
+    if len(layout) == 2:
+        axis, parts = layout
+        return stack([stacked(part, bricks, policy) for part in parts], axis=axis)
+    index, orientation, sides = layout
+    return grid_blocks(sides, bricks, [(index, orientation, (0,) * len(sides), sides)], policy)
+
+
+def flattened(layout, corner):
+    """The layout's grid_blocks blocks, with corners, and its sides."""
+    if len(layout) == 3:
+        index, orientation, sides = layout
+        return [(index, orientation, corner, sides)], sides
+    axis, parts = layout
+    blocks, at = [], list(corner)
+    for part in parts:
+        more, sides = flattened(part, tuple(at))
+        blocks += more
+        at[axis] += sides[axis]
+    sides = list(sides)
+    sides[axis] = at[axis] - corner[axis]
+    return blocks, tuple(sides)
+
+
+@SETTINGS
+@given(block_layouts(), st.data())
+def test_grid_blocks_equals_stacked_grids(drawn, data):
+    bricks, policy, layout = drawn
+    blocks, box = flattened(layout, (0,) * bricks[0].dimension)
+    # the order of the blocks does not matter
+    blocks = data.draw(st.permutations(blocks))
+    t = grid_blocks(box, bricks, blocks, policy)
+    want = stacked(layout, bricks, policy)
+    assert t == want
+    assert t.placements == want.placements
+    assert verify_full(t).valid
+
+
+@SETTINGS
+@given(block_layouts(), st.data())
+def test_grid_blocks_rejects_a_block_its_brick_does_not_divide(drawn, data):
+    bricks, policy, layout = drawn
+    blocks, box = flattened(layout, (0,) * bricks[0].dimension)
+    k = data.draw(st.integers(0, len(blocks) - 1))
+    index, orientation, corner, sides = blocks[k]
+    axes = [j for j, a in enumerate(orientation) if bricks[index].sides[a] > 1]
+    assume(axes)
+    sides = list(sides)
+    sides[data.draw(st.sampled_from(axes))] += 1
+    blocks[k] = (index, orientation, corner, tuple(sides))
+    with pytest.raises(DivisibilityError, match="does not divide"):
+        grid_blocks(box, bricks, blocks, policy)
 
 
 @SETTINGS

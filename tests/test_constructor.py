@@ -1,9 +1,11 @@
 """Brick systems, admissibility, bounds, and the box constructor."""
 
 import random
+from unittest import mock
 
 import pytest
 
+from frobtile import constructor
 from frobtile.constructor import (
     AdmissibilityReport,
     BrickSystem,
@@ -110,11 +112,22 @@ def test_construct_bound_not_met():
 def test_construct_rejects_inadmissible():
     with pytest.raises(NotAdmissibleError):
         construct_box(BoxShape((100, 100)), squares_system([2, 4, 3]))
+    # admissibility is checked before the box's dimension
+    with pytest.raises(NotAdmissibleError):
+        construct_box(BoxShape((100, 100, 100)), squares_system([2, 4, 3]))
 
 
 def test_construct_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         construct_box(BoxShape((30, 30, 30)), squares_system([2, 3, 5]))
+
+
+def test_construct_checks_dimension_before_the_bound():
+    # a system with large sides can need a huge Frobenius table; a box of
+    # the wrong dimension is rejected without building one
+    with mock.patch.object(constructor, "frobenius_general", side_effect=AssertionError):
+        with pytest.raises(DimensionMismatchError):
+            construct_box(BoxShape((30, 30, 30)), squares_system([2, 3, 5]))
 
 
 def test_construct_random_prime_systems():

@@ -2,9 +2,11 @@
 
 import functools
 import hashlib
+from unittest import mock
 
 import pytest
 
+from frobtile import model
 from frobtile.codec import encode
 from frobtile.constructor import BrickSystem, gn_bound
 from frobtile.errors import (
@@ -366,3 +368,56 @@ class TestTileSquare235p:
         witness = tile_square_235p(5, 5).witness
         with pytest.raises(PreconditionError):
             Decision(False, witness, "nonsense")
+
+
+# the decisions the witness digest covers: every 2/3/p side up to 4p, and
+# every box with sides <= 30 against a few bricks and square pairs
+DIGEST_SIDES = range(1, 31)
+DIGEST_BRICKS = [(2, 3), (3, 2), (2, 4), (3, 5), (4, 6), (1, 7), (6, 10)]
+DIGEST_SQUARES = [(2, 3), (2, 5), (3, 5), (4, 7), (5, 3)]
+WITNESS_DIGEST = "9f7abe3dbba1a5dc680fedae217205ea4e2edd67495bc8f3843c2767ea76c4f8"
+
+
+def test_decider_witnesses_are_pinned():
+    """One sha256 over every decision's verdict, reason and encoded witness."""
+    h = hashlib.sha256()
+
+    def add(label, d):
+        h.update(f"{label} {d}\n".encode())
+        if d.witness is not None:
+            h.update(encode(d.witness).encode())
+
+    for p in (5, 7, 11, 13, 17):
+        for a in range(1, 4 * p + 1):
+            add(f"235p {a} {p}", tile_square_235p(a, p))
+    for a1 in DIGEST_SIDES:
+        for a2 in DIGEST_SIDES:
+            for x1, x2 in DIGEST_BRICKS:
+                add(f"brick {a1} {a2} {x1} {x2}", decide_single_brick(a1, a2, x1, x2))
+            for x, y in DIGEST_SQUARES:
+                add(f"squares {a1} {a2} {x} {y}", decide_two_squares(a1, a2, x, y))
+    assert h.hexdigest() == WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("decide, args", [
+    (decide_single_brick, (4, 6, 2, 3)),
+    (decide_single_brick, (5, 6, 2, 3)),
+    (decide_two_squares, (12, 13, 2, 3)),
+    (tile_square_235p, (4, 5)),
+    (tile_square_235p, (43, 5)),
+    (tile_square_235p, (29, 11)),
+    (tile_square_235p, (25, 11)),
+    (tile_square_235p, (13, 5)),
+])
+def test_each_witness_is_one_tiling(decide, args):
+    # every Tiling, validated or not, has its fields set by _init_fields
+    with mock.patch.object(model, "_init_fields", wraps=model._init_fields) as init:
+        d = decide(*args)
+    assert d.tileable
+    assert init.call_count == 1
+
+
+def test_each_composed_square_is_one_tiling():
+    with mock.patch.object(model, "_init_fields", wraps=model._init_fields) as init:
+        compose_squares(2, 3, 5, 9, 1, 1)
+    assert init.call_count == 2
