@@ -117,29 +117,30 @@ def gn_bound(sys: BrickSystem) -> int:
     report = check_admissible(sys)
     if not report.valid:
         raise NotAdmissibleError(str(report))
-    return _largest_frobenius(sys)
+    return max(frobenius_general(S) for S in _xk_sets(sys).values())
 
 
-def _largest_frobenius(sys: BrickSystem) -> int:
-    best = -1
-    for k in range(1, sys.n + 1):
-        for subset in combinations(range(sys.n + 1), k + 1):
-            g = frobenius_general(xk_generators(sys, k, subset))
-            if g > best:
-                best = g
-    return best
+def _xk_sets(sys: BrickSystem) -> dict[tuple[int, tuple[int, ...]], GeneratorSet]:
+    """Every X_k set, keyed by (k, subset), so each builds its tables once."""
+    return {
+        (k, subset): xk_generators(sys, k, subset)
+        for k in range(1, sys.n + 1)
+        for subset in combinations(range(sys.n + 1), k + 1)
+    }
 
 
-def _construct(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...], memo) -> Tiling:
+def _construct(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...], sets, memo) -> Tiling:
     hit = memo.get((sides, brick_ids))
     if hit is not None:
         return hit
     m = len(sides)
     proj = tuple(Brick(sys.bricks[b].sides[:m]) for b in brick_ids)
+    # brick_ids is ascending, so it is the subset of an X_m set, and the
+    # lengths (m = 1) or heights (m > 1) along the last axis are X_m
+    gens = sets[(m, brick_ids)]
+    rep = represent(sides[m - 1], gens)
+    assert rep is not None, (sides, brick_ids)
     if m == 1:
-        gens = GeneratorSet(p.sides[0] for p in proj)
-        rep = represent(sides[0], gens)
-        assert rep is not None, (sides, brick_ids)
         by_length = {p.sides[0]: pos for pos, p in enumerate(proj)}
         lengths = np.repeat(gens.generators, rep.coefficients)
         index = np.repeat([by_length[length] for length in gens.generators], rep.coefficients)
@@ -149,9 +150,6 @@ def _construct(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, .
         axis_sides = [sys.bricks[b].sides[m - 1] for b in brick_ids]
         total = checked_prod(axis_sides)
         heights = [total // s for s in axis_sides]
-        gens = GeneratorSet(heights)
-        rep = represent(sides[m - 1], gens)
-        assert rep is not None, (sides, brick_ids)
         weight = dict(zip(gens.generators, rep.coefficients))
         slabs = []
         for pos, b in enumerate(brick_ids):
@@ -159,7 +157,7 @@ def _construct(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, .
             if w == 0:
                 continue
             sub_ids = brick_ids[:pos] + brick_ids[pos + 1:]
-            sub = _construct(sys, sides[:-1], sub_ids, memo)
+            sub = _construct(sys, sides[:-1], sub_ids, sets, memo)
             slab = extrude(
                 sub,
                 [Brick(sys.bricks[i].sides[:m]) for i in sub_ids],
@@ -183,8 +181,9 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
         )
     # gn_bound without its second admissibility check; it comes after the
     # dimension check because it can build a table as large as a generator
-    bound = _largest_frobenius(sys)
+    sets = _xk_sets(sys)
+    bound = max(frobenius_general(S) for S in sets.values())
     for axis, side in enumerate(box.sides):
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)
-    return _construct(sys, box.sides, tuple(range(sys.n + 1)), {})
+    return _construct(sys, box.sides, tuple(range(sys.n + 1)), sets, {})

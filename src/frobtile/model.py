@@ -54,11 +54,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     DimensionMismatchError,
     DivisibilityError,
     PreconditionError,
     ShapeMismatchError,
 )
+from .semigroup import checked_add
 
 ROTATION_FIXED = "fixed"
 ROTATION_AXIS_PERMUTATIONS = "axis-permutations"
@@ -69,14 +71,9 @@ RASTER_SLAB_CELLS = 1 << 22
 # verify_sampled probes this many cells at a time
 _SAMPLE_CHUNK = 1 << 14
 
-_IDENTITY_CACHE: dict[int, tuple[int, ...]] = {}
-
 
 def identity_orientation(n: int) -> tuple[int, ...]:
-    perm = _IDENTITY_CACHE.get(n)
-    if perm is None:
-        perm = _IDENTITY_CACHE[n] = tuple(range(n))
-    return perm
+    return tuple(range(n))
 
 
 @dataclass(frozen=True)
@@ -718,8 +715,14 @@ def grid_blocks(
         for k, (a, x) in enumerate(zip(sides, extents)):
             if a % x != 0:
                 raise DivisibilityError(f"axis {k}: brick side {x} does not divide box side {a}")
+            checked_add(corner[k], a - x)  # the last origin along axis k
+        counts = [a // x for a, x in zip(sides, extents)]
         # origin[..., k] runs along grid axis k in steps of the extent
-        origin = np.empty([a // x for a, x in zip(sides, extents)] + [n], dtype=np.int64)
+        try:
+            origin = np.empty(counts + [n], dtype=np.int64)
+        except (ValueError, MemoryError):
+            count = math.prod(counts)
+            raise CapExceededError(f"a grid block of {count} placements is too large to hold") from None
         for k in range(n):
             steps = np.arange(corner[k], corner[k] + sides[k], extents[k])
             origin[..., k] = steps.reshape([-1] + [1] * (n - 1 - k))

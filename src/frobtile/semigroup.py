@@ -19,9 +19,9 @@ r, r + a, r + 2a, ... and relaxing a cycle once around from its minimum
 is exact.  Along a cycle that relaxation is a running minimum of
 dist[j] - j*a, so numpy does all cycles of one generator in one
 np.minimum.accumulate; below m = 128, or where the entries could leave
-int64, a Python loop does the same pass.  Each generator tuple gets one
-cached table, built from the table of its prefix without the last
-generator, and every operation reads it:
+int64, a Python loop does the same pass.  A GeneratorSet builds the
+tables of all its prefixes on first use, all numpy or all tuples, and
+keeps them for its lifetime; every operation reads them:
 
   * frobenius_general takes the table's maximum;
   * represent walks back from the largest generator, taking the largest
@@ -34,9 +34,6 @@ generator, and every operation reads it:
     generator y, one table read each) and scales out common factors:
       g(d*t_1, ..., d*t_k, s) = d*g(t_1, ..., t_k, s) + (d-1)*s
 
-The cache holds the most recently used tables: at most 256 of them and
-at most 64 MB.
-
 Results are checked against a signed 64-bit contract: a Frobenius
 number beyond 2^63 - 1 raises OverflowError rather than silently
 degrading.
@@ -45,9 +42,8 @@ degrading.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -123,6 +119,11 @@ class GeneratorSet:
         if self.gcd != 1:
             raise NonCoprimeError(f"gcd{self.generators} = {self.gcd}, expected 1")
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """The Apery tables of generators[:1] through generators, built once."""
+        return _prefix_tables(self.generators)
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -150,12 +151,6 @@ _UNREACHED = INT64_MAX // 2
 # cost per pass
 _VECTOR_MIN_M = 128
 
-# the table cache's bounds: 256 tables at m = 10^6 would be 2 GB
-_TABLE_CACHE_ENTRIES = 256
-_TABLE_CACHE_BYTES = 64 << 20
-# a tuple entry is a pointer and a boxed int
-_TUPLE_ENTRY_BYTES = 40
-
 
 def _vectorized(m: int, top: int) -> bool:
     """Does numpy build the table of generators mod m up to top?
@@ -166,78 +161,30 @@ def _vectorized(m: int, top: int) -> bool:
     return m >= _VECTOR_MIN_M and 2 * m * top <= INT64_MAX
 
 
-def _table_nbytes(table) -> int:
-    if isinstance(table, np.ndarray):
-        return table.nbytes
-    return _TUPLE_ENTRY_BYTES * len(table)
+def _prefix_tables(gens: tuple[int, ...]) -> tuple:
+    """Least element of <gens[:i]> in each residue class mod m = gens[0].
 
-
-class _TableCache:
-    """The most recently used tables, at most max_entries and max_bytes."""
-
-    def __init__(self, max_entries: int, max_bytes: int):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self.tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, gens: tuple[int, ...]):
-        with self._lock:
-            table = self.tables.get(gens)
-            if table is not None:
-                self.tables.move_to_end(gens)
-            return table
-
-    def put(self, gens: tuple[int, ...], table) -> None:
-        with self._lock:
-            if gens in self.tables:
-                return
-            self.tables[gens] = table
-            self.nbytes += _table_nbytes(table)
-            while len(self.tables) > self.max_entries or self.nbytes > self.max_bytes:
-                _, old = self.tables.popitem(last=False)
-                self.nbytes -= _table_nbytes(old)
-
-
-_TABLES = _TableCache(_TABLE_CACHE_ENTRIES, _TABLE_CACHE_BYTES)
-
-
-def _apery_table(gens: tuple[int, ...]):
-    """Least element of <gens> in each residue class mod m = gens[0].
-
-    gens is sorted ascending, of any gcd; a class <gens> cannot reach
-    holds _INF in a tuple table and _UNREACHED in a numpy table.  The
-    table of gens extends the table of gens[:-1] by one pass, so a
-    generator set caches the table of each of its prefixes.  Tables are
-    numpy int64 arrays (read-only) where _vectorized(m, gens[-1]) holds,
-    tuples otherwise.
+    gens is sorted ascending, of any gcd; table i - 1 is that of gens[:i],
+    one pass over table i - 2.  A class a prefix cannot reach holds _INF
+    in a tuple table and _UNREACHED in a numpy table.  The tables are
+    read-only numpy int64 arrays where _vectorized(m, gens[-1]) holds and
+    tuples otherwise, so one set never mixes the two.
     """
-    table = _TABLES.get(gens)
-    if table is not None:
-        return table
-    m, a = gens[0], gens[-1]
-    vector = _vectorized(m, a)
-    if len(gens) == 1:
-        if vector:
-            table = np.full(m, _UNREACHED, dtype=np.int64)
-            table[0] = 0
-            return table
-        return (0,) + (_INF,) * (m - 1)
-    prev = _apery_table(gens[:-1])
-    if vector:
-        table = _relax_vector(np.array(prev), a)
-        table.flags.writeable = False
-    else:
-        if isinstance(prev, np.ndarray):
-            prev = _as_tuple(prev)
-        table = tuple(_relax_loop(list(prev), a))
-    _TABLES.put(gens, table)
-    return table
-
-
-def _as_tuple(table: np.ndarray) -> tuple:
-    return tuple(w if w < _UNREACHED else _INF for w in table.tolist())
+    m = gens[0]
+    if _vectorized(m, gens[-1]):
+        table = np.full(m, _UNREACHED, dtype=np.int64)
+        table[0] = 0
+        tables = [table]
+        for a in gens[1:]:
+            tables.append(_relax_vector(tables[-1].copy(), a))
+        for table in tables:
+            table.flags.writeable = False
+        return tuple(tables)
+    dist = [0] + [_INF] * (m - 1)
+    tables = [tuple(dist)]
+    for a in gens[1:]:
+        tables.append(tuple(_relax_loop(dist, a)))
+    return tuple(tables)
 
 
 def _relax_loop(dist: list, a: int) -> list:
@@ -300,28 +247,27 @@ def _member(table, x: int) -> bool:
     return int(table[x % len(table)]) <= x
 
 
-def _largest_multiple(rem: int, prefix: tuple[int, ...], s: int) -> int:
+def _largest_multiple(rem: int, prefix_table, s: int) -> int:
     """Largest c <= rem // s with rem - c*s in <prefix>; one must exist.
 
-    The answer is among the top m candidates.  If c works and
+    prefix_table is the table of the generators below s, from the same
+    set as s.  The answer is among the top m candidates.  If c works and
     c + m <= rem // s, then x = rem - c*s >= m*s; with d = gcd(prefix)
     and e = d / gcd(d, s), x - e*s is a multiple of d above every gap of
     <prefix> (those lie below m*s - d*s), so c + e works too.
     """
-    m = prefix[0]
-    table = _apery_table(prefix)
+    m = len(prefix_table)
     top, low = divmod(rem, s)
-    if isinstance(table, np.ndarray):
-        if _vectorized(m, s):
-            # candidate c = top - j leaves low + j*s < m*s <= _UNREACHED
-            left = low + s * np.arange(min(m, top + 1), dtype=np.int64)
-            return top - int(np.argmax(table[left % m] <= left))
-        table = _as_tuple(table)
+    if isinstance(prefix_table, np.ndarray):
+        # the set's tables are numpy, so m*s <= _UNREACHED, and candidate
+        # c = top - j leaves low + j*s < m*s
+        left = low + s * np.arange(min(m, top + 1), dtype=np.int64)
+        return top - int(np.argmax(prefix_table[left % m] <= left))
     for c in range(top, -1, -1):
         x = rem - c * s
-        if table[x % m] <= x:
+        if prefix_table[x % m] <= x:
             return c
-    raise AssertionError(f"{rem} is not in <{prefix + (s,)}>")
+    raise AssertionError(f"{rem} is not in the semigroup up to {s}")
 
 
 def _max_entry(table) -> int:
@@ -353,12 +299,13 @@ def frobenius_general(S: GeneratorSet) -> int:
     gens = S.generators
     if len(gens) == 2:
         return frobenius_pair(*gens)
-    return _checked_g(_max_entry(_apery_table(gens)) - gens[0], gens)
+    return _checked_g(_max_entry(S._tables[-1]) - gens[0], gens)
 
 
-def _frobenius_reduced(gens: tuple[int, ...]) -> int:
-    # gens sorted, deduplicated, gcd 1; may contain 1 (then every
-    # nonnegative integer is representable and g = -1 by convention)
+def _frobenius_reduced(S: GeneratorSet) -> int:
+    # S has gcd 1 and may contain 1 (then every nonnegative integer is
+    # representable and g = -1 by convention)
+    gens = S.generators
     if gens[0] == 1:
         return -1
     if len(gens) == 2:
@@ -366,7 +313,7 @@ def _frobenius_reduced(gens: tuple[int, ...]) -> int:
     # x is redundant exactly when x - y is in <gens> for a smaller
     # generator y: elements below x are combinations without x.
     # Dropping it changes neither the semigroup nor its table.
-    table = _apery_table(gens)
+    table = S._tables[-1]
     kept = tuple(x for i, x in enumerate(gens) if not any(_member(table, x - y) for y in gens[:i]))
     if len(kept) == 2:
         return frobenius_pair(*kept)
@@ -375,7 +322,7 @@ def _frobenius_reduced(gens: tuple[int, ...]) -> int:
         rest = kept[:j] + kept[j + 1:]
         d = math.gcd(*rest)
         if d > 1:
-            core = tuple(sorted(set(t // d for t in rest) | {kept[j]}))
+            core = GeneratorSet([t // d for t in rest] + [kept[j]])
             return _checked_g(d * _frobenius_reduced(core) + (d - 1) * kept[j], gens)
     return _checked_g(_max_entry(table) - gens[0], gens)
 
@@ -388,7 +335,7 @@ def reduce_brauer_shockley(S: GeneratorSet) -> int:
     Apery table on irreducible cores.  Always equals frobenius_general(S).
     """
     S.require_frobenius_valid()
-    return _frobenius_reduced(S.generators)
+    return _frobenius_reduced(S)
 
 
 def represent(a: int, S: GeneratorSet) -> Optional[Representation]:
@@ -403,12 +350,12 @@ def represent(a: int, S: GeneratorSet) -> Optional[Representation]:
     if a < 0:
         raise PreconditionError(f"target must be >= 0, got {a}")
     gens = S.generators
-    if len(gens) > 2 and not _member(_apery_table(gens), a):
+    if len(gens) > 2 and not _member(S._tables[-1], a):
         return None
     coeffs = [0] * len(gens)
     rem = a
     for i in range(len(gens) - 1, 1, -1):
-        coeffs[i] = _largest_multiple(rem, gens[:i], gens[i])
+        coeffs[i] = _largest_multiple(rem, S._tables[i - 1], gens[i])
         rem -= coeffs[i] * gens[i]
     # the last step is the pair's own: the largest coefficient of gens[1]
     pair = pair_representation(rem, gens[0], gens[1])

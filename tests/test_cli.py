@@ -172,6 +172,19 @@ class TestDecide:
         )
         assert code == 0 and "strips" in out
 
+    def test_two_squares_witness_too_large_is_exit_3(self, capsys):
+        code, out, err = run(capsys, "decide", "two-squares", "--box", f"{2**62}x6",
+                             "--x", "2", "--y", "3")
+        assert code == 3 and out == ""
+        assert err == f"error: CapExceededError: a grid block of {3 * 2**61} placements is too large to hold\n"
+
+    def test_single_brick_origin_past_int64_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "decide", "single-brick", "--box", f"{3 * 2**62}x4",
+                             "--brick", f"{2**62}x4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: OverflowError:") and err.count("\n") == 1
+        assert "64-bit contract" in err
+
     def test_235p(self, capsys):
         code, out, _ = run(capsys, "decide", "235p", "--side", "17", "--p", "7")
         assert code == 0 and out == "tileable (pinwheel)\n"

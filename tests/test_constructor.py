@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from frobtile import constructor
+from frobtile import constructor, semigroup
 from frobtile.constructor import (
     AdmissibilityReport,
     BrickSystem,
@@ -128,6 +128,20 @@ def test_construct_checks_dimension_before_the_bound():
     with mock.patch.object(constructor, "frobenius_general", side_effect=AssertionError):
         with pytest.raises(DimensionMismatchError):
             construct_box(BoxShape((30, 30, 30)), squares_system([2, 3, 5]))
+
+
+def test_construct_builds_each_xk_sets_tables_once(monkeypatch):
+    # distinct primes per axis, so the four X_2 sets and the X_3 set differ
+    sides = [(2, 3, 5), (3, 5, 7), (5, 7, 2), (7, 2, 3)]
+    sys = BrickSystem([Brick(s) for s in sides])
+    builds = []
+    build = semigroup._prefix_tables
+    monkeypatch.setattr(semigroup, "_prefix_tables", lambda gens: builds.append(gens) or build(gens))
+    t = construct_box(BoxShape((384, 385, 386)), sys)
+    assert t.box.sides == (384, 385, 386)
+    tabled = [S.generators for S in constructor._xk_sets(sys).values() if len(S) > 2]
+    assert len(tabled) == 5
+    assert sorted(builds) == sorted(tabled)
 
 
 def test_construct_random_prime_systems():

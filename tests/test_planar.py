@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import warnings
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from frobtile.codec import encode
 from frobtile.constructor import BrickSystem, gn_bound
 from frobtile.errors import (
     BoundNotMetError,
+    CapExceededError,
     NonCoprimeError,
     NotPrimeError,
     PreconditionError,
@@ -85,6 +87,15 @@ class TestDecideSingleBrick:
                             assert_valid(d.witness)
 
 
+    def test_last_origin_past_int64_is_overflow(self):
+        # the third brick along axis 0 would start at 2^63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="64-bit contract"):
+                decide_single_brick(3 * 2**62, 4, 2**62, 4)
+        assert_valid(decide_single_brick(3 * 2**61, 4, 2**61, 4).witness)
+
+
 class TestDecideTwoSquares:
     def test_common_divisor_grid(self):
         d = decide_two_squares(12, 18, 2, 3)
@@ -100,6 +111,11 @@ class TestDecideTwoSquares:
 
     def test_not_tileable(self):
         assert not decide_two_squares(5, 7, 2, 3).tileable
+
+    def test_witness_too_large_to_hold_is_a_cap(self):
+        # 2^61 x 3 placements: numpy refuses the columns outright
+        with pytest.raises(CapExceededError, match=f"{3 * 2**61} placements"):
+            decide_two_squares(2**62, 6, 2, 3)
 
     def test_coprimality_required(self):
         with pytest.raises(NonCoprimeError):

@@ -1,7 +1,9 @@
 """Frobenius numbers, reductions, and representations against brute force."""
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -152,7 +154,7 @@ def test_scaling_identity():
 
 
 # ---------------------------------------------------------------------------
-# Apery tables: the numpy pass, int64 headroom and the cache
+# Apery tables: the numpy pass, int64 headroom and table ownership
 # ---------------------------------------------------------------------------
 
 def loop_table(gens):
@@ -161,6 +163,11 @@ def loop_table(gens):
     for a in gens[1:]:
         semigroup._relax_loop(dist, a)
     return tuple(dist)
+
+
+def as_loop_table(table):
+    """A numpy table in the loop's form: unreached classes hold _INF."""
+    return tuple(w if w < semigroup._UNREACHED else semigroup._INF for w in table.tolist())
 
 
 def loop_walk_back(a, gens):
@@ -210,12 +217,11 @@ def test_numpy_pass_matches_the_loop():
     assert any(math.gcd(g[0], g[i] % g[0]) > 1 for g in sets for i in range(1, len(g)))
     assert any(g[i] % g[0] == 0 for g in sets for i in range(1, len(g)))
     for gens in sets:
-        for i in range(2, len(gens) + 1):
-            table = semigroup._apery_table(gens[:i])
+        S = GeneratorSet(gens)
+        for i, table in enumerate(S._tables, start=1):
             assert isinstance(table, np.ndarray), gens[:i]
             # prefixes of gcd > 1 leave classes unreached
-            assert semigroup._as_tuple(table) == loop_table(gens[:i]), gens[:i]
-        S = GeneratorSet(gens)
+            assert as_loop_table(table) == loop_table(gens[:i]), gens[:i]
         g = frobenius_general(S)
         assert g == max(loop_table(gens)) - gens[0]
         assert reduce_brauer_shockley(S) == g, gens
@@ -228,16 +234,16 @@ def test_int64_headroom_keeps_exact_python_ints():
     # 2*m*max(S) > 2^63 - 1: the loop builds these tables, in Python ints
     gens = (300, 2**54 + 1, 2**54 + 7)
     S = GeneratorSet(gens)
-    table = semigroup._apery_table(gens)
-    assert isinstance(table, tuple)
+    assert all(isinstance(table, tuple) for table in S._tables)
+    table = S._tables[-1]
     assert table == loop_table(gens)
     g = max(table) - 300
     assert frobenius_general(S) == g == 558446353793941289
     assert reduce_brauer_shockley(S) == g
-    # numpy prefixes, then a last generator past the int64 headroom
+    # its prefix (256, 300) alone would take numpy; one set never mixes forms
     mixed = (256, 300, 2**55 + 3, 2**56 + 1)
-    assert isinstance(semigroup._apery_table(mixed[:2]), np.ndarray)
-    assert isinstance(semigroup._apery_table(mixed), tuple)
+    assert isinstance(GeneratorSet(mixed[:2])._tables[-1], np.ndarray)
+    assert all(isinstance(table, tuple) for table in GeneratorSet(mixed)._tables)
     for gens in (gens, mixed):
         S = GeneratorSet(gens)
         g = frobenius_general(S)
@@ -250,22 +256,51 @@ def test_int64_headroom_keeps_exact_python_ints():
     assert frobenius_general(GeneratorSet([3, 4, 2**62])) == 5
 
 
-def test_table_cache_evicts_the_oldest_past_its_byte_bound(monkeypatch):
-    cache = semigroup._TableCache(max_entries=256, max_bytes=3 * 8 * 1000)
-    monkeypatch.setattr(semigroup, "_TABLES", cache)
-    keys = [(1000, 1000 + a) for a in (1, 3, 7, 9, 11)]
-    for key in keys[:3]:
-        semigroup._apery_table(key)
-    semigroup._apery_table(keys[0])  # a hit makes keys[0] the newest
-    for key in keys[3:]:
-        semigroup._apery_table(key)
-    assert list(cache.tables) == [keys[0], keys[3], keys[4]]
-    assert cache.nbytes == 3 * 8 * 1000
-    # the count bound holds on its own
-    cache.max_entries = 2
-    semigroup._apery_table((1000, 1013))
-    assert list(cache.tables) == [keys[4], (1000, 1013)]
-    assert cache.nbytes == 2 * 8 * 1000
+def count_table_builds(monkeypatch):
+    """A list that gets one entry per _prefix_tables call."""
+    builds = []
+    build = semigroup._prefix_tables
+
+    def counted(gens):
+        builds.append(gens)
+        return build(gens)
+
+    monkeypatch.setattr(semigroup, "_prefix_tables", counted)
+    return builds
+
+
+def test_a_set_builds_its_tables_once(monkeypatch):
+    builds = count_table_builds(monkeypatch)
+    for gens in ((6, 9, 20), (1000, 1013, 1500, 2001)):
+        S = GeneratorSet(gens)
+        g = frobenius_general(S)
+        assert reduce_brauer_shockley(S) == g
+        for a in (0, g, g + 1, 3 * g + 7):
+            represent(a, S)
+        assert builds.count(gens) == 1, builds
+    # an equal set is another owner with its own tables
+    frobenius_general(GeneratorSet((6, 9, 20)))
+    assert builds.count((6, 9, 20)) == 2
+    # a pair never builds a table
+    represent(10**6, GeneratorSet((1000, 1013)))
+    assert (1000, 1013) not in builds
+
+
+def test_a_numpy_table_is_freed_with_its_set():
+    S = GeneratorSet((1000, 1013, 1500))
+    frobenius_general(S)
+    ref = weakref.ref(S._tables[-1])
+    assert ref() is not None
+    del S
+    gc.collect()
+    assert ref() is None
+
+
+def test_set_equality_hash_and_repr_ignore_the_tables():
+    S, T = GeneratorSet((20, 9, 6)), GeneratorSet((6, 9, 20))
+    frobenius_general(S)
+    assert S == T and hash(S) == hash(T)
+    assert repr(S) == repr(T) == "GeneratorSet(generators=(6, 9, 20))"
 
 
 # ---------------------------------------------------------------------------
