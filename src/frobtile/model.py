@@ -27,8 +27,8 @@ few sorts of the placements' coordinates.  The fit check (i) compares
 origins with box - extent, so an origin near the int64 limit cannot
 wrap around into the box.  verify_sampled swaps (ii) for a randomized
 unit-cell coverage check: it draws seeded random cells and asserts
-each is covered exactly once, locating candidate placements through a
-bucket grid.
+each is covered exactly once, testing candidates from a bucket grid
+against contiguous columns of origins and extents, one axis at a time.
 
 Construction-time validation is structural only (dimensions, index
 ranges, permutation validity) and runs once per tiling, vectorized;
@@ -278,7 +278,7 @@ class Tiling:
         sides = np.array([b.sides for b in self.bricks], dtype=np.int64)
         sides = sides.reshape(len(self.bricks), n)
         if self.rotation_policy == ROTATION_FIXED:
-            return sides[self.brick_index]
+            return sides.take(self.brick_index, axis=0)
         return sides[self.brick_index[:, None], self.orientation]
 
     def placement_volume(self) -> int:
@@ -411,17 +411,17 @@ def _check_fits(
 
     lo + extents could wrap around in int64, so the far corner is tested
     as lo <= box - extents; once this passes, lo + extents is exact.
+    The rows are scanned only if a whole-array check finds one outside.
     """
     if len(lo) == 0:
         return None
-    box = np.asarray(t.box.sides, dtype=np.int64)
-    bad = (lo < 0).any(axis=1) | (lo > box - extents).any(axis=1)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        return VerifyReport(
-            valid=False, mode=mode, reason="placement_out_of_bounds", placement_index=idx
-        )
-    return None
+    room = np.asarray(t.box.sides, dtype=np.int64) - extents
+    if lo.min() >= 0 and (lo <= room).all():
+        return None
+    idx = int(np.argmax((lo < 0).any(axis=1) | (lo > room).any(axis=1)))
+    return VerifyReport(
+        valid=False, mode=mode, reason="placement_out_of_bounds", placement_index=idx
+    )
 
 
 def _check_volume(t: Tiling, mode: str) -> Optional[VerifyReport]:
@@ -582,86 +582,85 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     """Fit and volume exactly; disjoint coverage probabilistically.
 
     Draws `samples` unit cells uniformly (deterministic in seed) and
-    requires each to be covered by exactly one placement.  Candidate
-    placements per cell come from a bucket grid over the first three
-    axes with bucket width = the largest oriented side, so each
-    placement lands in one bucket and each cell probes at most eight.
-    A failure names the first sampled cell not covered exactly once and
-    its cover count.
+    requires each to be covered by exactly one placement.  Candidates
+    come from a bucket grid over the first three axes, bucket width =
+    the largest oriented side: a cell probes eight buckets, read as four
+    runs of the placements sorted by bucket.  A candidate passes an axis
+    if (cell - origin) as unsigned is below its extent, and is dropped
+    before the next axis if not.  A failure names the first sampled cell
+    not covered exactly once and its cover count.
     """
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     lo = t.origin
     extents = t.oriented_extents()
-    report = _check_fits(t, lo, extents, "sampled")
+    report = _check_fits(t, lo, extents, "sampled") or _check_volume(t, "sampled")
     if report:
         return report
-    hi = lo + extents
-    report = _check_volume(t, "sampled")
-    if report:
-        return report
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, np.asarray(t.box.sides, dtype=np.int64), size=(samples, t.dimension))
+    n = t.dimension
+    sides = np.asarray(t.box.sides, dtype=np.int64)
+    try:
+        pts = np.random.default_rng(seed).integers(0, sides, size=(samples, n))
+    except (ValueError, MemoryError):
+        raise CapExceededError(f"{samples} samples are too many to hold") from None
 
-    # bucket grid over up to three axes.  Fit and volume hold, so the
-    # box's section over them is at most m times the product of the
-    # widths, and each width is at most the box's side: that makes at
-    # most 8m buckets, since side // width + 1 <= 2 * side / width.
-    grid_axes = range(min(3, t.dimension))
-    widths = [max(1, int((hi[:, k] - lo[:, k]).max(initial=0))) for k in grid_axes]
-    nb = [t.box.sides[k] // widths[k] + 1 for k in grid_axes]
+    # bucket coordinate cell // width + 1, so the bucket below the first
+    # is empty.  Fit and volume hold, so the box's section over the grid
+    # axes is at most m times the product of the widths: at most 27m
+    # buckets, since side // width + 2 <= 3 * side / width.
+    grid_axes = range(min(3, n))
+    widths = [max(1, int(extents[:, k].max(initial=0))) for k in grid_axes]
+    nb = [t.box.sides[k] // widths[k] + 2 for k in grid_axes]
+    strides = [math.prod(nb[k + 1:]) for k in grid_axes]
 
     def bucket_key(coords: np.ndarray) -> np.ndarray:
-        key = np.zeros(len(coords), dtype=np.int64)
+        key = np.full(len(coords), sum(strides), dtype=np.int64)
         for k in grid_axes:
-            key = key * nb[k] + coords[:, k] // widths[k]
+            key += coords[:, k] // widths[k] * strides[k]
         return key
 
     place_key = bucket_key(lo)
     order = np.argsort(place_key, kind="stable")
-    lo_sorted = lo[order]
-    hi_sorted = hi[order]
+    origins = [lo[:, k].take(order) for k in range(n)]
+    sizes = [extents[:, k].take(order).view(np.uint64) for k in range(n)]
     # bucket b's placements are rows bucket_start[b] to bucket_start[b + 1]
     buckets = math.prod(nb)
     bucket_start = np.zeros(buckets + 1, dtype=np.int64)
     np.cumsum(np.bincount(place_key, minlength=buckets), out=bucket_start[1:])
 
     # probe the cells in bucket order, which keeps the lookups local
-    probe_order = np.argsort(bucket_key(pts), kind="stable")
-    probes = pts[probe_order]
-    counts = np.zeros(samples, dtype=np.int64)
+    cell_key = bucket_key(pts)
+    probe_order = np.argsort(cell_key)
+    cell_key = cell_key.take(probe_order)
+    cells = [pts[:, k].take(probe_order) for k in range(n)]
+    # a cell can only be covered by a placement whose bucket, along each
+    # grid axis, is the cell's own or the one just below it; along the
+    # last grid axis those two are adjacent keys, so each pair is one run
+    shifts = [sum(c) for c in product(*[(0, stride) for stride in strides[:-1]])]
+    counts = np.zeros(samples, dtype=np.int64)  # in probe order, like cells
     for s0 in range(0, samples, _SAMPLE_CHUNK):
-        cells = probes[s0:s0 + _SAMPLE_CHUNK]
-        # a cell can only be covered by a placement whose bucket, along each
-        # grid axis, is the cell's own or the one just below it
-        for delta in product((0, -1), repeat=len(grid_axes)):
-            b = np.zeros(len(cells), dtype=np.int64)
-            skip = np.zeros(len(cells), dtype=bool)
-            for k in grid_axes:
-                bk = cells[:, k] // widths[k] + delta[k]
-                skip |= bk < 0
-                b = b * nb[k] + bk
-            b[skip] = 0
-            starts = bucket_start[b]
-            sizes = bucket_start[b + 1] - starts
-            sizes[skip] = 0
+        keys = cell_key[s0:s0 + _SAMPLE_CHUNK]
+        chunk = slice(s0, s0 + len(keys))
+        for shift in shifts:
+            starts = bucket_start.take(keys - shift - 1)
+            runs = bucket_start.take(keys - shift + 1) - starts
             # one row per (sample, candidate placement) pair
-            sample = np.repeat(np.arange(len(cells)), sizes)
-            cand = np.arange(len(sample)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-            inside = np.ones(len(sample), dtype=bool)
-            for k in range(t.dimension):
-                at = cells[sample, k]
-                inside &= (lo_sorted[cand, k] <= at) & (at < hi_sorted[cand, k])
-            covered = np.bincount(sample[inside], minlength=len(cells))
-            counts[probe_order[s0:s0 + len(cells)]] += covered
-    if (counts != 1).any():
-        idx = int(np.argmax(counts != 1))
+            sample = np.repeat(np.arange(len(keys)), runs)
+            cand = np.arange(len(sample)) + np.repeat(starts - (np.cumsum(runs) - runs), runs)
+            for k in range(n):
+                # a cell below the origin wraps around to a huge unsigned gap
+                gap = cells[k][chunk].take(sample) - origins[k].take(cand)
+                hit = np.flatnonzero(gap.view(np.uint64) < sizes[k].take(cand))
+                sample, cand = sample.take(hit), cand.take(hit)
+            counts[chunk] += np.bincount(sample, minlength=len(keys))
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        first = bad[np.argmin(probe_order.take(bad))]
+        cell = tuple(pts[probe_order[first]].tolist())
         return VerifyReport(
-            valid=False,
-            mode="sampled",
-            reason="sample_coverage",
-            cell=tuple(pts[idx].tolist()),
-            cover_count=int(counts[idx]),
+            False, "sampled", reason="sample_coverage", cell=cell, cover_count=int(counts[first])
         )
     return VerifyReport(valid=True, mode="sampled", samples=samples)
 

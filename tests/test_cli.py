@@ -147,6 +147,24 @@ class TestTileAndVerify:
         )
         assert code == 0 and out.startswith("Valid")
 
+    def test_verify_sampled_negative_seed_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "sq.json"
+        run(capsys, "tile", "prime-cubes", "--side", "30", "--primes", "2", "3", "5",
+            "--out", str(path))
+        code, out, err = run(capsys, "verify", "sampled", "--tiling", str(path), "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: PreconditionError:") and err.count("\n") == 1
+
+    def test_verify_sampled_unholdable_samples_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "sq.json"
+        run(capsys, "tile", "prime-cubes", "--side", "30", "--primes", "2", "3", "5",
+            "--out", str(path))
+        code, out, err = run(
+            capsys, "verify", "sampled", "--tiling", str(path), "--samples", str(2**62)
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: CapExceededError:") and err.count("\n") == 1
+
     def test_missing_tiling_file(self, capsys):
         code, _, err = run(capsys, "verify", "full", "--tiling", "/no/such/file.json")
         assert code == 2 and err.startswith("error:")

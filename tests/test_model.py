@@ -1,10 +1,13 @@
 """Geometry model: verification and combinators."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from frobtile.errors import (
+    CapExceededError,
     DimensionMismatchError,
     DivisibilityError,
     PreconditionError,
@@ -15,6 +18,8 @@ from frobtile.model import (
     Brick,
     Placement,
     Tiling,
+    VerifyReport,
+    _trusted,
     extrude,
     grid_fill,
     identity_orientation,
@@ -22,6 +27,7 @@ from frobtile.model import (
     verify_full,
     verify_sampled,
 )
+from frobtile.planar import corollary1_construct, prime_cubes_construct
 
 
 def segments_1d(lengths, brick_lengths):
@@ -166,6 +172,24 @@ def test_verify_sampled_catches_overlap_with_matching_volume():
     assert f"cell={report.cell}, cover_count={report.cover_count}" in str(report)
 
 
+def test_verify_sampled_rejects_a_negative_seed_before_any_work():
+    # an invalid tiling, so a check made after the verdict would not run
+    box = BoxShape((2, 2))
+    ps = (Placement(0, (0, 1), (0, 0)), Placement(0, (0, 1), (0, 0)))
+    t = Tiling(box, (Brick((2, 2)),), ps)
+    with pytest.raises(PreconditionError, match="seed must be >= 0"):
+        verify_sampled(t, samples=10, seed=-1)
+    assert verify_sampled(t, samples=10, seed=0).reason == "volume_mismatch"
+
+
+def test_verify_sampled_too_many_samples_is_cap_exceeded():
+    # numpy refuses these sizes outright, without trying to allocate
+    t = grid_fill(BoxShape((12, 10)), Brick((3, 2)))
+    for samples in (2**62, 2**70):
+        with pytest.raises(CapExceededError, match=f"{samples} samples"):
+            verify_sampled(t, samples=samples, seed=0)
+
+
 def test_verify_sampled_agrees_with_full_on_random_grids():
     rng = random.Random(8)
     for _ in range(25):
@@ -260,3 +284,193 @@ def test_combinators_emit_sorted_placements():
     origins = [p.origin for p in t2.placements]
     assert origins == sorted(origins)
     assert identity_orientation(2) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# verify_sampled against a count made here
+# ---------------------------------------------------------------------------
+
+def _with_origin(t, origin):
+    return Tiling.from_arrays(
+        t.box, t.bricks, t.brick_index, t.orientation, origin, rotation_policy=t.rotation_policy
+    )
+
+
+def _moved(t, rows):
+    """t with each given placement moved one cell along the first axis it can move on."""
+    origin = t.origin.copy()
+    hi = origin + t.oriented_extents()
+    box = t.box.sides
+    for k in rows:
+        axis = next(a for a in range(t.dimension) if hi[k, a] < box[a] or origin[k, a] > 0)
+        origin[k, axis] += 1 if hi[k, axis] < box[axis] else -1
+    return _with_origin(t, origin)
+
+
+def _replaced(t, k, j):
+    """t with placement k replaced by a copy of placement j."""
+    columns = [c.copy() for c in (t.brick_index, t.orientation, t.origin)]
+    for c in columns:
+        c[k] = c[j]
+    return Tiling.from_arrays(t.box, t.bricks, *columns, rotation_policy=t.rotation_policy)
+
+
+def _same_volume_partner(t, k):
+    """Another placement whose brick has the volume of placement k's, or None."""
+    volumes = np.array([b.volume for b in t.bricks])[t.brick_index]
+    others = np.flatnonzero(volumes == volumes[k])
+    others = others[others != k]
+    return int(others[len(others) // 2]) if len(others) else None
+
+
+def _rotated(t):
+    """t under the axis-permutations policy, each brick stored with sorted sides."""
+    kinds = sorted({tuple(sorted(b.sides)) for b in t.bricks})
+    bricks = tuple(Brick(s) for s in kinds)
+    index, orientation = [], []
+    for b in t.bricks:
+        base = sorted(b.sides)
+        # box axis j gets the first unused brick axis of the same length
+        perm = []
+        for side in b.sides:
+            perm.append(next(a for a, s in enumerate(base) if s == side and a not in perm))
+        index.append(kinds.index(tuple(base)))
+        orientation.append(perm)
+    brick_index = np.array(index)[t.brick_index]
+    return Tiling.from_arrays(
+        t.box, bricks, brick_index, np.array(orientation)[t.brick_index], t.origin,
+        rotation_policy="axis-permutations",
+    )
+
+
+def _guillotine(rng, sides, largest):
+    """Boxes (origin, sides) of a random guillotine cut of a box at the origin."""
+    boxes, done = [((0,) * len(sides), tuple(sides))], []
+    while boxes:
+        origin, box = boxes.pop()
+        cuttable = [k for k, s in enumerate(box) if s > 1]
+        if max(box) <= largest and (not cuttable or rng.random() < 0.3):
+            done.append((origin, box))
+            continue
+        k = rng.choice([k for k in cuttable if box[k] > largest] or cuttable)
+        at = rng.randint(1, box[k] - 1)
+        far = list(origin)
+        far[k] += at
+        boxes.append((origin, box[:k] + (at,) + box[k + 1:]))
+        boxes.append((tuple(far), box[:k] + (box[k] - at,) + box[k + 1:]))
+    return done
+
+
+def _random_tiling(rng, n, policy):
+    box = tuple(rng.randint(2, {1: 40, 2: 14, 3: 8, 4: 5}[n]) for _ in range(n))
+    pieces = _guillotine(rng, box, largest=3)
+    rng.shuffle(pieces)
+    kinds = sorted({s for _, s in pieces})
+    fixed = Tiling.from_arrays(
+        BoxShape(box),
+        [Brick(s) for s in kinds],
+        [kinds.index(s) for _, s in pieces],
+        np.tile(np.arange(n), (len(pieces), 1)),
+        [o for o, _ in pieces],
+    )
+    return fixed if policy == "fixed" else _rotated(fixed)
+
+
+def _counted_report(t, samples, seed):
+    """The report verify_sampled must give, from the fit and volume checks
+    and a cover count of every sampled cell over every placement."""
+    lo = t.origin
+    hi = lo + t.oriented_extents()
+    box = np.array(t.box.sides, dtype=np.int64)
+    out = (lo < 0).any(axis=1) | (hi > box).any(axis=1)
+    if out.any():
+        return VerifyReport(
+            False, "sampled", reason="placement_out_of_bounds", placement_index=int(np.argmax(out))
+        )
+    if t.placement_volume() != t.box.volume:
+        return VerifyReport(
+            False, "sampled", reason="volume_mismatch",
+            expected_volume=t.box.volume, actual_volume=t.placement_volume(),
+        )
+    pts = np.random.default_rng(seed).integers(0, box, size=(samples, t.dimension))
+    inside = (lo <= pts[:, None, :]) & (pts[:, None, :] < hi)
+    counts = inside.all(axis=2).sum(axis=1)
+    if (counts != 1).any():
+        i = int(np.argmax(counts != 1))
+        return VerifyReport(
+            False, "sampled", reason="sample_coverage",
+            cell=tuple(pts[i].tolist()), cover_count=int(counts[i]),
+        )
+    return VerifyReport(True, "sampled", samples=samples)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "axis-permutations"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_sampled_matches_a_direct_count(n, policy):
+    rng = random.Random(1000 * n + len(policy))
+    seen = set()
+    for trial in range(12):
+        t = _random_tiling(rng, n, policy)
+        k = rng.randrange(len(t.brick_index))
+        variants = [t]
+        if len(t.brick_index) > 1:
+            variants.append(_moved(t, [k]))
+        j = _same_volume_partner(t, k)
+        if j is not None:
+            variants.append(_replaced(t, k, j))
+        for v in variants:
+            samples = rng.choice([1, 7, 300])
+            report = verify_sampled(v, samples=samples, seed=trial)
+            assert report == _counted_report(v, samples, trial), (n, policy, trial, str(v))
+            seen.add(report.reason)
+    assert seen >= {None, "sample_coverage"}
+
+
+def test_out_of_box_placement_reports_its_index_in_both_verifiers():
+    t = grid_fill(BoxShape((4, 6)), Brick((2, 3)))
+    last = len(t.brick_index) - 1
+    past = t.origin.copy()
+    past[last, 1] += 1  # far corner one past the box
+    negative = t.origin.copy()
+    negative[last, 0] = -1  # the constructors refuse this; _trusted does not check
+    both = t.origin.copy()
+    both[1, 1] += 1
+    both[last, 0] += 1
+    cases = [
+        (_with_origin(t, past), last),
+        (_trusted(t.box, t.bricks, t.brick_index, t.orientation, negative, t.rotation_policy), last),
+        (_with_origin(t, both), 1),
+    ]
+    for bad, index in cases:
+        for report in (verify_full(bad), verify_sampled(bad, samples=50, seed=0)):
+            assert not report.valid
+            assert report.reason == "placement_out_of_bounds"
+            assert report.placement_index == index
+
+
+# sha256 of the reports below, one str() a line, as the verifier gave them
+# before its probe loop was rewritten
+PINNED_SAMPLED_DIGEST = "10578c47ebb95f8e83e77c4d272758b6357dc35ef7b10d0e7b3a9fed27914ef2"
+
+
+def _pinned_corpus():
+    """(tiling, samples, seed) triples, valid and corrupted, in 2-D and 3-D."""
+    squares = [prime_cubes_construct(a, (2, 3, 5)) for a in (30, 41, 57)]
+    rect = corollary1_construct(198, 203, 6, 4, 5, 7)
+    slab = extrude(squares[1], [Brick((2, 2, 3)), Brick((3, 3, 5)), Brick((5, 5, 2))], 30)
+    cube = prime_cubes_construct(384, (2, 3, 5, 7))
+    for t, samples in [*((s, 2000) for s in squares), (rect, 5000), (_rotated(rect), 5000),
+                       (slab, 4000), (cube, 10_000)]:
+        m = len(t.brick_index)
+        k = m // 3
+        yield t, samples, 0
+        yield t, samples, 17
+        yield _moved(t, [k]), samples, 1
+        yield _moved(t, range(0, m, 97)), samples, 2
+        yield _replaced(t, k, _same_volume_partner(t, k)), samples, 3
+        yield _replaced(t, k, (k + 1) % m), samples, 4
+
+
+def test_verify_sampled_reports_are_pinned():
+    text = "\n".join(str(verify_sampled(*case)) for case in _pinned_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SAMPLED_DIGEST
