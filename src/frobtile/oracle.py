@@ -68,7 +68,7 @@ from .model import (
     Tiling,
     identity_orientation,
 )
-from .semigroup import two_squares_split
+from .planar import two_brick_blocks
 
 DEFAULT_CELL_CAP = 4096          # max box volume in unit cells (64x64 in 2-D)
 _MEMO_CAP = 2_000_000            # max failed states remembered per search
@@ -404,9 +404,10 @@ def exact_cover_search(
 # square-box threshold scanning
 # ---------------------------------------------------------------------------
 
-def _guillotine_positive(w, h, sides, memo):
+def _guillotine_positive(w, h, squares, memo):
     """Sound-but-incomplete fast path: can w x h be cut into rectangles
-    that the two-squares criterion settles?  True means tileable."""
+    that one square grids or two_brick_blocks over two of them settles?
+    True means tileable.  squares is ascending."""
     if w > h:
         w, h = h, w
     key = (w, h)
@@ -414,31 +415,32 @@ def _guillotine_positive(w, h, sides, memo):
     if hit is not None:
         return hit
     ok = False
-    for s in sides:
+    for square in squares:
+        s = square.sides[0]
         if w % s == 0 and h % s == 0:
             ok = True
             break
     if not ok:
-        for i in range(len(sides)):
-            for j in range(i + 1, len(sides)):
-                x, y = sides[i], sides[j]
-                if math.gcd(x, y) == 1 and two_squares_split(w, h, x, y) is not None:
+        for i in range(len(squares)):
+            for j in range(i + 1, len(squares)):
+                tiles = ((i, (0, 1)), (j, (0, 1)))
+                if two_brick_blocks((0, 0), (w, h), squares, tiles) is not None:
                     ok = True
                     break
             if ok:
                 break
     if not ok:
-        smallest = min(sides)
+        smallest = squares[0].sides[0]
         for cut in range(smallest, w // 2 + 1):
-            if _guillotine_positive(cut, h, sides, memo) and _guillotine_positive(
-                w - cut, h, sides, memo
+            if _guillotine_positive(cut, h, squares, memo) and _guillotine_positive(
+                w - cut, h, squares, memo
             ):
                 ok = True
                 break
         if not ok:
             for cut in range(smallest, h // 2 + 1):
-                if _guillotine_positive(w, cut, sides, memo) and _guillotine_positive(
-                    w, h - cut, sides, memo
+                if _guillotine_positive(w, cut, squares, memo) and _guillotine_positive(
+                    w, h - cut, squares, memo
                 ):
                     ok = True
                     break
@@ -451,9 +453,9 @@ def threshold_scan(
 ) -> list[int]:
     """All side lengths a <= limit whose a x a square is NOT tileable.
 
-    Exact: positive cases are settled by divisibility / pair-criterion /
-    guillotine composition when possible (cheap and sound), everything
-    else by complete exact-cover search.
+    Exact: positive cases are settled by grids, the two-brick criterion
+    over pairs of squares and guillotine composition when possible (cheap
+    and sound), everything else by complete exact-cover search.
     """
     bricks = tuple(bricks)
     if limit < 1:
@@ -466,6 +468,7 @@ def threshold_scan(
             f"limit {limit} needs {limit * limit} cells, cap is {DEFAULT_CELL_CAP}"
         )
     sides = sorted({b.sides[0] for b in bricks})
+    squares = tuple(Brick((s, s)) for s in sides)
     # bigger bricks first speeds up the cases that reach the full search
     search_order = tuple(sorted(bricks, key=lambda b: -b.sides[0]))
     memo: dict = {}
@@ -473,7 +476,7 @@ def threshold_scan(
     for a in range(1, limit + 1):
         if any(a % s == 0 for s in sides):
             continue
-        if a >= min(sides) and _guillotine_positive(a, a, sides, memo):
+        if a >= min(sides) and _guillotine_positive(a, a, squares, memo):
             continue
         result = exact_cover_search(BoxShape((a, a)), search_order, cfg)
         if result.status == EXHAUSTED:

@@ -10,13 +10,14 @@ for the squares between them.  Each construction is a list of grid
 blocks, (brick index, orientation, corner, sides), and a witness is
 one model.grid_blocks call over its list.  Nothing here searches.
 
-The single-brick criterion is the full one: a rectangle is tileable by
-one brick (rotations allowed) exactly when the brick grids it directly
-or rotated, or both brick sides divide one box side and the other box
-side is a nonnegative combination of the two.  The popular one-line
-phrasing ("each brick side divides some box side, and ...") admits
-false positives such as a (2 x 3) box against a (2 x 2) brick, so it
-is not what we implement.
+Two bricks, each in a fixed orientation, tile a box exactly when one
+cut across one axis leaves a plain grid of each, either grid possibly
+empty (Bower and Michael, "When can you tile a box with translates of
+two given rectangles?", Amer. Math. Monthly, 2004).  two_brick_blocks
+is that test, in any dimension; one brick with rotations is the pair of
+it unrotated and rotated.  The popular one-line phrasing ("each brick
+side divides some box side, and ...") admits false positives such as a
+(2 x 3) box against a (2 x 2) brick.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .semigroup import (
     closed_form_primes,
     frobenius_pair,
     pair_representation,
-    two_squares_split,
 )
 
 
@@ -93,59 +93,84 @@ def _strips(
     return blocks
 
 
+def _divides(sides: tuple[int, ...], extents: list, skip: int = -1) -> bool:
+    """Does each extent divide its side, the side along axis skip aside?"""
+    for k in range(len(sides)):
+        if k != skip and sides[k] % extents[k]:
+            return False
+    return True
+
+
+def two_brick_blocks(
+    corner: tuple[int, ...],
+    sides: tuple[int, ...],
+    bricks: tuple[Brick, ...],
+    tiles: Sequence[tuple[int, tuple[int, ...]]],
+) -> Optional[list]:
+    """Grid blocks tiling the box of these sides at corner by two tiles,
+    each a (brick index, orientation); or None when they cannot.
+
+    A tile that grids the box gives one block: the grid of fewer
+    placements, the later tile on a tie.  Else the lowest axis along
+    which both tiles divide every other side, and the side is u*s + v*t
+    for their thicknesses s and t, is cut into two blocks.  The tile
+    with the lower-numbered side of its brick along the axis comes first
+    (given order on a tie), and the other's count v is the largest.
+    """
+    (i, o), (j, q) = tiles
+    e = [bricks[i].sides[a] for a in o]
+    f = [bricks[j].sides[a] for a in q]
+    grid_i, grid_j = _divides(sides, e), _divides(sides, f)
+    if grid_j and (not grid_i or bricks[j].volume >= bricks[i].volume):
+        return [(j, q, corner, sides)]
+    if grid_i:
+        return [(i, o, corner, sides)]
+    for axis in range(len(sides)):
+        if _divides(sides, e, axis) and _divides(sides, f, axis):
+            first, other = (tiles[0], e), (tiles[1], f)
+            if q[axis] < o[axis]:
+                first, other = other, first
+            rep = pair_representation(sides[axis], first[1][axis], other[1][axis])
+            if rep is not None:
+                parts = [(*first[0], rep[0]), (*other[0], rep[1])]
+                return _strips(corner, sides, bricks, axis, parts)
+    return None
+
+
+def _tiled(box: tuple[int, int], bricks: tuple[Brick, ...], tiles, policy: str) -> Decision:
+    """The two-brick decision for a rectangle, tagged by the blocks' shape."""
+    blocks = two_brick_blocks((0, 0), box, bricks, tiles)
+    if blocks is None:
+        return Decision(False, None, "indivisible")
+    reason = "strips" if len(blocks) == 2 else "grid" if blocks[0][1] == (0, 1) else "rotated-grid"
+    return Decision(True, grid_blocks(box, bricks, blocks, policy), reason)
+
+
 def decide_single_brick(a1: int, a2: int, x1: int, x2: int) -> Decision:
     """Decide whether (a1 x a2) can be tiled by copies of (x1 x x2).
 
-    Rotations are allowed.  Tileable exactly when the brick grids the
-    box one way or the other, or both brick sides divide one box side
-    and the other box side is a nonnegative combination of x1 and x2.
+    Rotations are allowed: two_brick_blocks over the brick rotated and
+    unrotated, so an unrotated grid wins over a rotated one ("grid",
+    "rotated-grid"), and a cut gives "strips".
     """
     _require_positive(a1=a1, a2=a2, x1=x1, x2=x2)
-    bricks = (Brick((x1, x2)),)
-    box = (a1, a2)
-    policy = ROTATION_AXIS_PERMUTATIONS
-    if a1 % x1 == 0 and a2 % x2 == 0:
-        witness = grid_blocks(box, bricks, [(0, (0, 1), (0, 0), box)], policy)
-        return Decision(True, witness, "grid")
-    if a1 % x2 == 0 and a2 % x1 == 0:
-        witness = grid_blocks(box, bricks, [(0, (1, 0), (0, 0), box)], policy)
-        return Decision(True, witness, "rotated-grid")
-    if a1 % x1 == 0 and a1 % x2 == 0:
-        rep = pair_representation(a2, x1, x2)
-        if rep is not None:
-            parts = [(0, (1, 0), rep[0]), (0, (0, 1), rep[1])]
-            witness = grid_blocks(box, bricks, _strips((0, 0), box, bricks, 1, parts), policy)
-            return Decision(True, witness, "strips")
-    if a2 % x1 == 0 and a2 % x2 == 0:
-        rep = pair_representation(a1, x1, x2)
-        if rep is not None:
-            parts = [(0, (0, 1), rep[0]), (0, (1, 0), rep[1])]
-            witness = grid_blocks(box, bricks, _strips((0, 0), box, bricks, 0, parts), policy)
-            return Decision(True, witness, "strips")
-    return Decision(False, None, "indivisible")
+    tiles = ((0, (1, 0)), (0, (0, 1)))
+    return _tiled((a1, a2), (Brick((x1, x2)),), tiles, ROTATION_AXIS_PERMUTATIONS)
 
 
 def decide_two_squares(a1: int, a2: int, x: int, y: int) -> Decision:
     """Decide whether (a1 x a2) can be tiled by squares (x x x), (y x y).
 
-    Requires gcd(x, y) = 1.  The verdict is two_squares_split's
-    criterion; the witness is a grid of one square ("grid") or that
-    split's strips ("strips").
+    Requires gcd(x, y) = 1.  The verdict is two_brick_blocks over the
+    two squares; the witness is a grid of one square, the larger (y on
+    a tie) ("grid"), or strips of both ("strips").
     """
     _require_positive(a1=a1, a2=a2, x=x, y=y)
     g = math.gcd(x, y)
     if g != 1:
         raise NonCoprimeError(f"square sides must be coprime, gcd({x}, {y}) = {g}")
-    split = two_squares_split(a1, a2, x, y)
-    if split is None:
-        return Decision(False, None, "indivisible")
-    axis, (u, v) = split
-    box = (a1, a2)
-    bricks = (Brick((x, x)), Brick((y, y)))
-    ident = (0, 1)
-    blocks = _strips((0, 0), box, bricks, axis, [(0, ident, u), (1, ident, v)])
-    witness = grid_blocks(box, bricks, blocks, ROTATION_FIXED)
-    return Decision(True, witness, "strips" if u and v else "grid")
+    tiles = ((0, (0, 1)), (1, (0, 1)))
+    return _tiled((a1, a2), (Brick((x, x)), Brick((y, y))), tiles, ROTATION_FIXED)
 
 
 def _corollary1_validate(p: int, q: int, r: int, s: int) -> None:
@@ -257,14 +282,10 @@ def compose_squares(a: int, b: int, c: int, r: int, L: int, k: int) -> tuple[Til
 
 def _ring_part(corner: tuple[int, int], h: int, w: int, bricks: tuple[Brick, ...]) -> list:
     """Grid blocks of a pinwheel's ring rectangle (h x w) at corner:
-    strips of the 2- and 3-squares, or a grid of the third square when
-    those two cannot tile it."""
-    ident = (0, 1)
-    split = two_squares_split(h, w, 2, 3)
-    if split is None:
-        return [(2, ident, corner, (h, w))]
-    axis, (u, v) = split
-    return _strips(corner, (h, w), bricks, axis, [(0, ident, u), (1, ident, v)])
+    the 2- and 3-squares' two_brick_blocks, or a grid of the third
+    square when those two cannot tile it."""
+    tiles = ((0, (0, 1)), (1, (0, 1)))
+    return two_brick_blocks(corner, (h, w), bricks, tiles) or [(2, (0, 1), corner, (h, w))]
 
 
 def _pinwheel(
@@ -314,7 +335,7 @@ def tile_square_235p(a: int, p: int) -> Decision:
     bricks" (Amer. Math. Monthly, 1969):
 
     - Since a < 2p, at most one p-square fits; with none, the 2- and
-      3-squares fail the two-squares criterion, as 6 does not divide a.
+      3-squares fail the two-brick criterion, as 6 does not divide a.
     - Weight cell (i, j) by x^i y^j.  A 2-square's weights carry the
       factor (1 + x)(1 + y), a 3-square's (1 + x + x^2)(1 + y + y^2), so
       a region they tile weighs 0 at (x, y) = (-1, w) and at (w, -1),

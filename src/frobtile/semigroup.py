@@ -121,7 +121,7 @@ class GeneratorSet:
 
     @cached_property
     def _tables(self) -> tuple:
-        """The Apery tables of generators[:1] through generators, built once."""
+        """The Apery tables of generators[:2] through generators, built once."""
         return _prefix_tables(self.generators)
 
 
@@ -164,27 +164,26 @@ def _vectorized(m: int, top: int) -> bool:
 def _prefix_tables(gens: tuple[int, ...]) -> tuple:
     """Least element of <gens[:i]> in each residue class mod m = gens[0].
 
-    gens is sorted ascending, of any gcd; table i - 1 is that of gens[:i],
-    one pass over table i - 2.  A class a prefix cannot reach holds _INF
-    in a tuple table and _UNREACHED in a numpy table.  The tables are
-    read-only numpy int64 arrays where _vectorized(m, gens[-1]) holds and
-    tuples otherwise, so one set never mixes the two.
+    gens is sorted ascending, of any gcd; table i - 2 is that of gens[:i]
+    for i >= 2, one pass over table i - 3 (or over gens[:1]'s, which is
+    not kept: nothing reads it).  A class a prefix cannot reach holds
+    _INF in a tuple table and _UNREACHED in a numpy table.  The tables
+    are read-only numpy int64 arrays where _vectorized(m, gens[-1]) holds
+    and tuples otherwise, so one set never mixes the two.
     """
     m = gens[0]
     if _vectorized(m, gens[-1]):
         table = np.full(m, _UNREACHED, dtype=np.int64)
         table[0] = 0
-        tables = [table]
+        tables = []
         for a in gens[1:]:
-            tables.append(_relax_vector(tables[-1].copy(), a))
+            table = _relax_vector(table.copy(), a)
+            tables.append(table)
         for table in tables:
             table.flags.writeable = False
         return tuple(tables)
     dist = [0] + [_INF] * (m - 1)
-    tables = [tuple(dist)]
-    for a in gens[1:]:
-        tables.append(tuple(_relax_loop(dist, a)))
-    return tuple(tables)
+    return tuple(tuple(_relax_loop(dist, a)) for a in gens[1:])
 
 
 def _relax_loop(dist: list, a: int) -> list:
@@ -355,7 +354,7 @@ def represent(a: int, S: GeneratorSet) -> Optional[Representation]:
     coeffs = [0] * len(gens)
     rem = a
     for i in range(len(gens) - 1, 1, -1):
-        coeffs[i] = _largest_multiple(rem, S._tables[i - 1], gens[i])
+        coeffs[i] = _largest_multiple(rem, S._tables[i - 2], gens[i])
         rem -= coeffs[i] * gens[i]
     # the last step is the pair's own: the largest coefficient of gens[1]
     pair = pair_representation(rem, gens[0], gens[1])
@@ -386,32 +385,6 @@ def pair_representation(target: int, x: int, y: int) -> Optional[tuple[int, int]
     if v < 0:
         return None
     return ((target - v * y) // x, v)
-
-
-def two_squares_split(a1: int, a2: int, x: int, y: int) -> Optional[tuple[int, tuple[int, int]]]:
-    """How squares (x x x) and (y x y), gcd(x, y) = 1, tile (a1 x a2); or None.
-
-    The two-squares criterion: tileable exactly when x or y divides
-    both sides, or x*y divides one side and the other side is a
-    nonnegative combination of x and y.  The answer (axis, (u, v)) cuts
-    the box across axis into u strips of thickness x and v of thickness
-    y, each strip a grid of its square.  A one-square grid is the split
-    with the other count 0, the larger square (y on a tie) preferred.
-    """
-    for side in (x, y) if x > y else (y, x):
-        if a1 % side == 0 and a2 % side == 0:
-            count = a2 // side
-            return 1, ((0, count) if side == y else (count, 0))
-    both = x * y
-    if a1 % both == 0:
-        rep = pair_representation(a2, x, y)
-        if rep is not None:
-            return 1, rep
-    if a2 % both == 0:
-        rep = pair_representation(a1, x, y)
-        if rep is not None:
-            return 0, rep
-    return None
 
 
 def is_prime(n: int) -> bool:

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import warnings
 from unittest import mock
 
@@ -17,7 +18,7 @@ from frobtile.errors import (
     NotPrimeError,
     PreconditionError,
 )
-from frobtile.model import BoxShape, Brick, verify_full
+from frobtile.model import ROTATION_FIXED, BoxShape, Brick, grid_blocks, verify_full
 from frobtile.oracle import FOUND, INFEASIBLE, SearchConfig, exact_cover_search
 from frobtile.planar import (
     Decision,
@@ -29,6 +30,7 @@ from frobtile.planar import (
     prime_cubes_bound,
     prime_cubes_construct,
     tile_square_235p,
+    two_brick_blocks,
 )
 
 
@@ -94,6 +96,42 @@ class TestDecideSingleBrick:
             with pytest.raises(OverflowError, match="64-bit contract"):
                 decide_single_brick(3 * 2**62, 4, 2**62, 4)
         assert_valid(decide_single_brick(3 * 2**61, 4, 2**61, 4).witness)
+
+
+# brick pairs in fixed orientation: one brick and its rotation, two
+# squares, and pairs with no shared shape, in 2-D and 3-D
+TWO_BRICK_PAIRS_2D = [
+    ((2, 3), (3, 2)), ((2, 2), (3, 3)), ((2, 3), (5, 2)),
+    ((4, 6), (3, 5)), ((2, 5), (3, 4)), ((2, 3), (3, 5)),
+]
+TWO_BRICK_PAIRS_3D = [
+    ((2, 3, 2), (3, 2, 3)), ((2, 2, 3), (3, 3, 2)), ((2, 3, 5), (3, 2, 2)),
+]
+BOXES_2D = list(itertools.product(range(1, 17), repeat=2))
+BOXES_3D = [b for b in itertools.product(range(1, 13), repeat=3) if b[0] * b[1] * b[2] <= 600]
+
+
+@pytest.mark.parametrize("pairs, boxes", [
+    (TWO_BRICK_PAIRS_2D, BOXES_2D),
+    (TWO_BRICK_PAIRS_3D, BOXES_3D),
+], ids=["2d", "3d"])
+def test_two_brick_blocks_agrees_with_search(pairs, boxes):
+    # the criterion is for translates only, so the search must not rotate
+    cfg = SearchConfig(rotation_policy=ROTATION_FIXED)
+    shapes = set()
+    for pair in pairs:
+        bricks = tuple(Brick(sides) for sides in pair)
+        ident = tuple(range(len(pair[0])))
+        for box in boxes:
+            blocks = two_brick_blocks((0,) * len(box), box, bricks, ((0, ident), (1, ident)))
+            found = exact_cover_search(BoxShape(box), bricks, cfg)
+            assert (blocks is not None) == (found.status == FOUND), (box, pair)
+            if blocks is not None:
+                assert 1 <= len(blocks) <= 2
+                assert_valid(grid_blocks(box, bricks, blocks, ROTATION_FIXED))
+                shapes.add(len(blocks))
+    # both grids and cuts occur
+    assert shapes == {1, 2}
 
 
 class TestDecideTwoSquares:
@@ -394,25 +432,47 @@ DIGEST_SQUARES = [(2, 3), (2, 5), (3, 5), (4, 7), (5, 3)]
 WITNESS_DIGEST = "9f7abe3dbba1a5dc680fedae217205ea4e2edd67495bc8f3843c2767ea76c4f8"
 
 
-def test_decider_witnesses_are_pinned():
-    """One sha256 over every decision's verdict, reason and encoded witness."""
+def witness_digest(decisions):
+    """One sha256 over each (label, decision)'s verdict, reason and encoded witness."""
     h = hashlib.sha256()
-
-    def add(label, d):
+    for label, d in decisions:
         h.update(f"{label} {d}\n".encode())
         if d.witness is not None:
             h.update(encode(d.witness).encode())
+    return h.hexdigest()
 
-    for p in (5, 7, 11, 13, 17):
-        for a in range(1, 4 * p + 1):
-            add(f"235p {a} {p}", tile_square_235p(a, p))
-    for a1 in DIGEST_SIDES:
-        for a2 in DIGEST_SIDES:
-            for x1, x2 in DIGEST_BRICKS:
-                add(f"brick {a1} {a2} {x1} {x2}", decide_single_brick(a1, a2, x1, x2))
-            for x, y in DIGEST_SQUARES:
-                add(f"squares {a1} {a2} {x} {y}", decide_two_squares(a1, a2, x, y))
-    assert h.hexdigest() == WITNESS_DIGEST
+
+def box_decisions(sides, bricks, squares):
+    """(label, decision) for every box with these sides against each brick and square pair."""
+    for a1 in sides:
+        for a2 in sides:
+            for x1, x2 in bricks:
+                yield f"brick {a1} {a2} {x1} {x2}", decide_single_brick(a1, a2, x1, x2)
+            for x, y in squares:
+                yield f"squares {a1} {a2} {x} {y}", decide_two_squares(a1, a2, x, y)
+
+
+def test_decider_witnesses_are_pinned():
+    squares_235p = (
+        (f"235p {a} {p}", tile_square_235p(a, p))
+        for p in (5, 7, 11, 13, 17)
+        for a in range(1, 4 * p + 1)
+    )
+    boxes = box_decisions(DIGEST_SIDES, DIGEST_BRICKS, DIGEST_SQUARES)
+    assert witness_digest(itertools.chain(squares_235p, boxes)) == WITNESS_DIGEST
+
+
+# ties the digest above does not reach: square bricks, whose grid is
+# "grid" and never "rotated-grid"; bricks whose short side divides the
+# long one; equal squares and squares of side 1
+TIE_SIDES = range(1, 13)
+TIE_BRICKS = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 6)]
+TIE_SQUARES = [(1, 1), (1, 2), (2, 1), (1, 3)]
+TIE_DIGEST = "3eb27afdf4048636bbdd04240cc55b7872eecbea990750cb70c29d938a08d82a"
+
+
+def test_tie_breaks_are_pinned():
+    assert witness_digest(box_decisions(TIE_SIDES, TIE_BRICKS, TIE_SQUARES)) == TIE_DIGEST
 
 
 @pytest.mark.parametrize("decide, args", [

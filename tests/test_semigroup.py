@@ -218,7 +218,9 @@ def test_numpy_pass_matches_the_loop():
     assert any(g[i] % g[0] == 0 for g in sets for i in range(1, len(g)))
     for gens in sets:
         S = GeneratorSet(gens)
-        for i, table in enumerate(S._tables, start=1):
+        # one table per prefix of two or more generators
+        assert len(S._tables) == len(gens) - 1
+        for i, table in enumerate(S._tables, start=2):
             assert isinstance(table, np.ndarray), gens[:i]
             # prefixes of gcd > 1 leave classes unreached
             assert as_loop_table(table) == loop_table(gens[:i]), gens[:i]
@@ -235,6 +237,7 @@ def test_int64_headroom_keeps_exact_python_ints():
     gens = (300, 2**54 + 1, 2**54 + 7)
     S = GeneratorSet(gens)
     assert all(isinstance(table, tuple) for table in S._tables)
+    assert len(S._tables) == len(gens) - 1
     table = S._tables[-1]
     assert table == loop_table(gens)
     g = max(table) - 300
