@@ -37,7 +37,7 @@ print("reloaded:", verify_full(reloaded))
 print(render_ascii(reloaded))
 
 svg_path = out / "square17.svg"
-svg_path.write_text(render_svg(reloaded, RenderOptions(format="svg", cell_size=12)))
+svg_path.write_text(render_svg(reloaded, RenderOptions(cell_size=12)))
 print("wrote", svg_path)
 
 # impossibility is a search outcome too, not a timeout: the 11 x 11

@@ -245,7 +245,7 @@ def _cmd_render(args) -> int:
     if args.format == "ascii":
         text = render_ascii(t)
     else:
-        text = render_svg(t, RenderOptions(format=args.format, cell_size=args.cell_size))
+        text = render_svg(t, RenderOptions(cell_size=args.cell_size))
     if args.out is None:
         print(text)
     else:

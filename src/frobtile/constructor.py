@@ -12,15 +12,18 @@ X_k sets, every box whose sides all exceed g_n can be tiled, and the
 proof is an algorithm:
 
   * dimension 1: represent the side over the two brick lengths and lay
-    segments;
+    the segments, shortest first;
   * dimension m: for each brick j, tile the (m-1)-dim box with the
-    other m bricks (recursively), extrude that tiling to height
-    h_j = prod of the other bricks' m-th sides, giving a slab; represent
-    the m-th side as sum w_j * h_j and stack w_j copies of each slab.
+    other m bricks (recursively), and lift that tiling to a slab of
+    height h_j = prod of the other bricks' m-th sides; represent the
+    m-th side as sum w_j * h_j and stack w_j copies of each slab.
 
 The representability of every side is exactly what the g_n bound
-guarantees.  Sub-tilings are memoized by (box sides, brick subset)
-since each slab reuses the same (m-1)-dimensional solution.
+guarantees.  A grid block of the (m-1)-dim tiling, lifted through a
+run of w_j equal slabs, is still one grid of a single brick, so the
+recursion returns grid blocks, never placements: a box is at most
+(n+1)! blocks, built into one tiling by a single grid_blocks call.
+Block lists are this small, so no sub-result is memoized.
 """
 
 from __future__ import annotations
@@ -30,15 +33,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     BoundNotMetError,
     DimensionMismatchError,
     NotAdmissibleError,
     PreconditionError,
 )
-from .model import BoxShape, Brick, Tiling, extrude, remap_bricks, stack
+from .model import BoxShape, Brick, Tiling, grid_blocks, identity_orientation
 from .semigroup import GeneratorSet, checked_prod, frobenius_general, represent
 
 
@@ -129,45 +130,40 @@ def _xk_sets(sys: BrickSystem) -> dict[tuple[int, tuple[int, ...]], GeneratorSet
     }
 
 
-def _construct(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...], sets, memo) -> Tiling:
-    hit = memo.get((sides, brick_ids))
-    if hit is not None:
-        return hit
+def _blocks(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...], sets) -> list:
+    """Grid blocks (brick id, corner, sides) tiling the box by brick_ids.
+
+    Along the last of the box's m axes each brick gives a run of w equal
+    pieces of length h: its own segments when m = 1, shortest first, and
+    when m > 1 slabs of height h tiled by the other bricks, in brick
+    order.
+    """
     m = len(sides)
-    proj = tuple(Brick(sys.bricks[b].sides[:m]) for b in brick_ids)
     # brick_ids is ascending, so it is the subset of an X_m set, and the
     # lengths (m = 1) or heights (m > 1) along the last axis are X_m
     gens = sets[(m, brick_ids)]
     rep = represent(sides[m - 1], gens)
     assert rep is not None, (sides, brick_ids)
+    weight = dict(zip(gens.generators, rep.coefficients))
+    axis_sides = [sys.bricks[b].sides[m - 1] for b in brick_ids]
     if m == 1:
-        by_length = {p.sides[0]: pos for pos, p in enumerate(proj)}
-        lengths = np.repeat(gens.generators, rep.coefficients)
-        index = np.repeat([by_length[length] for length in gens.generators], rep.coefficients)
-        origin = (np.cumsum(lengths) - lengths).reshape(-1, 1)
-        t = Tiling.from_arrays(BoxShape(sides), proj, index, np.zeros_like(origin), origin)
+        runs = sorted(zip(axis_sides, brick_ids))
     else:
-        axis_sides = [sys.bricks[b].sides[m - 1] for b in brick_ids]
         total = checked_prod(axis_sides)
-        heights = [total // s for s in axis_sides]
-        weight = dict(zip(gens.generators, rep.coefficients))
-        slabs = []
-        for pos, b in enumerate(brick_ids):
-            w = weight[heights[pos]]
-            if w == 0:
-                continue
-            sub_ids = brick_ids[:pos] + brick_ids[pos + 1:]
-            sub = _construct(sys, sides[:-1], sub_ids, sets, memo)
-            slab = extrude(
-                sub,
-                [Brick(sys.bricks[i].sides[:m]) for i in sub_ids],
-                heights[pos],
-            )
-            slab = remap_bricks(slab, proj, [brick_ids.index(i) for i in sub_ids])
-            slabs.extend([slab] * w)
-        t = stack(slabs, axis=m - 1)
-    memo[(sides, brick_ids)] = t
-    return t
+        runs = [(total // side, b) for side, b in zip(axis_sides, brick_ids)]
+    blocks, at = [], 0
+    for h, b in runs:
+        w = weight[h]
+        if w == 0:
+            continue
+        if m == 1:
+            sub = [(b, (), ())]  # the segment itself, with no lower axes
+        else:
+            sub = _blocks(sys, sides[:-1], tuple(i for i in brick_ids if i != b), sets)
+        for i, corner, block_sides in sub:
+            blocks.append((i, corner + (at,), block_sides + (w * h,)))
+        at += w * h
+    return blocks
 
 
 def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
@@ -186,4 +182,9 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
     for axis, side in enumerate(box.sides):
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)
-    return _construct(sys, box.sides, tuple(range(sys.n + 1)), sets, {})
+    n = sys.n
+    blocks = [
+        (index, identity_orientation(n), corner, sides)
+        for index, corner, sides in _blocks(sys, box.sides, tuple(range(n + 1)), sets)
+    ]
+    return grid_blocks(box.sides, sys.bricks, blocks)

@@ -30,10 +30,6 @@ class DivisibilityError(FrobtileError):
     """A required divisibility relation does not hold."""
 
 
-class ShapeMismatchError(FrobtileError):
-    """Tilings cannot be combined because their shapes or brick lists differ."""
-
-
 class NotAdmissibleError(FrobtileError):
     """Brick system fails the axis-wise coprimality needed to construct."""
 

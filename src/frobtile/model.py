@@ -1,4 +1,4 @@
-"""Boxes, bricks, placements, tilings; exact verification; combinators.
+"""Boxes, bricks, placements, tilings; exact verification; the grid builder.
 
 A tiling is a box, a list of brick types, and m axis-aligned placements
 stored column-wise as three int64 arrays: ``brick_index`` (m,),
@@ -35,13 +35,11 @@ ranges, permutation validity) and runs once per tiling, vectorized;
 geometric soundness is always the verifier's job, so malformed geometry
 can be loaded and diagnosed.
 
-The combinators mirror how larger tilings are assembled from smaller
-ones: grid_blocks (a union of blocks, each a grid of one oriented brick)
-and grid_fill (one brick over a box it divides), extrude (lift an
-(n-1)-dim tiling to n dimensions by stacking copies of each brick up to
-a common height), and stack (concatenate tilings along one axis).  Each
-is array concatenation or broadcasting, and each returns its placements
-in lexicographic origin order.
+Every tiling the library builds is a union of grids, each of one
+oriented brick, so there is one builder: grid_blocks takes the blocks
+(brick, orientation, corner, sides), broadcasts each grid's origins and
+returns the placements in lexicographic origin order; grid_fill is its
+one-block case.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .errors import (
     DimensionMismatchError,
     DivisibilityError,
     PreconditionError,
-    ShapeMismatchError,
 )
 from .semigroup import checked_add
 
@@ -244,7 +241,14 @@ class Tiling:
                     int(brick_index[i]), tuple(orientation[i].tolist()), tuple(origin[i].tolist())
                 )
             raise PreconditionError(_PLACEMENT_ERRORS[check].format(i=i, p=p))
-        _init_fields(self, box, bricks, brick_index, orientation, origin, policy, placements)
+        set_ = object.__setattr__
+        set_(self, "box", box)
+        set_(self, "bricks", bricks)
+        set_(self, "brick_index", brick_index)
+        set_(self, "orientation", orientation)
+        set_(self, "origin", origin)
+        set_(self, "rotation_policy", policy)
+        set_(self, "_placements", placements)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Tiling is immutable; cannot set {name!r}")
@@ -316,17 +320,6 @@ class Tiling:
         )
 
 
-def _init_fields(t, box, bricks, brick_index, orientation, origin, policy, placements):
-    set_ = object.__setattr__
-    set_(t, "box", box)
-    set_(t, "bricks", bricks)
-    set_(t, "brick_index", brick_index)
-    set_(t, "orientation", orientation)
-    set_(t, "origin", origin)
-    set_(t, "rotation_policy", policy)
-    set_(t, "_placements", placements)
-
-
 def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
     """(index, check) of the first placement failing a structural check."""
     m, n = origin.shape
@@ -352,19 +345,6 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
     )
     i = int(np.argmax(checks.any(axis=0)))
     return i, int(np.argmax(checks[:, i]))
-
-
-def _trusted(box, bricks, brick_index, orientation, origin, policy) -> Tiling:
-    """A tiling from columns that stack or extrude built from validated tilings.
-
-    Those moves keep every structural check true, so the checks are not
-    run again; on tilings of a few placements they cost about as much as
-    the move itself.
-    """
-    t = object.__new__(Tiling)
-    columns = (_readonly(brick_index), _readonly(orientation), _readonly(origin))
-    _init_fields(t, box, tuple(bricks), *columns, policy, None)
-    return t
 
 
 @dataclass(frozen=True)
@@ -666,32 +646,8 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# combinators
+# the grid builder
 # ---------------------------------------------------------------------------
-
-def _by_origin(brick_index, orientation, origin):
-    """The columns reordered by origin, lexicographically; ties keep order."""
-    order = np.lexsort(origin.T[::-1])
-    return brick_index[order], orientation[order], origin[order]
-
-
-def remap_bricks(t: Tiling, bricks: Sequence[Brick], index_map: Sequence[int]) -> Tiling:
-    """Re-point placements at a different brick list; geometry unchanged.
-
-    index_map[i] is the new index of the tiling's brick i; the mapped
-    bricks must have identical sides.
-    """
-    bricks = tuple(bricks)
-    for i, old in enumerate(t.bricks):
-        if bricks[index_map[i]].sides != old.sides:
-            raise ShapeMismatchError(
-                f"brick {i} maps to {bricks[index_map[i]].sides}, expected {old.sides}"
-            )
-    new_index = np.asarray(index_map, dtype=np.int64)[t.brick_index]
-    return Tiling.from_arrays(
-        t.box, bricks, new_index, t.orientation, t.origin, rotation_policy=t.rotation_policy
-    )
-
 
 def grid_blocks(
     box_sides: Sequence[int],
@@ -732,7 +688,11 @@ def grid_blocks(
         # one grid is already in origin order
         brick_index, orientation, origin = columns[0]
     else:
-        brick_index, orientation, origin = _by_origin(*map(np.concatenate, zip(*columns)))
+        brick_index, orientation, origin = map(np.concatenate, zip(*columns))
+        del columns  # free the blocks' columns before the sort copies them
+        # lexicographic origin order; ties keep block order
+        order = np.lexsort(origin.T[::-1])
+        brick_index, orientation, origin = brick_index[order], orientation[order], origin[order]
     return Tiling.from_arrays(
         BoxShape(box_sides), bricks, brick_index, orientation, origin, rotation_policy=policy
     )
@@ -746,92 +706,3 @@ def grid_fill(box: BoxShape, brick: Brick) -> Tiling:
         )
     n = box.dimension
     return grid_blocks(box.sides, (brick,), [(0, identity_orientation(n), (0,) * n, box.sides)])
-
-
-def extrude(t: Tiling, full_bricks: Sequence[Brick], height_product: int) -> Tiling:
-    """Lift an (n-1)-dim tiling to n dimensions at a common height.
-
-    Each input brick must be the last-axis projection of the
-    corresponding full brick; every placement becomes a stack of
-    height_product / (full brick's last side) copies along the new axis.
-    """
-    full_bricks = tuple(full_bricks)
-    if len(full_bricks) != len(t.bricks):
-        raise DimensionMismatchError(
-            f"{len(t.bricks)} projected bricks but {len(full_bricks)} full bricks"
-        )
-    n = t.dimension + 1
-    for i, (proj, full) in enumerate(zip(t.bricks, full_bricks)):
-        if full.dimension != n:
-            raise DimensionMismatchError(
-                f"full brick {i} has dimension {full.dimension}, expected {n}"
-            )
-        if full.sides[:-1] != proj.sides:
-            raise DimensionMismatchError(
-                f"brick {i}: {proj.sides} is not the projection of {full.sides}"
-            )
-    if t.rotation_policy != ROTATION_FIXED:
-        raise PreconditionError("extrude requires a fixed-orientation tiling")
-    if height_product < 1:
-        raise PreconditionError(f"height must be >= 1, got {height_product}")
-    for i, full in enumerate(full_bricks):
-        if height_product % full.sides[-1] != 0:
-            raise DivisibilityError(
-                f"brick {i}: last side {full.sides[-1]} does not divide height {height_product}"
-            )
-    heights = np.array([full.sides[-1] for full in full_bricks], dtype=np.int64)[t.brick_index]
-    copies = height_product // heights
-    source = np.repeat(np.arange(len(copies)), copies)
-    level = np.arange(len(source)) - np.repeat(np.cumsum(copies) - copies, copies)
-    origin = np.empty((len(source), n), dtype=np.int64)
-    origin[:, :-1] = t.origin[source]
-    origin[:, -1] = level * heights[source]
-    brick_index, orientation, origin = _by_origin(
-        t.brick_index[source], np.broadcast_to(np.arange(n), (len(source), n)), origin
-    )
-    box = BoxShape(t.box.sides + (height_product,))
-    return _trusted(box, full_bricks, brick_index, orientation, origin, ROTATION_FIXED)
-
-
-def stack(parts: Sequence[Tiling], axis: int) -> Tiling:
-    """Concatenate tilings along one axis; all other sides must agree."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeMismatchError("cannot stack an empty list of tilings")
-    first = parts[0]
-    n = first.dimension
-    if not 0 <= axis < n:
-        raise PreconditionError(f"axis {axis} out of range for dimension {n}")
-    ref_other = tuple(s for k, s in enumerate(first.box.sides) if k != axis)
-    ref_bricks = tuple(b.sides for b in first.bricks)
-    for t in parts[1:]:
-        if t.dimension != n:
-            raise ShapeMismatchError("stacked tilings must share a dimension")
-        other = tuple(s for k, s in enumerate(t.box.sides) if k != axis)
-        if other != ref_other:
-            raise ShapeMismatchError(
-                f"sides off the stacking axis differ: {other} vs {ref_other}"
-            )
-        if tuple(b.sides for b in t.bricks) != ref_bricks:
-            raise ShapeMismatchError("stacked tilings must share the same brick list")
-        if t.rotation_policy != first.rotation_policy:
-            raise ShapeMismatchError("stacked tilings must share a rotation policy")
-    sides = list(first.box.sides)
-    sides[axis] = sum(t.box.sides[axis] for t in parts)
-    # move each part's rows along axis by the thickness of the parts before it
-    origin = np.concatenate([t.origin for t in parts])
-    offset = end = 0
-    for t in parts:
-        start, end = end, end + len(t.brick_index)
-        origin[start:end, axis] += offset
-        offset += t.box.sides[axis]
-    if len(origin) and origin.min() < 0:
-        # every origin was >= 0 and every shift is, so this one wrapped around
-        raise PreconditionError("joining tilings moves an origin past 2^63 - 1")
-    brick_index, orientation, origin = _by_origin(
-        np.concatenate([t.brick_index for t in parts]),
-        np.concatenate([t.orientation for t in parts]),
-        origin,
-    )
-    box = BoxShape(sides)
-    return _trusted(box, first.bricks, brick_index, orientation, origin, first.rotation_policy)

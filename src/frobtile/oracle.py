@@ -453,9 +453,11 @@ def threshold_scan(
 ) -> list[int]:
     """All side lengths a <= limit whose a x a square is NOT tileable.
 
-    Exact: positive cases are settled by grids, the two-brick criterion
-    over pairs of squares and guillotine composition when possible (cheap
-    and sound), everything else by complete exact-cover search.
+    Exact: with one or two square sizes, grids and the two-brick
+    criterion decide every side both ways, with no search.  With more,
+    positive cases are settled by grids, the two-brick criterion over
+    pairs of squares and guillotine composition when possible (cheap and
+    sound), everything else by complete exact-cover search.
     """
     bricks = tuple(bricks)
     if limit < 1:
@@ -471,10 +473,16 @@ def threshold_scan(
     squares = tuple(Brick((s, s)) for s in sides)
     # bigger bricks first speeds up the cases that reach the full search
     search_order = tuple(sorted(bricks, key=lambda b: -b.sides[0]))
+    pair = ((0, (0, 1)), (1, (0, 1)))
     memo: dict = {}
     out = []
     for a in range(1, limit + 1):
         if any(a % s == 0 for s in sides):
+            continue
+        if len(squares) <= 2:
+            # for one or two sizes, the grids and the two-brick criterion are exact
+            if len(squares) == 1 or two_brick_blocks((0, 0), (a, a), squares, pair) is None:
+                out.append(a)
             continue
         if a >= min(sides) and _guillotine_positive(a, a, squares, memo):
             continue

@@ -42,17 +42,12 @@ RENDER_FORMATS = ("ascii", "svg")
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """Output format plus SVG geometry and coloring choices."""
+    """SVG geometry and coloring choices."""
 
-    format: str = "ascii"
     cell_size: int = 10
     palette: Sequence[str] = DEFAULT_PALETTE
 
     def __post_init__(self):
-        if self.format not in RENDER_FORMATS:
-            raise PreconditionError(
-                f"format must be one of {', '.join(RENDER_FORMATS)}, got {self.format!r}"
-            )
         if self.cell_size < 1:
             raise PreconditionError(f"cell_size must be >= 1, got {self.cell_size}")
         if not self.palette:

@@ -104,6 +104,16 @@ class TestTileAndVerify:
         assert code == 0
         assert load_tiling(str(path)).box.sides == (30, 30)
 
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--box", str(2**63 - 1), "--bricks", "2", "3"),
+        ("prime-cubes", "--side", str(2**63 - 1), "--primes", "2", "3", "5"),
+    ])
+    def test_box_too_large_to_hold_is_exit_3(self, capsys, argv):
+        # a grid block this large is refused, not allocated
+        code, out, err = run(capsys, "tile", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: CapExceededError: ") and err.count("\n") == 1
+
     def test_squares_235p_negative(self, capsys):
         code, out, _ = run(capsys, "tile", "squares-235p", "--side", "7", "--p", "5")
         assert code == 1 and "not tileable" in out

@@ -3,12 +3,12 @@
 Random strip, grid and constructed tilings get one corruption each; the
 raster verify_full must report exactly what the pairwise scan in
 brute.py reports.  encode must match a line-by-line json.dumps writer,
-stack and extrude must order placements like sorted(key=origin), decode
-must invert encode, and grid_blocks must build what stack builds from
-one grid per block.
+decode must invert encode, and grid_blocks must build what a Python
+loop builds, one Placement at a time, sorted by origin.
 """
 
 import json
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from frobtile import codec, model
 from frobtile.codec import decode, encode
 from frobtile.constructor import BrickSystem, construct_box, gn_bound
-from frobtile.errors import DivisibilityError, PreconditionError, TilingParseError
+from frobtile.errors import DivisibilityError, TilingParseError
 from frobtile.model import (
     ROTATION_AXIS_PERMUTATIONS,
     ROTATION_FIXED,
@@ -27,9 +27,7 @@ from frobtile.model import (
     Placement,
     Tiling,
     VerifyReport,
-    extrude,
     grid_blocks,
-    stack,
     verify_full,
     verify_sampled,
 )
@@ -76,6 +74,17 @@ def orientations(draw, n, policy):
     return tuple(draw(st.permutations(range(n))))
 
 
+def expanded(box, bricks, blocks, policy):
+    """grid_blocks' tiling, built one Placement at a time in a Python loop."""
+    ps = []
+    for index, orientation, corner, sides in blocks:
+        extents = [bricks[index].sides[a] for a in orientation]
+        steps = [range(c, c + a, x) for c, a, x in zip(corner, sides, extents)]
+        ps += [Placement(index, tuple(orientation), origin) for origin in product(*steps)]
+    ps.sort(key=lambda p: p.origin)
+    return Tiling(BoxShape(box), bricks, ps, rotation_policy=policy)
+
+
 @st.composite
 def strip_tilings(draw):
     """Grid-filled strips of random bricks stacked along one axis."""
@@ -88,14 +97,17 @@ def strip_tilings(draw):
     axis = draw(st.integers(0, n - 1))
     # 6 is a multiple of every side, so every strip fills the cross-section
     cross = [6 * draw(st.integers(1, 2)) if n < 3 else 6 for _ in range(n)]
-    strips = []
+    strips, corner = [], [0] * n
     for _ in range(draw(st.integers(1, 4))):
         index = draw(st.integers(0, len(bricks) - 1))
         orientation = draw(orientations(n, policy))
         sides = list(cross)
         sides[axis] = bricks[index].sides[orientation[axis]]
-        strips.append(grid_blocks(sides, bricks, [(index, orientation, (0,) * n, sides)], policy))
-    return stack(strips, axis=axis)
+        strips.append((index, orientation, tuple(corner), sides))
+        corner[axis] += sides[axis]
+    box = list(cross)
+    box[axis] = corner[axis]
+    return expanded(box, bricks, strips, policy)
 
 
 @st.composite
@@ -192,13 +204,6 @@ def test_origins_near_int64_max_are_out_of_bounds(box, brick, origins, bad):
     assert (sampled.reason, sampled.placement_index) == ("placement_out_of_bounds", bad)
 
 
-def test_stack_rejects_origin_pushed_past_int64_max():
-    # shifting the second part by the first's thickness wraps its origin
-    far = Tiling(BoxShape((4,)), (Brick((2,)),), [Placement(0, (0,), (2**63 - 2,))])
-    with pytest.raises(PreconditionError, match="past 2"):
-        stack([grid_blocks((4,), far.bricks, [(0, (0,), (0,), (4,))]), far], axis=0)
-
-
 @st.composite
 def block_layouts(draw):
     """Strips along one axis, or 2 x 2 blocks over two axes, each block a
@@ -243,15 +248,6 @@ def block_layouts(draw):
     return bricks, policy, (axis, rows)
 
 
-def stacked(layout, bricks, policy):
-    """The layout as one grid per block, joined by stack."""
-    if len(layout) == 2:
-        axis, parts = layout
-        return stack([stacked(part, bricks, policy) for part in parts], axis=axis)
-    index, orientation, sides = layout
-    return grid_blocks(sides, bricks, [(index, orientation, (0,) * len(sides), sides)], policy)
-
-
 def flattened(layout, corner):
     """The layout's grid_blocks blocks, with corners, and its sides."""
     if len(layout) == 3:
@@ -276,7 +272,7 @@ def test_grid_blocks_equals_stacked_grids(drawn, data):
     # the order of the blocks does not matter
     blocks = data.draw(st.permutations(blocks))
     t = grid_blocks(box, bricks, blocks, policy)
-    want = stacked(layout, bricks, policy)
+    want = expanded(box, bricks, blocks, policy)
     assert t == want
     assert t.placements == want.placements
     assert verify_full(t).valid
@@ -313,63 +309,6 @@ def test_decode_inverts_encode(t):
     assert back == t
     assert hash(back) == hash(t)
     assert back.placements == t.placements
-
-
-@st.composite
-def loose_tilings(draw, n, bricks, policy):
-    """Structurally valid placements anywhere, overlaps and ties included."""
-    ps = [
-        Placement(
-            draw(st.integers(0, len(bricks) - 1)),
-            draw(orientations(n, policy)),
-            tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))),
-        )
-        for _ in range(draw(st.integers(0, 6)))
-    ]
-    sides = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    return Tiling(BoxShape(sides), bricks, ps, rotation_policy=policy)
-
-
-@SETTINGS
-@given(st.data())
-def test_stack_orders_like_sorted_origins(data):
-    n = data.draw(st.integers(1, 3))
-    policy = data.draw(st.sampled_from((ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS)))
-    bricks = (Brick((1,) * n), Brick((2,) * n))
-    axis = data.draw(st.integers(0, n - 1))
-    first = data.draw(loose_tilings(n, bricks, policy))
-    parts = [first]
-    for _ in range(data.draw(st.integers(0, 3))):
-        t = data.draw(loose_tilings(n, bricks, policy))
-        sides = list(first.box.sides)
-        sides[axis] = t.box.sides[axis]
-        parts.append(Tiling(BoxShape(sides), bricks, t.placements, rotation_policy=policy))
-    want, offset = [], 0
-    for t in parts:
-        for p in t.placements:
-            origin = list(p.origin)
-            origin[axis] += offset
-            want.append(Placement(p.brick_index, p.orientation, tuple(origin)))
-        offset += t.box.sides[axis]
-    assert stack(parts, axis=axis).placements == tuple(sorted(want, key=lambda p: p.origin))
-
-
-@SETTINGS
-@given(st.data())
-def test_extrude_orders_like_sorted_origins(data):
-    n = data.draw(st.integers(1, 2))
-    heights = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=2))
-    flat = (Brick((1,) * n), Brick((2,) * n))
-    t = data.draw(loose_tilings(n, flat, ROTATION_FIXED))
-    full = [Brick(b.sides + (h,)) for b, h in zip(flat, heights)]
-    height = 6 * data.draw(st.integers(1, 2))
-    want = [
-        Placement(p.brick_index, tuple(range(n + 1)), p.origin + (c * heights[p.brick_index],))
-        for p in t.placements
-        for c in range(height // heights[p.brick_index])
-    ]
-    out = extrude(t, full, height)
-    assert out.placements == tuple(sorted(want, key=lambda p: p.origin))
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Brick systems, admissibility, bounds, and the box constructor."""
 
+import hashlib
 import random
 from unittest import mock
 
@@ -20,12 +21,18 @@ from frobtile.errors import (
     NotAdmissibleError,
     PreconditionError,
 )
-from frobtile.model import BoxShape, Brick, verify_full
+from frobtile.codec import encode
+from frobtile.model import BoxShape, Brick, Tiling, verify_full
 
 
 def rect_system():
     # the 2-D workhorse: one p x q brick plus an r x s brick both ways
     return BrickSystem([Brick((6, 4)), Brick((5, 7)), Brick((7, 5))])
+
+
+def mixed_system():
+    # distinct primes along each axis, no brick with two equal sides
+    return BrickSystem([Brick(s) for s in [(2, 3, 5), (3, 5, 7), (5, 7, 2), (7, 2, 3)]])
 
 
 def squares_system(values):
@@ -132,8 +139,7 @@ def test_construct_checks_dimension_before_the_bound():
 
 def test_construct_builds_each_xk_sets_tables_once(monkeypatch):
     # distinct primes per axis, so the four X_2 sets and the X_3 set differ
-    sides = [(2, 3, 5), (3, 5, 7), (5, 7, 2), (7, 2, 3)]
-    sys = BrickSystem([Brick(s) for s in sides])
+    sys = mixed_system()
     builds = []
     build = semigroup._prefix_tables
     monkeypatch.setattr(semigroup, "_prefix_tables", lambda gens: builds.append(gens) or build(gens))
@@ -158,3 +164,47 @@ def test_construct_random_prime_systems():
         t = construct_box(box, sys)
         report = verify_full(t)
         assert report.valid, (xs, ys, box.sides, str(report))
+
+
+# sha256 over encode() of each tiling of _construct_corpus, in order,
+# recorded before construct_box built its boxes as grid blocks
+CONSTRUCT_DIGEST = "ffb1b125672ac25e6911f89b6ae0299fa6d44176ac894e1c3d00c61a3fda7bf3"
+
+
+def _construct_corpus():
+    """(box, system) pairs in 1-D to 3-D, the cube and a mixed 3-D box."""
+    for box, lengths in [((24,), (5, 7)), ((30,), (2, 3)), ((101,), (4, 9)), ((200,), (7, 11))]:
+        yield BoxShape(box), BrickSystem([Brick((v,)) for v in lengths])
+    for box in [(198, 198), (205, 199), (250, 211)]:
+        yield BoxShape(box), rect_system()
+    for box in [(30, 30), (31, 44), (57, 41)]:
+        yield BoxShape(box), squares_system([2, 3, 5])
+    rng = random.Random(13)
+    for n in (2, 2, 2, 3):
+        # distinct primes along each axis make the system admissible
+        axes = [rng.sample([2, 3, 5, 7], n + 1) for _ in range(n)]
+        sys = BrickSystem([Brick(s) for s in zip(*axes)])
+        g = gn_bound(sys)
+        yield BoxShape([g + 1 + rng.randint(0, 5) for _ in range(n)]), sys
+    yield BoxShape((384,) * 3), squares_system([2, 3, 5, 7])
+    yield BoxShape((384, 385, 386)), mixed_system()
+
+
+def test_constructed_tilings_are_pinned():
+    digest = hashlib.sha256()
+    for box, sys in _construct_corpus():
+        digest.update(encode(construct_box(box, sys)).encode())
+    assert digest.hexdigest() == CONSTRUCT_DIGEST
+
+
+@pytest.mark.parametrize("box, sys", [
+    (BoxShape((24,)), BrickSystem([Brick((5,)), Brick((7,))])),
+    (BoxShape((205, 199)), rect_system()),
+    (BoxShape((384, 385, 386)), mixed_system()),
+])
+def test_construct_makes_one_tiling(box, sys):
+    # every Tiling has its fields set by Tiling._fill
+    with mock.patch.object(Tiling, "_fill", autospec=True, side_effect=Tiling._fill) as fill:
+        t = construct_box(box, sys)
+    assert fill.call_count == 1
+    assert t.box == box

@@ -11,7 +11,6 @@ from frobtile.errors import (
     DimensionMismatchError,
     DivisibilityError,
     PreconditionError,
-    ShapeMismatchError,
 )
 from frobtile.model import (
     BoxShape,
@@ -19,11 +18,9 @@ from frobtile.model import (
     Placement,
     Tiling,
     VerifyReport,
-    _trusted,
-    extrude,
+    grid_blocks,
     grid_fill,
     identity_orientation,
-    stack,
     verify_full,
     verify_sampled,
 )
@@ -218,11 +215,22 @@ def test_grid_fill_examples():
         grid_fill(BoxShape((5, 6)), Brick((2, 2)))
 
 
+def lifted(flat, bricks, height):
+    """flat lifted to the given height: each placement becomes a column,
+    one grid block of the brick above it, as construct_box lifts a slab."""
+    orientation = identity_orientation(flat.dimension + 1)
+    blocks = [
+        (p.brick_index, orientation, p.origin + (0,), flat.bricks[p.brick_index].sides + (height,))
+        for p in flat.placements
+    ]
+    return grid_blocks(flat.box.sides + (height,), bricks, blocks)
+
+
 def test_extrude_segments_to_rectangle():
     t1 = segments_1d([5, 5, 7, 7], brick_lengths=[5, 7])
     assert t1.box.sides == (24,)
     assert verify_full(t1).valid
-    t2 = extrude(t1, [Brick((5, 5)), Brick((7, 7))], height_product=35)
+    t2 = lifted(t1, [Brick((5, 5)), Brick((7, 7))], height=35)
     assert t2.box.sides == (24, 35)
     assert verify_full(t2).valid
     # 5-wide columns stack 7 copies, 7-wide columns stack 5
@@ -231,56 +239,32 @@ def test_extrude_segments_to_rectangle():
 
 def test_extrude_single_stack():
     t1 = grid_fill(BoxShape((2, 3)), Brick((2, 3)))
-    t2 = extrude(t1, [Brick((2, 3, 4))], height_product=4)
+    t2 = lifted(t1, [Brick((2, 3, 4))], height=4)
     assert t2.box.sides == (2, 3, 4)
     assert len(t2.placements) == 1
     assert verify_full(t2).valid
 
 
-def test_extrude_rejects_bad_heights_and_bricks():
-    t1 = segments_1d([2, 3], brick_lengths=[2, 3])
-    with pytest.raises(DivisibilityError):
-        extrude(t1, [Brick((2, 2)), Brick((3, 3))], height_product=8)
-    with pytest.raises(DimensionMismatchError):
-        extrude(t1, [Brick((4, 2)), Brick((3, 3))], height_product=6)
-    with pytest.raises(DimensionMismatchError):
-        extrude(t1, [Brick((2, 2))], height_product=6)
-
-
 def test_stack_concatenates_along_axis():
-    a = grid_fill(BoxShape((6, 4)), Brick((3, 2)))
-    b = grid_fill(BoxShape((6, 2)), Brick((3, 2)))
-    t = stack([a, b], axis=1)
+    # a 6 x 4 grid with a 6 x 2 grid of the same brick on top
+    bricks = (Brick((3, 2)),)
+    t = grid_blocks((6, 6), bricks, [(0, (0, 1), (0, 0), (6, 4)), (0, (0, 1), (0, 4), (6, 2))])
     assert t.box.sides == (6, 6)
-    assert len(t.placements) == len(a.placements) + len(b.placements)
+    assert len(t.placements) == 4 + 2
     assert verify_full(t).valid
 
 
-def test_stack_identity_and_errors():
-    a = grid_fill(BoxShape((4, 4)), Brick((2, 2)))
-    only = stack([a], axis=0)
-    assert only.box.sides == a.box.sides
-    assert only.placements == a.placements
-    with pytest.raises(ShapeMismatchError):
-        stack([], axis=0)
-    b = grid_fill(BoxShape((4, 6)), Brick((2, 2)))
-    with pytest.raises(ShapeMismatchError):
-        stack([a, b], axis=0)  # off-axis sides differ
-    c = grid_fill(BoxShape((4, 4)), Brick((4, 4)))
-    with pytest.raises(ShapeMismatchError):
-        stack([a, c], axis=0)  # different brick lists
-
-
 def test_stack_volume_bookkeeping():
-    parts = [grid_fill(BoxShape((6, h)), Brick((2, 1))) for h in (2, 3, 4)]
-    t = stack(parts, axis=1)
-    assert t.box.volume == sum(p.box.volume for p in parts)
+    bricks = (Brick((2, 1)),)
+    blocks = [(0, (0, 1), (0, y), (6, h)) for y, h in ((0, 2), (2, 3), (5, 4))]
+    t = grid_blocks((6, 9), bricks, blocks)
+    assert t.placement_volume() == t.box.volume == sum(6 * h for *_, (_, h) in blocks)
     assert verify_full(t).valid
 
 
 def test_combinators_emit_sorted_placements():
     t1 = segments_1d([3, 2, 2, 3], brick_lengths=[2, 3])
-    t2 = extrude(t1, [Brick((2, 2)), Brick((3, 3))], height_product=6)
+    t2 = lifted(t1, [Brick((2, 2)), Brick((3, 3))], height=6)
     origins = [p.origin for p in t2.placements]
     assert origins == sorted(origins)
     assert identity_orientation(2) == (0, 1)
@@ -432,13 +416,16 @@ def test_out_of_box_placement_reports_its_index_in_both_verifiers():
     past = t.origin.copy()
     past[last, 1] += 1  # far corner one past the box
     negative = t.origin.copy()
-    negative[last, 0] = -1  # the constructors refuse this; _trusted does not check
+    negative[last, 0] = -1  # the constructors refuse this
+    unchecked = object.__new__(Tiling)
+    for name in Tiling.__slots__:
+        object.__setattr__(unchecked, name, negative if name == "origin" else getattr(t, name))
     both = t.origin.copy()
     both[1, 1] += 1
     both[last, 0] += 1
     cases = [
         (_with_origin(t, past), last),
-        (_trusted(t.box, t.bricks, t.brick_index, t.orientation, negative, t.rotation_policy), last),
+        (unchecked, last),
         (_with_origin(t, both), 1),
     ]
     for bad, index in cases:
@@ -457,7 +444,7 @@ def _pinned_corpus():
     """(tiling, samples, seed) triples, valid and corrupted, in 2-D and 3-D."""
     squares = [prime_cubes_construct(a, (2, 3, 5)) for a in (30, 41, 57)]
     rect = corollary1_construct(198, 203, 6, 4, 5, 7)
-    slab = extrude(squares[1], [Brick((2, 2, 3)), Brick((3, 3, 5)), Brick((5, 5, 2))], 30)
+    slab = lifted(squares[1], [Brick((2, 2, 3)), Brick((3, 3, 5)), Brick((5, 5, 2))], 30)
     cube = prime_cubes_construct(384, (2, 3, 5, 7))
     for t, samples in [*((s, 2000) for s in squares), (rect, 5000), (_rotated(rect), 5000),
                        (slab, 4000), (cube, 10_000)]:

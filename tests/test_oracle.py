@@ -1,14 +1,18 @@
 """Exact-cover search: verdicts, determinism, limits, stats, scans."""
 
 import sys
+import time
+from unittest import mock
 
 import pytest
 from brute import bitmask_search
 
+from frobtile import oracle
 from frobtile.codec import encode
 from frobtile.errors import CapExceededError, PreconditionError
 from frobtile.model import BoxShape, Brick, Tiling, verify_full
 from frobtile.oracle import SearchConfig, exact_cover_search, threshold_scan
+from frobtile.planar import decide_two_squares
 
 
 def squares(*sides):
@@ -103,6 +107,17 @@ def test_threshold_scans():
     assert threshold_scan(squares(2, 3, 5), 30) == [1, 7]
     assert threshold_scan(squares(2, 3, 7), 30) == [1, 5, 11]
     assert threshold_scan(squares(2, 3), 20) == [1, 5, 7, 11, 13, 17, 19]
+
+
+def test_one_or_two_square_sizes_scan_without_search():
+    # grids and the two-brick criterion decide these sides both ways
+    want = [a for a in range(1, 65) if not decide_two_squares(a, a, 2, 3).tileable]
+    with mock.patch.object(oracle, "exact_cover_search", side_effect=AssertionError):
+        start = time.perf_counter()
+        assert threshold_scan(squares(2, 3), 64) == want
+        assert time.perf_counter() - start < 1
+        assert threshold_scan(squares(3, 2, 3), 30) == [a for a in want if a <= 30]
+        assert threshold_scan(squares(3), 10) == [1, 2, 4, 5, 7, 8, 10]
 
 
 def test_threshold_scan_validates():

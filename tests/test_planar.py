@@ -8,7 +8,6 @@ from unittest import mock
 
 import pytest
 
-from frobtile import model
 from frobtile.codec import encode
 from frobtile.constructor import BrickSystem, gn_bound
 from frobtile.errors import (
@@ -18,7 +17,7 @@ from frobtile.errors import (
     NotPrimeError,
     PreconditionError,
 )
-from frobtile.model import ROTATION_FIXED, BoxShape, Brick, grid_blocks, verify_full
+from frobtile.model import ROTATION_FIXED, BoxShape, Brick, Tiling, grid_blocks, verify_full
 from frobtile.oracle import FOUND, INFEASIBLE, SearchConfig, exact_cover_search
 from frobtile.planar import (
     Decision,
@@ -486,14 +485,14 @@ def test_tie_breaks_are_pinned():
     (tile_square_235p, (13, 5)),
 ])
 def test_each_witness_is_one_tiling(decide, args):
-    # every Tiling, validated or not, has its fields set by _init_fields
-    with mock.patch.object(model, "_init_fields", wraps=model._init_fields) as init:
+    # every Tiling has its fields set by Tiling._fill
+    with mock.patch.object(Tiling, "_fill", autospec=True, side_effect=Tiling._fill) as init:
         d = decide(*args)
     assert d.tileable
     assert init.call_count == 1
 
 
 def test_each_composed_square_is_one_tiling():
-    with mock.patch.object(model, "_init_fields", wraps=model._init_fields) as init:
+    with mock.patch.object(Tiling, "_fill", autospec=True, side_effect=Tiling._fill) as init:
         compose_squares(2, 3, 5, 9, 1, 1)
     assert init.call_count == 2

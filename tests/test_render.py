@@ -130,8 +130,6 @@ class TestSvg:
         with pytest.raises(PreconditionError):
             RenderOptions(cell_size=0)
         with pytest.raises(PreconditionError):
-            RenderOptions(format="png")
-        with pytest.raises(PreconditionError):
             RenderOptions(palette=())
 
     def test_far_origin_keeps_exact_coordinates(self):
