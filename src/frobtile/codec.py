@@ -17,14 +17,21 @@ Every placement line follows one layout (_layout): fixed literal text
 around 2n + 1 integers, the brick index, the orientation and the
 origin, each written as its shortest decimal.  encode fills the lines
 into byte matrices from that layout.  decode reads a document in that
-layout straight into columns (_canonical): it finds the runs of digits
-in the placements list and accepts the list only when the text between
-the runs is the layout's, piece by piece, and every run is a shortest
-decimal of at most 18 digits, so that it fits int64.  For any columns,
-encode writes exactly such a text, and two different texts of that form
-never hold the same numbers, so the check says the same as writing the
-columns again and comparing.  Any other document, 19-digit numbers
-included, goes through json.loads.
+layout straight into columns (_canonical), a window of whole lines at a
+time.  In a window it finds the runs of digits once, and the text left
+when the digits are deleted must be the layout's literal text, once per
+line.  Then it takes one column at a time: the text before each of the
+column's runs must be as long as the layout's piece there, and each run
+a shortest decimal of at most 18 digits, so that it fits int64; the
+column's values are converted in place.  Once every gap between runs
+has its piece's length, the digit-free text being the layout's means
+that every gap is its piece, so in whatever order the checks run, they
+accept exactly the windows whose runs are shortest decimals set between
+the layout's pieces.  For any columns, encode writes exactly such a
+text, and two different texts of that form never hold the same
+numbers, so the checks say the same as writing the columns again and
+comparing.  Any other document, 19-digit numbers included, goes through
+json.loads.
 
 Decoding is strict: unknown fields are rejected by name, missing or
 mistyped fields are reported with their JSON path, and syntax errors
@@ -53,7 +60,7 @@ _PLACEMENTS_OPEN = '  "placements": [\n'
 _PLACEMENTS_CLOSE = "  ]\n}\n"
 # placements written and read this many lines at a time, so that no
 # temporary holds them all
-_LINES_CHUNK = 1 << 14
+_LINES_CHUNK = 1 << 12
 # 10**k for k = 0..18; the longest run the reader converts has 18 digits
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
@@ -174,42 +181,54 @@ def _check_entry(entry, path: str) -> None:
             raise TilingParseError(f"{path}.origin: expected integers, found {v!r}")
 
 
-def _window_rows(window: bytes, layout: list[bytes]):
-    """The integers of whole placement lines, one row per line, or None
-    unless the text between the runs of digits is the layout's, piece by
-    piece, and every run a shortest decimal of at most 18 digits."""
+def _read_window(window: bytes, layout: list[bytes], columns: list[np.ndarray], row: int):
+    """Read the whole placement lines of window into columns, one per
+    integer of a line, from the given row on; the number of lines, or
+    None unless the text between the runs of digits is the layout's,
+    piece by piece, and every run a shortest decimal of at most 18 digits.
+
+    The run count and the digit-free text are checked for the whole
+    window, the rest one column at a time.  The gap after the last run
+    is not measured: the digit-free text fixes the sum of the gaps, and
+    every other gap has its piece's length.
+    """
     w = np.frombuffer(window, dtype=np.uint8)
     digit = (w >= ord("0")) & (w <= ord("9"))
     if digit[0] or digit[-1]:
         return None
+    # runs alternate start, end; line r's run of column c starts at edge
+    # 2 * (r * cols + c)
     edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-    # the lengths of the text before each run, of the runs, and of the
-    # text after the last run as if one more line followed, which makes
-    # the gaps of every line the same
-    bounds = np.concatenate(([0], edges, [len(w) + len(layout[0])]))
-    spans = bounds[1:] - bounds[:-1]
-    gaps, lengths = spans[::2], spans[1::2]
     cols = len(layout) - 1
-    rows = len(lengths) // cols
-    line_gaps = [len(text) for text in layout[1:-1]] + [len(layout[-1] + layout[0])]
-    if (
-        not rows
-        or len(lengths) != rows * cols
-        or gaps[0] != len(layout[0])
-        or (gaps[1:].reshape(rows, cols) != line_gaps).any()
-        or window.translate(None, b"0123456789") != b"".join(layout) * rows
-        or lengths.max() > 18
-        or ((w[edges[::2]] == ord("0")) & (lengths > 1)).any()
-    ):
+    rows = len(edges) // (2 * cols)
+    if not rows or len(edges) != 2 * rows * cols:
         return None
-    ends = edges[1::2]
-    # widened before any arithmetic: uint8 digits times 10**k would wrap
-    values = w[ends - 1].astype(np.int64) - ord("0")
-    for k in range(1, lengths.max()):
-        digits = w[ends - 1 - k].astype(np.int64) - ord("0")
-        digits[lengths <= k] = 0
-        values += digits * _POW10[k]
-    return values.reshape(rows, cols)
+    if window.translate(None, b"0123456789") != b"".join(layout) * rows:
+        return None
+    # the text before a line's first run is the last piece of the line
+    # before and the first piece of this one; the first line is measured
+    # from the end of a line taken to end just before the window
+    previous = np.concatenate(([-len(layout[-1])], edges[2 * cols - 1 : -1 : 2 * cols]))
+    for c, column in enumerate(columns):
+        starts = edges[2 * c :: 2 * cols]
+        ends = edges[2 * c + 1 :: 2 * cols]
+        lengths = ends - starts
+        longest = lengths.max()
+        if (
+            longest > 18
+            or (starts - previous != len(layout[c] if c else layout[-1] + layout[0])).any()
+            or longest > 1 and ((w[starts] == ord("0")) & (lengths > 1)).any()
+        ):
+            return None
+        values = column[row : row + rows]
+        # widened before any arithmetic: uint8 digits times 10**k would wrap
+        np.subtract(w[ends - 1], ord("0"), out=values, dtype=np.int64)
+        for k in range(1, longest):
+            digits = w[ends - 1 - k].astype(np.int64) - ord("0")
+            digits[lengths <= k] = 0
+            values += digits * _POW10[k]
+        previous = ends
+    return rows
 
 
 def _canonical(text: str):
@@ -220,15 +239,16 @@ def _canonical(text: str):
     The part before it, closed with an empty list, is parsed as JSON: that
     parse succeeds only where the list is the top-level object's last
     field.  The list is read in windows of whole lines, at most
-    _LINES_CHUNK lines of the layout each.  In each, the runs of ASCII
-    digits are found; the text between them must be the layout's literal
-    text (_layout), piece by piece, and every run a number as encode
-    writes it: no leading zero and at most 18 digits.  encode writes
-    exactly such a list for any columns, and the runs determine the
-    columns, so this is the same check as writing the columns again and
-    comparing the text.  json.loads of the whole text would then give
-    the same document with these placements.  The document's placements
-    field is the empty list.
+    _LINES_CHUNK lines of the layout each (_read_window), straight into
+    columns sized for as many lines as the list could hold.  In each, the
+    runs of ASCII digits are found; the text between them must be the
+    layout's literal text (_layout), piece by piece, and every run a
+    number as encode writes it: no leading zero and at most 18 digits.
+    encode writes exactly such a list for any columns, and the runs
+    determine the columns, so this is the same check as writing the
+    columns again and comparing the text.  json.loads of the whole text
+    would then give the same document with these placements.  The
+    document's placements field is the empty list.
     """
     start = text.find(_PLACEMENTS_OPEN)
     body_start = start + len(_PLACEMENTS_OPEN)
@@ -244,14 +264,18 @@ def _canonical(text: str):
         return None
     n = len(doc["box"])
     layout = _layout(n)
-    m = text.count("\n", body_start, body_end)
+    # the length of the layout's shortest line, one digit a run; the list,
+    # its last line one comma short, holds at most m lines, and a window
+    # passes its checks only if it holds as many as its length allows
+    shortest = sum(map(len, layout)) + 2 * n + 1
+    m = (body_end - body_start + 1) // shortest
     brick_index = np.empty(m, dtype=np.int64)
     orientation = np.empty((m, n), dtype=np.int64)
     origin = np.empty((m, n), dtype=np.int64)
-    # the length of _LINES_CHUNK of the layout's shortest lines; a window
-    # ends with the line that reaches it, so it holds at most
-    # _LINES_CHUNK lines of the layout
-    span = _LINES_CHUNK * (sum(map(len, layout)) + 2 * n + 1)
+    columns = [brick_index, *orientation.T, *origin.T]
+    # a window ends with the line that reaches the length of _LINES_CHUNK
+    # shortest lines, so it holds at most _LINES_CHUNK lines of the layout
+    span = _LINES_CHUNK * shortest
     at, row = body_start, 0
     while at < body_end:
         stop = text.find("\n", at + span - 1, body_end) + 1 or body_end
@@ -261,13 +285,14 @@ def _canonical(text: str):
             window = window.encode("ascii")
         except UnicodeEncodeError:
             return None
-        rows = _window_rows(window, layout)
+        rows = _read_window(window, layout, columns, row)
         if rows is None:
             return None
-        brick_index[row : row + len(rows)] = rows[:, 0]
-        orientation[row : row + len(rows)] = rows[:, 1 : n + 1]
-        origin[row : row + len(rows)] = rows[:, n + 1 :]
-        at, row = stop, row + len(rows)
+        at, row = stop, row + rows
+    # no view of the columns is left, so they shrink in place
+    del columns
+    for a in (brick_index, orientation, origin):
+        a.resize((row, *a.shape[1:]), refcheck=False)
     return doc, (brick_index, orientation, origin)
 
 

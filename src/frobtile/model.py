@@ -395,7 +395,13 @@ def _check_fits(
     """
     if len(lo) == 0:
         return None
-    room = np.asarray(t.box.sides, dtype=np.int64) - extents
+    if t.rotation_policy == ROTATION_FIXED:
+        # gathered per brick type, as oriented_extents gathers the sides:
+        # box - extents would run numpy's inner loop n elements at a time
+        rooms = [[a - x for a, x in zip(t.box.sides, b.sides)] for b in t.bricks]
+        room = np.array(rooms, dtype=np.int64).take(t.brick_index, axis=0)
+    else:
+        room = np.asarray(t.box.sides, dtype=np.int64) - extents
     if lo.min() >= 0 and (lo <= room).all():
         return None
     idx = int(np.argmax((lo < 0).any(axis=1) | (lo > room).any(axis=1)))
@@ -665,12 +671,14 @@ def grid_blocks(
     """
     n = len(box_sides)
     columns = []
+    inside = True  # every block lies within the box
     for index, orientation, corner, sides in blocks:
         extents = [bricks[index].sides[a] for a in orientation]
         for k, (a, x) in enumerate(zip(sides, extents)):
             if a % x != 0:
                 raise DivisibilityError(f"axis {k}: brick side {x} does not divide box side {a}")
             checked_add(corner[k], a - x)  # the last origin along axis k
+            inside = inside and 0 <= corner[k] and corner[k] + a <= box_sides[k]
         counts = [a // x for a, x in zip(sides, extents)]
         # origin[..., k] runs along grid axis k in steps of the extent
         try:
@@ -690,8 +698,14 @@ def grid_blocks(
     else:
         brick_index, orientation, origin = map(np.concatenate, zip(*columns))
         del columns  # free the blocks' columns before the sort copies them
-        # lexicographic origin order; ties keep block order
-        order = np.lexsort(origin.T[::-1])
+        # lexicographic origin order; ties keep block order.  Origins in
+        # the box sort so by their row-major offset, which fits int64 while
+        # the box's volume does
+        if inside and math.prod(box_sides) < 2**63:
+            strides = [math.prod(box_sides[k + 1 :]) for k in range(n)]
+            order = np.argsort(origin @ np.array(strides, dtype=np.int64), kind="stable")
+        else:
+            order = np.lexsort(origin.T[::-1])
         brick_index, orientation, origin = brick_index[order], orientation[order], origin[order]
     return Tiling.from_arrays(
         BoxShape(box_sides), bricks, brick_index, orientation, origin, rotation_policy=policy

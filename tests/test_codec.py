@@ -175,12 +175,12 @@ def test_canonical_read_splits_into_windows_of_lines(chunk):
     want = _canonical(text)
     windows = []
 
-    def window_rows(window, layout):
+    def read_window(window, *args):
         windows.append(window)
-        return real(window, layout)
+        return real(window, *args)
 
-    real = codec._window_rows
-    with mock.patch.object(codec, "_LINES_CHUNK", chunk), mock.patch.object(codec, "_window_rows", window_rows):
+    real = codec._read_window
+    with mock.patch.object(codec, "_LINES_CHUNK", chunk), mock.patch.object(codec, "_read_window", read_window):
         got = _canonical(text)
     # a window holds at most _LINES_CHUNK lines, and ends with one
     assert len(windows) >= len(t.brick_index) / chunk > 1

@@ -8,9 +8,11 @@ loop builds, one Placement at a time, sorted by origin.
 """
 
 import json
+import re
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -278,6 +280,24 @@ def test_grid_blocks_equals_stacked_grids(drawn, data):
     assert verify_full(t).valid
 
 
+def test_grid_blocks_sorts_by_lexsort_past_int64_or_outside_the_box():
+    # the row-major offsets of the cells order the origins only inside the
+    # box and while its volume fits int64; past that the origins are
+    # sorted one axis at a time, into the same order
+    for side, past, by_lexsort in ((2, 0, False), (1, 6, True), (2**61, 0, True)):
+        box = (3 * side, 4)
+        bricks = (Brick((side, 1)), Brick((side, 3)))
+        # past > 0 puts origins (0, 7) and (1, 0) at the same offset
+        blocks = [(1, (0, 1), (0, 1), (3 * side, 3 + past)), (0, (0, 1), (0, 0), (3 * side, 1))]
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            t = grid_blocks(box, bricks, blocks)
+        assert lexsort.called == by_lexsort
+        want = expanded(box, bricks, blocks, ROTATION_FIXED)
+        assert t == want
+        assert t.placements == want.placements
+        assert verify_full(t).valid == (past == 0)
+
+
 @SETTINGS
 @given(block_layouts(), st.data())
 def test_grid_blocks_rejects_a_block_its_brick_does_not_divide(drawn, data):
@@ -311,6 +331,13 @@ def test_decode_inverts_encode(t):
     assert back.placements == t.placements
 
 
+def outcome(text):
+    try:
+        return decode(text)
+    except TilingParseError as e:
+        return str(e)
+
+
 @SETTINGS
 @given(any_tiling, st.integers(1, 5), st.data())
 def test_canonical_read_matches_json_read_on_edits(t, chunk, data):
@@ -327,16 +354,60 @@ def test_canonical_read_matches_json_read_on_edits(t, chunk, data):
         text = text[:at] + ch + text[at:]
     else:
         text = text[:at] + text[at + 1 :]
-
-    def outcome(s):
-        try:
-            return decode(s)
-        except TilingParseError as e:
-            return str(e)
-
     assert outcome(text) == outcome(text + " ")
     with mock.patch.object(codec, "_LINES_CHUNK", chunk):
         assert outcome(text) == outcome(text + " ")
+
+
+@SETTINGS
+@given(any_tiling, st.integers(1, 5), st.data())
+def test_canonical_read_matches_json_read_on_edits_that_keep_the_layout(t, chunk, data):
+    """Numbers edited on the first or last line of a window so that the
+    text between the runs of digits, and the number of runs, stay: a
+    digit moved into the neighbouring number, two neighbouring numbers
+    swapped, or a leading 0 added.  Only the checks on each run can tell
+    such a text from encode's."""
+    text = encode(t)
+    counts = []
+
+    def read_window(window, *args):
+        counts.append(window.count(b"\n"))
+        return real(window, *args)
+
+    real = codec._read_window
+    with mock.patch.object(codec, "_LINES_CHUNK", chunk):
+        with mock.patch.object(codec, "_read_window", read_window):
+            assert codec._canonical(text) is not None
+    firsts = np.cumsum([0, *counts[:-1]])
+    lasts = firsts + counts - 1
+    lines = text.split("\n")
+    k = lines.index('  "placements": [') + 1 + int(data.draw(st.sampled_from([*firsts, *lasts])))
+    line = lines[k]
+    numbers = re.findall(r"[0-9]+", line)
+    # a digit moves from number i, of two digits or more, to number j
+    moves = [
+        (i, j) for i, x in enumerate(numbers) if len(x) > 1 for j in (i - 1, i + 1) if 0 <= j < len(numbers)
+    ]
+    kinds = ["swapped", "leading zero"] + (["moved"] if moves else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "moved":
+        i, j = data.draw(st.sampled_from(moves))
+        if j > i:
+            numbers[i], numbers[j] = numbers[i][:-1], numbers[i][-1] + numbers[j]
+        else:
+            numbers[j], numbers[i] = numbers[j] + numbers[i][0], numbers[i][1:]
+    elif kind == "swapped":
+        i = data.draw(st.integers(0, len(numbers) - 2))
+        numbers[i], numbers[i + 1] = numbers[i + 1], numbers[i]
+    else:
+        i = data.draw(st.integers(0, len(numbers) - 1))
+        numbers[i] = "0" + numbers[i]
+    pieces = re.split(r"[0-9]+", line)
+    lines[k] = "".join(p + x for p, x in zip(pieces, numbers + [""]))
+    edited = "\n".join(lines)
+    assert re.sub(r"[0-9]+", "0", edited) == re.sub(r"[0-9]+", "0", text)
+    with mock.patch.object(codec, "_LINES_CHUNK", chunk):
+        assert outcome(edited) == outcome(edited + " ")
 
 
 # every number of digits the writer's three-digit groups meet, up to
