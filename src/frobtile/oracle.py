@@ -33,12 +33,39 @@ Prunes, each cutting only subtrees without a solution:
     (axis-0 extent at most H - m, leaving a representable remainder).
     A placement is tested on the part of the run it leaves free, or,
     when it closes the run, on the new leftmost min-height run;
+  * weight (de Bruijn, "Filling boxes with bricks", 1969; Barnes,
+    "Algebraic theory of brick packing", 1982): the weight of a region
+    at a point z = (z0..zn-1) is the sum of z^cell over its cells.  Each
+    zk is 1 or a primitive p-th root of unity, p a prime dividing some
+    shape's extent on axis k.  A shape vanishes at z when some zk != 1
+    has p | ek, since its weight is z^origin times the product of
+    1 + zk + ... + zk^(ek-1).  So a region tiled by vanishing shapes
+    has weight 0.  Weights are exact: integer vectors in
+    Z[x0..]/(Phi_p(xk)), Phi_p = 1 + x + ... + x^(p-1), one vector per
+    point, all of them packed into one biased int (_Weights).  Testing
+    the ring element for 0 tests every conjugate point at once.
+    - root: if every shape vanishes at some z and the box's weight there
+      is not 0, the box is Infeasible before any node.
+    - per node: the points kept have shapes that vanish and shapes that
+      do not, every one of the latter taller along axis 0 than every
+      vanishing one; t is the least axis-0 extent of a non-vanishing
+      shape.  Placements sit at the minimum height, which never falls,
+      so once H - m < t only vanishing shapes can still be placed and
+      the remaining region's weight must be 0.  The weight is carried
+      down the DFS, child = parent - the placed shape's weight, and is
+      tested when a placement closes its run, the only way the minimum
+      height can rise;
   * failed-state memo: height vectors proven unfillable are cached
     under min(heights, reversed heights).  Reversing the flattened
     cross-section reflects every trailing axis, a symmetry of the box
     that maps every axis-aligned brick shape to itself, so a state and
-    its mirror are fillable together.  The cap (2M states) only stops
-    new inserts, never soundness.
+    its mirror are fillable together.  Past 2M states the oldest half
+    is evicted; that costs repeated work, never soundness.
+
+Every prune is a function of the height vector alone (the remaining
+region) and cuts only subtrees holding no solution, so the memo and its
+mirror key stay sound, the DFS meets the surviving subtrees in the same
+order, and the first solution is the same with or without them.
 
 The DFS runs on an explicit frame stack, so depth costs no recursion.
 Infeasible is reported only after a complete search; hitting a node or
@@ -56,7 +83,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, PreconditionError, SearchLimitError
@@ -72,6 +99,7 @@ from .planar import two_brick_blocks
 
 DEFAULT_CELL_CAP = 4096          # max box volume in unit cells (64x64 in 2-D)
 _MEMO_CAP = 2_000_000            # max failed states remembered per search
+_WEIGHT_FIELDS = 64              # max packed weight coefficients per search
 
 FOUND = "found"
 INFEASIBLE = "infeasible"
@@ -102,14 +130,16 @@ class SearchStats:
     workers; the root expansion in the calling process is not counted).
     The prune counts and memo_hits count children cut before they were
     entered; volume_prunes is 1 when the volume precheck settled the
-    box.  memo_size is the number of failed states stored, max_depth the
-    deepest frame stack, elapsed_s the wall time of the call.
+    box, weight_prunes 1 when the root weight test did.  memo_size is
+    the number of failed states stored, max_depth the deepest frame
+    stack, elapsed_s the wall time of the call.
     """
 
     nodes: int = 0
     volume_prunes: int = 0
     column_prunes: int = 0
     row_width_prunes: int = 0
+    weight_prunes: int = 0
     memo_hits: int = 0
     memo_size: int = 0
     max_depth: int = 0
@@ -144,6 +174,108 @@ def _reachable(gens, bound):
     return reach
 
 
+def _prime_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _axis_weights(e, q, shift, n):
+    """For r < n, the sum of x^i over r <= i < r + e in Z[x]/(Phi_q(x)), packed.
+
+    Coefficient i of the basis 1, x, ..., x^(q-2) goes to bit i * shift;
+    x^(q-1) = -(1 + ... + x^(q-2)).  q = 1 stands for x = 1: the count e.
+    """
+    if q == 1:
+        return [e] * n
+    base = [(e - i + q - 1) // q for i in range(q)]    # of i in [0, e), by i mod q
+    out = []
+    for r in range(min(n, q)):
+        count = base[-r:] + base[:-r] if r else base
+        top = count[-1]
+        out.append(sum((c - top) << (i * shift) for i, c in enumerate(count[:-1])))
+    return [out[r % q] for r in range(n)]
+
+
+class _Weights:
+    """The weight points of one box and shape list, and the region
+    weights at them packed into one int.
+
+    points[i] = (z, t, strides, offset, fields): z[k] is 1 or the prime
+    p of a primitive p-th root on axis k, t the least axis-0 extent of a
+    shape that does not vanish at z.  Point i's coefficients fill the
+    fields offset..offset + fields - 1, of width bits each, its axes'
+    bases flattened by strides (in bits).  Every coefficient of a region
+    weight is a sum of at most volume terms in {-1, 0, 1}, so with
+    bias = 2^(width-1) > volume each field of bias + weight stays in
+    [0, 2^width) and a field is 0 exactly when it reads bias.  Points
+    are kept by ascending field count up to _WEIGHT_FIELDS fields, which
+    bounds the int; dropping a point only weakens the prune.  root_cut
+    is set when a point where every shape vanishes gives the box a
+    nonzero weight; no points are kept then.
+    """
+
+    def __init__(self, box_sides, extents):
+        self.root_cut = False
+        self.points = []
+        primes = [sorted({q for ext in extents for q in _prime_factors(ext[k])})
+                  for k in range(len(box_sides))]
+        kept = []
+        for z in product(*([1] + ps for ps in primes)):
+            vanishing = [any(q > 1 and e % q == 0 for e, q in zip(ext, z)) for ext in extents]
+            tall_v = [ext[0] for ext, v in zip(extents, vanishing) if v]
+            tall_n = [ext[0] for ext, v in zip(extents, vanishing) if not v]
+            if not tall_v:
+                continue
+            if not tall_n:
+                if all(s % q for s, q in zip(box_sides, z) if q > 1):
+                    self.root_cut = True
+                    return
+            elif min(tall_n) > max(tall_v):
+                kept.append((math.prod(q - 1 for q in z if q > 1), z, min(tall_n)))
+        self.width = width = math.prod(box_sides).bit_length() + 1
+        offset = 0
+        for fields, z, t in sorted(kept):
+            if offset + fields > _WEIGHT_FIELDS:
+                break
+            strides, stride = [], width
+            for q in z:
+                strides.append(stride)
+                if q > 1:
+                    stride *= q - 1
+            self.points.append((z, t, strides, offset, fields))
+            offset += fields
+        self.bias = sum(1 << (width * f + width - 1) for f in range(offset))
+
+    def region(self, lo, hi):
+        """Weight of the box lo <= cell < hi, packed, without the bias."""
+        total = 0
+        for z, _, strides, offset, _ in self.points:
+            w = 1 << (self.width * offset)
+            for a, b, q, st in zip(lo, hi, z, strides):
+                w *= _axis_weights(b - a, q, st, a + 1)[a]
+            total += w
+        return total
+
+    def masks(self, H):
+        """Per minimum height m, the fields that must read 0 (bias) there."""
+        masks = []
+        for m in range(H + 1):
+            mask = 0
+            for _, t, _, offset, fields in self.points:
+                if H - m < t:
+                    mask |= ((1 << (self.width * fields)) - 1) << (self.width * offset)
+            masks.append(mask)
+        return masks, [self.bias & mask for mask in masks]
+
+
 class _Problem:
     """One box and brick list, prepared for the skyline DFS.
 
@@ -152,10 +284,14 @@ class _Problem:
     where the footprint stays inside the cross-section or None), with
     placed[j] = (brick_index, perm): declared brick order, then
     permutation order, duplicate extents of a brick dropped.  The
-    cross-section of a 1-D box is a single column of width 1.
+    cross-section of a 1-D box is a single column of width 1.  With
+    weight points, dw[j][m * columns + x] is the packed weight of shape
+    j placed at (m, column x).  When weights.root_cut is set the box is
+    settled and nothing past the shapes is prepared.
     """
 
     def __init__(self, box_sides, brick_sides, policy):
+        self.box_sides = box_sides
         self.dimension = n = len(box_sides)
         self.height = H = box_sides[0]
         self.cross = cross = tuple(box_sides[1:]) or (1,)
@@ -169,6 +305,7 @@ class _Problem:
             else tuple(permutations(range(n)))
         )
         self.shapes, self.placed = shapes, placed = [], []
+        extents = []
         for bi, sides in enumerate(brick_sides):
             seen = set()
             for perm in perms:
@@ -191,6 +328,14 @@ class _Problem:
                     )
                 shapes.append((ext[0], foot[-1], extra, fits))
                 placed.append((bi, perm))
+                extents.append(ext)
+        self.weights = weights = _Weights(box_sides, extents)
+        if weights.root_cut:
+            return
+        self.dw = None
+        if weights.points:
+            self.wmask, self.wwant = weights.masks(H)
+            self.dw = self._weight_tables(extents)
         # column prune: colok[h] iff H - h is a sum of axis-0 extents
         reach = _reachable([s[0] for s in shapes], H)
         self.colok = colok = [bool(reach >> (H - h) & 1) for h in range(H + 1)]
@@ -216,6 +361,50 @@ class _Problem:
     def origin(self, m, x):
         return (m, *self.coords(x)) if self.dimension > 1 else (m,)
 
+    def _weight_tables(self, extents):
+        # a weight at z depends on each coordinate mod z[k] only, so one
+        # entry per residue class of the origin serves every placement;
+        # an entry is a sum over points of products of per-axis weights
+        weights, H = self.weights, self.height
+        lcm = [math.lcm(*(p[0][k] for p in weights.points)) for k in range(self.dimension)]
+        reps = [range(min(s, period)) for s, period in zip(self.box_sides, lcm)]
+        index = {rc: i for i, rc in enumerate(product(*reps[1:]))}
+        xclass = [
+            index[tuple(c % period for c, period in zip(cs, lcm[1:]))]
+            for cs in product(*(range(s) for s in self.box_sides[1:]))
+        ]
+        tables = []
+        for ext in extents:
+            entries = [0] * (len(reps[0]) * len(index))
+            for z, _, strides, offset, _ in weights.points:
+                axes = [
+                    _axis_weights(e, q, st, len(rep))
+                    for rep, e, q, st in zip(reps, ext, z, strides)
+                ]
+                cross = [math.prod(f) for f in product(*axes[1:])]
+                i = 0
+                for f0 in axes[0]:
+                    f0 <<= weights.width * offset
+                    for f in cross:
+                        entries[i] += f0 * f
+                        i += 1
+            rows = [[entries[r0 * len(index) + c] for c in xclass] for r0 in reps[0]]
+            table = []
+            for m in range(H):
+                table += rows[m % lcm[0]]
+            tables.append(table)
+        return tables
+
+    def start_weight(self, heights):
+        """Biased packed weight of the region above the height vector."""
+        weights = self.weights
+        w = weights.bias + weights.region((0,) * self.dimension, self.box_sides)
+        for x, h in enumerate(heights):
+            if h:
+                c = self.origin(0, x)[1:]
+                w -= weights.region((0, *c), (h, *(k + 1 for k in c)))
+        return w
+
 
 def _skyline_dfs(prob, start, node_limit, deadline, split=False):
     """Depth-first search from the height vector start.
@@ -225,18 +414,23 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
     limit's name when EXHAUSTED, and None when INFEASIBLE.  With split,
     start is expanded but not descended into: the result is
     (None, [(shape index, child heights), ...], counts) in branch order.
-    counts = [nodes, column, row-width, memo hits, memo size, depth].
+    counts = [nodes, column, row-width, weight, memo hits, memo size,
+    depth].
     """
     H, row, shapes = prob.height, prob.row, prob.shapes
     colok, widthok = prob.colok, prob.widthok
+    dw = prob.dw
+    if dw:
+        wmask, wwant = prob.wmask, prob.wwant
+        columns = len(start)
     nshapes = len(shapes)
-    failed = set()
-    nodes = col = wid = hits = dmax = 0
-    stack = []      # parent frames: (heights, min char, min, column, run, next shape, key)
+    failed = {}     # insertion-ordered, so the oldest states go first
+    nodes = col = wid = wgt = hits = dmax = 0
+    stack = []      # parent frames: (heights, min char, min, column, run, next shape, key, weight)
     branches = []
 
     def done(status, payload):
-        return status, payload, [nodes, col, wid, hits, len(failed), dmax]
+        return status, payload, [nodes, col, wid, wgt, hits, len(failed), dmax]
 
     def path(j, m, x):
         frames = [(f[5] - 1, f[2], f[3]) for f in stack] + [(j, m, x)]
@@ -251,6 +445,7 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
     t = s[x:x - x % row + row]
     L = len(t) - len(t.lstrip(mc))
     key = min(s, s[::-1])
+    w = prob.start_weight([ord(c) for c in s]) if dw else 0
     if node_limit < 1:
         return done(EXHAUSTED, "node_limit")
     nodes = 1
@@ -292,6 +487,12 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
                 if not widthok[cm][cL]:
                     wid += 1
                     continue
+                # a placement that leaves its run open keeps the minimum
+                # height, and every shape that fits there vanishes at the
+                # points already tested, so only a closed run is tested
+                if dw and wmask[cm] and (w - dw[j][m * columns + x]) & wmask[cm] != wwant[cm]:
+                    wgt += 1
+                    continue
             r = child[::-1]
             ckey = child if child <= r else r
             if ckey in failed:
@@ -305,20 +506,24 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
             nodes += 1
             if not nodes & 4095 and time.monotonic() > deadline:
                 return done(EXHAUSTED, "time_limit")
-            stack.append((s, mc, m, x, L, j + 1, key))
+            stack.append((s, mc, m, x, L, j + 1, key, w))
             if len(stack) > dmax:
                 dmax = len(stack)
+            if dw:
+                w -= dw[j][m * columns + x]
             s, mc, m, x, L, key = child, cmc, cm, cx, cL, ckey
             j0 = 0
             break
         else:
             if split:
                 return done(None, branches)
-            if len(failed) < _MEMO_CAP:
-                failed.add(key)
+            failed[key] = None
+            if len(failed) > _MEMO_CAP:
+                for old in list(islice(failed, len(failed) // 2)):
+                    del failed[old]
             if not stack:
                 return done(INFEASIBLE, None)
-            s, mc, m, x, L, j0, key = stack.pop()
+            s, mc, m, x, L, j0, key, w = stack.pop()
 
 
 def _search_branch(args):
@@ -352,9 +557,9 @@ def exact_cover_search(
             f"box volume {volume} exceeds the search cell cap {DEFAULT_CELL_CAP}"
         )
 
-    def finish(status, payload=None, counts=(0,) * 6, volume_prunes=0):
-        nodes, col, wid, hits, size, depth = counts
-        stats = SearchStats(nodes, volume_prunes, col, wid, hits, size, depth,
+    def finish(status, payload=None, counts=(0,) * 7, volume_prunes=0):
+        nodes, col, wid, wgt, hits, size, depth = counts
+        stats = SearchStats(nodes, volume_prunes, col, wid, wgt, hits, size, depth,
                             time.monotonic() - t0)
         if status == FOUND:
             tiling = _build_tiling(box, bricks, cfg.rotation_policy, payload)
@@ -369,6 +574,8 @@ def exact_cover_search(
     prob = _Problem(box.sides, brick_sides, cfg.rotation_policy)
     if not prob.shapes:
         return finish(INFEASIBLE)
+    if prob.weights.root_cut:
+        return finish(INFEASIBLE, counts=(0, 0, 0, 1, 0, 0, 0))
     start = chr(0) * math.prod(prob.cross)
     if not cfg.parallel:
         return finish(*_skyline_dfs(prob, start, cfg.node_limit, deadline))
@@ -390,7 +597,7 @@ def exact_cover_search(
         results = list(pool.map(_search_branch, args))
     for r in results:
         counts = [a + b for a, b in zip(counts, r[2])]
-    counts[5] = 1 + max(r[2][5] for r in results)
+    counts[6] = 1 + max(r[2][6] for r in results)
     for (j, _), (status, payload, _) in zip(branches, results):
         if status == FOUND:
             first = prob.placed[j] + (prob.origin(0, 0),)

@@ -254,7 +254,7 @@ class TestOracle:
         stats = json.loads(line)
         assert set(stats) == {
             "nodes", "volume_prunes", "column_prunes", "row_width_prunes",
-            "memo_hits", "memo_size", "max_depth", "elapsed_s",
+            "weight_prunes", "memo_hits", "memo_size", "max_depth", "elapsed_s",
         }
         assert f"Infeasible({stats['nodes']} nodes)" == out.strip()
 

@@ -1,11 +1,17 @@
 """Exact-cover search: verdicts, determinism, limits, stats, scans."""
 
+import cmath
+import hashlib
+import math
 import sys
 import time
+from itertools import product
 from unittest import mock
 
 import pytest
 from brute import bitmask_search
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frobtile import oracle
 from frobtile.codec import encode
@@ -177,8 +183,9 @@ def test_matches_bitmask_reference(box, sides, policy, parallel):
 @pytest.mark.parametrize("parallel", [False, True])
 @pytest.mark.parametrize("limit", [1, 2, 3, 100, 1000])
 def test_node_limit_holds_for_the_whole_search(limit, parallel):
+    # 134,412 nodes to Infeasible unlimited
     cfg = SearchConfig(node_limit=limit, parallel=parallel)
-    r = exact_cover_search(BoxShape((7, 23)), squares(2, 3), cfg)
+    r = exact_cover_search(BoxShape((25, 25)), squares(2, 3, 17), cfg)
     assert r.status == "exhausted" and r.reason == "node_limit"
     assert r.nodes <= limit
 
@@ -198,13 +205,165 @@ def test_deep_search_needs_no_recursion_limit():
 
 
 def test_stats_record_counts_prunes():
-    r = exact_cover_search(BoxShape((17, 17)), squares(2, 3, 7))
+    r = exact_cover_search(BoxShape((23, 23)), squares(2, 3, 7))
     st = r.stats
-    assert st.nodes == r.nodes
+    assert r.status == "found" and st.nodes == r.nodes
     assert st.column_prunes > 0 and st.row_width_prunes > 0 and st.memo_hits > 0
+    assert st.weight_prunes > 0
     assert 0 < st.memo_size <= st.nodes
     assert st.max_depth >= len(r.tiling.placements) - 1
     assert st.volume_prunes == 0 and st.elapsed_s > 0
     v = exact_cover_search(BoxShape((3, 3)), squares(2))
     assert v.stats.volume_prunes == 1 and v.stats.nodes == 0
+    w = exact_cover_search(BoxShape((7, 23)), squares(2, 3))
+    assert w.stats.weight_prunes == 1 and w.stats.volume_prunes == 0 and w.nodes == 0
+
+
+# sha256 over encode() of the first solutions of 13x13 {2,3,5}, 17x17
+# {2,3,7} and 23x23 {2,3,17}, in that order, before the weight prunes
+SEARCH_WITNESS_DIGEST = "5c59d41adb71b287c27e5d67f21761ec8acb93cd88b5d127b1469177166b17e2"
+
+
+def test_first_solutions_are_pinned():
+    h = hashlib.sha256()
+    for side, sides in ((13, (2, 3, 5)), (17, (2, 3, 7)), (23, (2, 3, 17))):
+        r = exact_cover_search(BoxShape((side, side)), squares(*sides))
+        h.update(encode(r.tiling).encode())
+    assert h.hexdigest() == SEARCH_WITNESS_DIGEST
+
+
+def test_weight_settles_odd_boxes_over_two_and_three_at_the_root():
+    # at (z0, z1) = (-1, w), w a primitive cube root of unity, 2x2 and 3x3
+    # vanish and an odd a x b box with 3 not dividing b does not
+    sides = [a for a in range(1, 65, 2) if a % 3]
+    for a, b in product(sides, sides):
+        r = exact_cover_search(BoxShape((a, b)), squares(2, 3))
+        assert r.status == "infeasible" and r.nodes == 0, (a, b)
+        # a side of 1 leaves no shape that fits, when the volume passes
+        assert r.stats.weight_prunes + r.stats.volume_prunes == 1 or min(a, b) == 1
+        assert not decide_two_squares(a, b, 2, 3).tileable
+
+
+def _coefficients(packed, width, count):
+    """Signed coefficients of an unbiased packed weight."""
+    packed += sum(1 << (width * f + width - 1) for f in range(count))
+    return [(packed >> (width * f) & ((1 << width) - 1)) - (1 << (width - 1)) for f in range(count)]
+
+
+def _value(weights, point, coeffs):
+    """A point's packed coefficients evaluated at its first primitive roots."""
+    z, _, strides, _, _ = point
+    roots = [cmath.exp(2j * math.pi / q) for q in z]
+    total = 0
+    for digits in product(*(range(q - 1) if q > 1 else range(1) for q in z)):
+        f = sum(d * st for d, st in zip(digits, strides)) // weights.width
+        total += coeffs[f] * math.prod(r ** d for r, d in zip(roots, digits))
+    return total
+
+
+@pytest.mark.parametrize("box,sides,policy", [
+    ((17, 17), ((2, 2), (3, 3), (7, 7)), "fixed"),
+    ((9, 11), ((2, 3), (1, 5)), "axis-permutations"),
+    ((7, 6, 6), ((2, 2, 2), (3, 3, 3)), "fixed"),
+    ((33, 33), ((6, 4), (5, 7), (7, 5)), "axis-permutations"),
+    ((12,), ((3,), (5,)), "fixed"),
+])
+def test_weight_tables_hold_each_placements_weight(box, sides, policy):
+    """Each packed entry is the placed shape's weight at every kept point,
+    exactly: checked against sums of z^cell with complex roots."""
+    prob = oracle._Problem(box, sides, policy)
+    weights = prob.weights
+    assert weights.points
+    fields = sum(p[4] for p in weights.points)
+    columns = math.prod(prob.cross)
+    extents = []
+    for bi, perm in prob.placed:
+        extents.append(tuple(sides[bi][a] for a in perm))
+    for j, ext in enumerate(extents):
+        for m in range(0, box[0] - ext[0] + 1, 2):
+            for x in range(0, columns, 3):
+                c = prob.origin(m, x)
+                if any(o + e > s for o, e, s in zip(c, ext, box)):
+                    continue
+                coeffs = _coefficients(prob.dw[j][m * columns + x], weights.width, fields)
+                for point in weights.points:
+                    z, _, _, offset, _ = point
+                    roots = [cmath.exp(2j * math.pi / q) for q in z]
+                    want = sum(
+                        math.prod(r ** (o + d) for r, o, d in zip(roots, c, cell))
+                        for cell in product(*(range(e) for e in ext))
+                    )
+                    got = _value(weights, point, coeffs[offset:])
+                    assert abs(got - want) < 1e-6, (ext, c, z)
+
+
+def test_weight_fields_are_bounded():
+    # (61, 64) at (59, 61): 58 * 60 fields, about 6 KB an int if kept
+    weights = oracle._Problem((61, 64), ((59, 61), (61, 2)), "fixed").weights
+    assert [p[0] for p in weights.points] == [(59, 1)]
+    assert sum(p[4] for p in weights.points) <= oracle._WEIGHT_FIELDS
+
+
+def test_start_weight_is_the_remaining_region_weight():
+    prob = oracle._Problem((9, 11), ((2, 3), (1, 5)), "axis-permutations")
+    columns = math.prod(prob.cross)
+    heights = [0] * columns
+    w = prob.start_weight(heights)
+    for j, x in ((0, 0), (1, 3), (3, 7), (0, 0), (3, 8)):
+        m = heights[x]
+        e0, el = prob.shapes[j][:2]
+        assert heights[x:x + el] == [m] * el
+        w -= prob.dw[j][m * columns + x]
+        heights[x:x + el] = [m + e0] * el
+        assert w == prob.start_weight(heights)
+
+
+@st.composite
+def weighted_instances(draw):
+    """Boxes and bricks where the per-node weight test often cuts: two
+    small bricks and a taller one, in any declared order."""
+    if draw(st.booleans()):
+        box = (draw(st.integers(5, 15)), draw(st.integers(5, 15)))
+        sides = [(2, 2), (3, 3), draw(st.sampled_from([(5, 5), (7, 7), (4, 5), (5, 7), (7, 4)]))]
+    else:
+        # the reference engine slows sharply past 64 cells in 3-D
+        box = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=3)))
+        sides = [(2, 2, 2), draw(st.sampled_from([(3, 3, 3), (1, 3, 2), (1, 2, 3)])),
+                 draw(st.sampled_from([(3, 2, 1), (5, 2, 1), (4, 1, 2)]))]
+    return box, tuple(draw(st.permutations(sides)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(weighted_instances(), st.sampled_from(["fixed", "axis-permutations"]), st.booleans())
+def test_weight_prunes_keep_status_and_first_solution(instance, policy, parallel):
+    """Random 2-D and 3-D boxes against the earlier engine: the same status
+    and first solution, never more nodes, sequential and parallel."""
+    box, sides = instance
+    bricks = [Brick(s) for s in sides]
+    cfg = SearchConfig(rotation_policy=policy, parallel=parallel)
+    got = exact_cover_search(BoxShape(box), bricks, cfg)
+    status, placed, nodes = bitmask_search(box, sides, policy, per_branch=parallel)
+    assert got.status == status
+    assert got.nodes <= nodes
+    if status == "found":
+        index, perms, origins = zip(*placed)
+        want = Tiling.from_arrays(BoxShape(box), bricks, index, perms, origins,
+                                  rotation_policy=policy)
+        assert encode(got.tiling) == encode(want)
+
+
+@pytest.mark.parametrize("box,sides", [
+    ((19, 19), (2, 3, 17)),
+    ((23, 23), (2, 3, 7)),
+    ((17, 17), (2, 3, 7)),
+    ((11, 11), (2, 3, 7)),
+])
+def test_memo_evicts_its_oldest_half_at_the_cap(box, sides):
+    full = exact_cover_search(BoxShape(box), squares(*sides))
+    with mock.patch.object(oracle, "_MEMO_CAP", 16):
+        small = exact_cover_search(BoxShape(box), squares(*sides))
+    assert full.stats.memo_size > 16 >= small.stats.memo_size
+    assert small.status == full.status
+    if full.status == "found":
+        assert encode(small.tiling) == encode(full.tiling)
 
