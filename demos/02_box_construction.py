@@ -28,7 +28,7 @@ bound = gn_bound(squares)
 print("side bound:", bound, "(every square of side >", bound, "tiles)")
 
 t = construct_box(BoxShape((bound + 1, bound + 1)), squares)
-print(f"{t.box.sides}: {len(t.placements)} placements,", verify_full(t))
+print(f"{t.box.sides}: {len(t.brick_index)} placements,", verify_full(t))
 
 # the same machinery one dimension up: four prime cubes
 cubes = BrickSystem(
@@ -41,7 +41,7 @@ start = time.monotonic()
 big = construct_box(BoxShape((bound3 + 1,) * 3), cubes)
 built = time.monotonic() - start
 print(
-    f"{big.box.sides}: {len(big.placements)} placements"
+    f"{big.box.sides}: {len(big.brick_index)} placements"
     f" in {built:.2f}s, volume exact:",
     big.placement_volume() == big.box.volume,
 )

@@ -7,9 +7,10 @@ Given n+1 bricks with all sides >= 2, define for each axis k and each
                                divided by one of them }
 
 (the products-over-one).  The system is *admissible* when every such
-set has gcd 1.  Writing g_n for the largest Frobenius number over all
-X_k sets, every box whose sides all exceed g_n can be tiled, and the
-proof is an algorithm:
+set has gcd 1, that is, when each axis's n+1 sides are pairwise
+coprime.  Writing g_n for the largest Frobenius number over all X_k
+sets (each in closed form, semigroup.quotient_frobenius), every box
+whose sides all exceed g_n can be tiled, and the proof is an algorithm:
 
   * dimension 1: represent the side over the two brick lengths and lay
     the segments, shortest first;
@@ -40,7 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .model import BoxShape, Brick, Tiling, grid_blocks, identity_orientation
-from .semigroup import GeneratorSet, checked_prod, frobenius_general, represent
+from .semigroup import GeneratorSet, checked_prod, quotient_frobenius, represent
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,17 @@ def gn_bound(sys: BrickSystem) -> int:
     report = check_admissible(sys)
     if not report.valid:
         raise NotAdmissibleError(str(report))
-    return max(frobenius_general(S) for S in _xk_sets(sys).values())
+    return _largest_frobenius(sys)
+
+
+def _largest_frobenius(sys: BrickSystem) -> int:
+    """gn_bound of an admissible system, whose sides along each axis are
+    pairwise coprime, so each X_k set's Frobenius number is in closed form."""
+    return max(
+        quotient_frobenius([b.sides[k - 1] for b in bricks])
+        for k in range(1, sys.n + 1)
+        for bricks in combinations(sys.bricks, k + 1)
+    )
 
 
 def _xk_sets(sys: BrickSystem) -> dict[tuple[int, tuple[int, ...]], GeneratorSet]:
@@ -175,14 +186,12 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
         raise DimensionMismatchError(
             f"box dimension {box.dimension} != system dimension {sys.n}"
         )
-    # gn_bound without its second admissibility check; it comes after the
-    # dimension check because it can build a table as large as a generator
-    sets = _xk_sets(sys)
-    bound = max(frobenius_general(S) for S in sets.values())
+    bound = _largest_frobenius(sys)
     for axis, side in enumerate(box.sides):
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)
     n = sys.n
+    sets = _xk_sets(sys)
     blocks = [
         (index, identity_orientation(n), corner, sides)
         for index, corner, sides in _blocks(sys, box.sides, tuple(range(n + 1)), sets)

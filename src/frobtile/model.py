@@ -4,9 +4,9 @@ A tiling is a box, a list of brick types, and m axis-aligned placements
 stored column-wise as three int64 arrays: ``brick_index`` (m,),
 ``orientation`` (m, n) and ``origin`` (m, n).  Placement i puts brick
 ``brick_index[i]`` at ``origin[i]``, with brick axis ``orientation[i, j]``
-along box axis j.  ``Tiling.placements`` is a tuple of ``Placement``
-objects built from the arrays the first time it is read, for callers
-that want one object per placement.
+along box axis j.  The columns are all a tiling stores:
+``Tiling.placements`` builds a fresh tuple of ``Placement`` objects from
+them on every read, for callers that want one object per placement.
 
 For axis-aligned placements, exact cover of the box is equivalent to
 the conjunction of three checks:
@@ -74,15 +74,18 @@ def identity_orientation(n: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class BoxShape:
+class _Sides:
+    """Sides of a BoxShape or a Brick; __eq__ tells the two classes apart."""
+
     sides: tuple[int, ...]
+    _noun = "shape"  # for error messages
 
     def __init__(self, sides: Iterable[int]):
         s = tuple(int(v) for v in sides)
         if not s:
-            raise PreconditionError("box must have at least one axis")
+            raise PreconditionError(f"{self._noun} must have at least one axis")
         if any(v < 1 for v in s):
-            raise PreconditionError(f"box sides must be >= 1, got {s}")
+            raise PreconditionError(f"{self._noun} sides must be >= 1, got {s}")
         object.__setattr__(self, "sides", s)
 
     @property
@@ -94,25 +97,12 @@ class BoxShape:
         return math.prod(self.sides)
 
 
-@dataclass(frozen=True)
-class Brick:
-    sides: tuple[int, ...]
+class BoxShape(_Sides):
+    _noun = "box"
 
-    def __init__(self, sides: Iterable[int]):
-        s = tuple(int(v) for v in sides)
-        if not s:
-            raise PreconditionError("brick must have at least one axis")
-        if any(v < 1 for v in s):
-            raise PreconditionError(f"brick sides must be >= 1, got {s}")
-        object.__setattr__(self, "sides", s)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.sides)
-
-    @property
-    def volume(self) -> int:
-        return math.prod(self.sides)
+class Brick(_Sides):
+    _noun = "brick"
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +168,6 @@ class Tiling:
         "orientation",
         "origin",
         "rotation_policy",
-        "_placements",
     )
 
     def __init__(
@@ -188,16 +177,17 @@ class Tiling:
         placements: Iterable[Placement],
         rotation_policy: str = ROTATION_FIXED,
     ):
-        placements = tuple(placements)
+        """Placement rows as columns; a structural error shows the caller's row."""
+        rows = tuple(placements)
         n = box.dimension
         self._fill(
             box,
             tuple(bricks),
-            _row_array([(p.brick_index,) for p in placements], 1).reshape(-1),
-            _row_array([p.orientation for p in placements], n),
-            _row_array([p.origin for p in placements], n),
+            _row_array([(p.brick_index,) for p in rows], 1).reshape(-1),
+            _row_array([p.orientation for p in rows], n),
+            _row_array([p.origin for p in rows], n),
             rotation_policy,
-            placements,
+            rows,
         )
 
     @classmethod
@@ -219,7 +209,7 @@ class Tiling:
         t._fill(box, tuple(bricks), brick_index, orientation, origin, rotation_policy, None)
         return t
 
-    def _fill(self, box, bricks, brick_index, orientation, origin, policy, placements):
+    def _fill(self, box, bricks, brick_index, orientation, origin, policy, rows):
         if policy not in _ROTATION_POLICIES:
             raise PreconditionError(f"unknown rotation policy {policy!r}")
         n = box.dimension
@@ -234,8 +224,8 @@ class Tiling:
         bad = _first_bad_placement(len(bricks), brick_index, orientation, origin, policy)
         if bad is not None:
             i, check = bad
-            if placements is not None:
-                p = placements[i]
+            if rows is not None:
+                p = rows[i]
             else:
                 p = Placement(
                     int(brick_index[i]), tuple(orientation[i].tolist()), tuple(origin[i].tolist())
@@ -248,7 +238,6 @@ class Tiling:
         set_(self, "orientation", orientation)
         set_(self, "origin", origin)
         set_(self, "rotation_policy", policy)
-        set_(self, "_placements", placements)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Tiling is immutable; cannot set {name!r}")
@@ -263,18 +252,14 @@ class Tiling:
 
     @property
     def placements(self) -> tuple[Placement, ...]:
-        """One Placement per row, built from the arrays on first use."""
-        ps = self._placements
-        if ps is None:
-            if self.rotation_policy == ROTATION_FIXED:
-                orientations = [identity_orientation(self.dimension)] * len(self.brick_index)
-            else:
-                orientations = zip(*self.orientation.T.tolist())
-            # one list per column, zipped into rows: no list per row
-            origins = zip(*self.origin.T.tolist())
-            ps = tuple(map(Placement, self.brick_index.tolist(), orientations, origins))
-            object.__setattr__(self, "_placements", ps)
-        return ps
+        """One Placement per row, built afresh from the columns on every read."""
+        if self.rotation_policy == ROTATION_FIXED:
+            orientations = [identity_orientation(self.dimension)] * len(self.brick_index)
+        else:
+            orientations = zip(*self.orientation.T.tolist())
+        # one list per column, zipped into rows: no list per row
+        origins = zip(*self.origin.T.tolist())
+        return tuple(map(Placement, self.brick_index.tolist(), orientations, origins))
 
     def oriented_extents(self) -> np.ndarray:
         """(m, n) int64 array: placement i's side along each box axis."""

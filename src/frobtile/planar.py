@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constructor import BrickSystem, construct_box
+from .constructor import BrickSystem, construct_box, gn_bound
 from .errors import BoundNotMetError, NonCoprimeError, PreconditionError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
@@ -40,7 +40,6 @@ from .semigroup import (
     checked_mul,
     checked_prod,
     closed_form_primes,
-    frobenius_pair,
     pair_representation,
 )
 
@@ -173,7 +172,8 @@ def decide_two_squares(a1: int, a2: int, x: int, y: int) -> Decision:
     return _tiled((a1, a2), (Brick((x, x)), Brick((y, y))), tiles, ROTATION_FIXED)
 
 
-def _corollary1_validate(p: int, q: int, r: int, s: int) -> None:
+def _corollary1_system(p: int, q: int, r: int, s: int) -> BrickSystem:
+    """The bricks (p x q), (r x s), (s x r), once the parameters are valid."""
     for name, value in (("p", p), ("q", q), ("r", r), ("s", s)):
         if value < 2:
             raise PreconditionError(f"{name} must be >= 2, got {value}")
@@ -188,20 +188,18 @@ def _corollary1_validate(p: int, q: int, r: int, s: int) -> None:
         g = math.gcd(left, right)
         if g != 1:
             raise PreconditionError(f"gcd({lname}, {rname}) must be 1, got {g}")
+    return BrickSystem((Brick((p, q)), Brick((r, s)), Brick((s, r))))
 
 
 def corollary1_threshold(p: int, q: int, r: int, s: int) -> int:
     """Side bound for tiling rectangles with (p x q), (r x s), (s x r).
 
     Every rectangle whose sides both reach the returned value is
-    tileable by the three bricks.  The value is 1 plus the largest of
-    the pairwise Frobenius numbers g(p,r), g(p,s), g(r,s) and the
-    closed form 2qrs - (qr + qs + rs) for the set {qr, qs, rs}.
+    tileable by the three bricks.  The value is 1 plus g_n of the three
+    bricks: the largest of the pairwise Frobenius numbers g(p,r), g(p,s),
+    g(r,s) and the Frobenius number 2qrs - (qr + qs + rs) of {qr, qs, rs}.
     """
-    _corollary1_validate(p, q, r, s)
-    closed = checked_mul(2, checked_prod((q, r, s))) - (q * r + q * s + r * s)
-    worst = max(frobenius_pair(p, r), frobenius_pair(p, s), frobenius_pair(r, s), closed)
-    return worst + 1
+    return gn_bound(_corollary1_system(p, q, r, s)) + 1
 
 
 def corollary1_construct(a1: int, a2: int, p: int, q: int, r: int, s: int) -> Tiling:
@@ -209,9 +207,7 @@ def corollary1_construct(a1: int, a2: int, p: int, q: int, r: int, s: int) -> Ti
 
     Both box sides must be at least corollary1_threshold(p, q, r, s).
     """
-    _corollary1_validate(p, q, r, s)
-    system = BrickSystem((Brick((p, q)), Brick((r, s)), Brick((s, r))))
-    return construct_box(BoxShape((a1, a2)), system)
+    return construct_box(BoxShape((a1, a2)), _corollary1_system(p, q, r, s))
 
 
 def prime_cubes_bound(primes: Sequence[int]) -> int:

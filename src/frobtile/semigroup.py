@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -412,12 +412,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def quotient_frobenius(values: Sequence[int]) -> int:
+    """k*P - sum_i P/a_i, where P = a_0*...*a_k, for pairwise coprime a_i >= 2.
+
+    The Frobenius number of the products-over-one {P/a_i} of pairwise
+    coprime integers, in closed form: for k = 1 it is g(a_0, a_1).  The
+    caller checks coprimality.  Raises OverflowError when P or the result
+    leaves int64; the intermediate k*P may leave it.
+    """
+    prod = checked_prod(values)
+    gens = tuple(prod // a for a in values)
+    return _checked_g((len(values) - 1) * prod - sum(gens), gens)
+
+
 def closed_form_primes(primes: Iterable[int]) -> int:
     """n * p_1*...*p_{n+1} - sum_i (p_1*...*p_{n+1} / p_i) for distinct primes.
 
-    Equals the Frobenius number of the quotient set {prod/p_i}: with
-    n+1 ascending primes the products-over-one generate exactly the
-    integers whose non-multiples run out at this value.
+    Equals the Frobenius number of the quotient set {prod/p_i}, by
+    quotient_frobenius: distinct primes are pairwise coprime.
     """
     plist = list(primes)
     if len(plist) < 2:
@@ -427,14 +439,7 @@ def closed_form_primes(primes: Iterable[int]) -> int:
     for p in plist:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-    n = len(plist) - 1
-    prod = checked_prod(plist)
-    total = checked_mul(n, prod)
-    for p in plist:
-        total = total - prod // p
-    if total > INT64_MAX:
-        raise OverflowError("closed form exceeds the 64-bit contract")
-    return total
+    return quotient_frobenius(plist)
 
 
 def quotient_set(primes: Iterable[int]) -> GeneratorSet:

@@ -1,7 +1,9 @@
 """Brick systems, admissibility, bounds, and the box constructor."""
 
 import hashlib
+import math
 import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -23,6 +25,7 @@ from frobtile.errors import (
 )
 from frobtile.codec import encode
 from frobtile.model import BoxShape, Brick, Tiling, verify_full
+from frobtile.semigroup import frobenius_general, quotient_frobenius
 
 
 def rect_system():
@@ -79,6 +82,43 @@ def test_gn_bound():
         gn_bound(squares_system([2, 4, 3]))
 
 
+def test_gn_bound_closed_form_matches_apery_tables():
+    """Admissible means pairwise coprime sides per axis; then every X_k
+    set's Frobenius number is quotient_frobenius of its sides."""
+    rng = random.Random(16)
+
+    def axis_sides(count, coprime):
+        sides = []
+        while len(sides) < count:
+            v = rng.randint(2, 30)
+            if not coprime or all(math.gcd(v, u) == 1 for u in sides):
+                sides.append(v)
+        return sides
+
+    admissible = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        axes = [axis_sides(n + 1, rng.random() < 0.8) for _ in range(n)]
+        sys = BrickSystem([Brick(sides) for sides in zip(*axes)])
+        coprime = all(
+            math.gcd(a.sides[k], b.sides[k]) == 1
+            for k in range(n)
+            for a, b in combinations(sys.bricks, 2)
+        )
+        assert check_admissible(sys).valid == coprime, sys
+        if not coprime:
+            continue
+        admissible += 1
+        general = [frobenius_general(S) for S in constructor._xk_sets(sys).values()]
+        closed = [
+            quotient_frobenius([sys.bricks[i].sides[k - 1] for i in subset])
+            for k, subset in constructor._xk_sets(sys)
+        ]
+        assert closed == general, sys
+        assert gn_bound(sys) == max(general)
+    assert admissible > 100
+
+
 def test_construct_1d_segments():
     t = construct_box(BoxShape((24,)), BrickSystem([Brick((5,)), Brick((7,))]))
     assert verify_full(t).valid
@@ -130,24 +170,28 @@ def test_construct_dimension_mismatch():
 
 
 def test_construct_checks_dimension_before_the_bound():
-    # a system with large sides can need a huge Frobenius table; a box of
-    # the wrong dimension is rejected without building one
-    with mock.patch.object(constructor, "frobenius_general", side_effect=AssertionError):
+    # a system with large sides can need a huge Apery table; a box of the
+    # wrong dimension is rejected without building one
+    with mock.patch.object(semigroup, "_prefix_tables", side_effect=AssertionError):
         with pytest.raises(DimensionMismatchError):
             construct_box(BoxShape((30, 30, 30)), squares_system([2, 3, 5]))
 
 
 def test_construct_builds_each_xk_sets_tables_once(monkeypatch):
-    # distinct primes per axis, so the four X_2 sets and the X_3 set differ
+    # distinct primes per axis, so the four X_2 sets and the X_3 set differ;
+    # the bound is in closed form, so only represent reads tables, and it
+    # reads each set's at most once
     sys = mixed_system()
-    builds = []
-    build = semigroup._prefix_tables
+    builds, read = [], set()
+    build, rep = semigroup._prefix_tables, constructor.represent
     monkeypatch.setattr(semigroup, "_prefix_tables", lambda gens: builds.append(gens) or build(gens))
+    monkeypatch.setattr(constructor, "represent", lambda a, S: read.add(S.generators) or rep(a, S))
     t = construct_box(BoxShape((384, 385, 386)), sys)
     assert t.box.sides == (384, 385, 386)
-    tabled = [S.generators for S in constructor._xk_sets(sys).values() if len(S) > 2]
+    tabled = {S.generators for S in constructor._xk_sets(sys).values() if len(S) > 2}
     assert len(tabled) == 5
-    assert sorted(builds) == sorted(tabled)
+    assert len(builds) == len(set(builds))
+    assert set(builds) == read & tabled
 
 
 def test_construct_random_prime_systems():

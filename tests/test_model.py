@@ -1,7 +1,10 @@
 """Geometry model: verification and combinators."""
 
+import gc
 import hashlib
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +27,17 @@ from frobtile.model import (
     verify_full,
     verify_sampled,
 )
-from frobtile.planar import corollary1_construct, prime_cubes_construct
+from frobtile import codec
+from frobtile.codec import decode, encode
+from frobtile.oracle import exact_cover_search
+from frobtile.planar import (
+    corollary1_construct,
+    decide_single_brick,
+    decide_two_squares,
+    prime_cubes_construct,
+    tile_square_235p,
+)
+from frobtile.render import render_ascii, render_svg
 
 
 def segments_1d(lengths, brick_lengths):
@@ -46,10 +59,71 @@ def segments_1d(lengths, brick_lengths):
 def test_shapes_validate():
     assert BoxShape((4, 6)).volume == 24
     assert Brick((2, 3)).volume == 6
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^box must have at least one axis$"):
         BoxShape(())
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=re.escape("brick sides must be >= 1, got (0, 3)")):
         Brick((0, 3))
+    with pytest.raises(PreconditionError, match="^brick must have at least one axis$"):
+        Brick([])
+    with pytest.raises(PreconditionError, match=re.escape("box sides must be >= 1, got (4, -1)")):
+        BoxShape((4, -1))
+
+
+def test_box_and_brick_are_distinct_classes():
+    assert BoxShape((2, 3)) != Brick((2, 3))
+    assert BoxShape((2, 3)) == BoxShape([2, 3])
+    assert repr(BoxShape((2, 3))) == "BoxShape(sides=(2, 3))"
+    assert repr(Brick((2, 3))) == "Brick(sides=(2, 3))"
+
+
+def _holds_placement_tuple(t):
+    return any(
+        isinstance(r, tuple) and r and isinstance(r[0], Placement) for r in gc.get_referents(t)
+    )
+
+
+def test_tiling_stores_only_its_columns():
+    box, bricks = BoxShape((4, 6)), (Brick((2, 3)),)
+    from_rows = Tiling(box, bricks, [Placement(0, (0, 1), (x, y)) for x in (0, 2) for y in (0, 3)])
+    for t in (from_rows, grid_fill(box, bricks[0])):
+        assert not _holds_placement_tuple(t)
+        first = t.placements
+        assert first == t.placements and first is not t.placements
+        assert first == tuple(Placement(0, (0, 1), (x, y)) for x in (0, 2) for y in (0, 3))
+        assert all(type(v) is int for p in first for v in (p.brick_index, *p.orientation, *p.origin))
+        assert not _holds_placement_tuple(t)
+
+
+def test_structural_error_names_the_callers_origin():
+    # 2**63 does not fit the int64 column; the message shows it as given
+    with pytest.raises(PreconditionError, match=re.escape(f"bad origin ({2**63}, 0)")):
+        Tiling(BoxShape((4, 4)), (Brick((2, 2)),), [Placement(0, (0, 1), (2**63, 0))])
+
+
+def test_pipeline_never_reads_placement_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Tiling.placements was read")
+
+    monkeypatch.setattr(Tiling, "placements", property(refuse))
+    t = prime_cubes_construct(31, (2, 3, 5))
+    text = encode(t)
+    indented = json.dumps(json.loads(text), indent=1)
+    assert codec._canonical(indented) is None  # the json.loads path
+    for back in (decode(text), decode(indented)):
+        assert back == t
+        assert verify_full(back).valid and verify_sampled(back, 500, 1).valid
+        assert encode(back) == text
+    render_ascii(t)
+    render_svg(t)
+    found = exact_cover_search(BoxShape((5, 6)), (Brick((2, 3)), Brick((3, 2))))
+    assert found.status == "found" and verify_full(found.tiling).valid
+    for d in (
+        decide_single_brick(6, 5, 2, 3),
+        decide_two_squares(12, 13, 2, 3),
+        tile_square_235p(25, 11),
+        tile_square_235p(43, 5),
+    ):
+        assert d.tileable and verify_full(d.witness).valid
 
 
 def test_tiling_rejects_structural_garbage():
