@@ -123,8 +123,9 @@ def gn_bound(sys: BrickSystem) -> int:
 
 
 def _largest_frobenius(sys: BrickSystem) -> int:
-    """gn_bound of an admissible system, whose sides along each axis are
-    pairwise coprime, so each X_k set's Frobenius number is in closed form."""
+    """gn_bound without check_admissible (whose products of sides must fit in
+    int64), for sides known pairwise coprime along each axis, so that each
+    X_k set's Frobenius number is in closed form."""
     return max(
         quotient_frobenius([b.sides[k - 1] for b in bricks])
         for k in range(1, sys.n + 1)
@@ -186,7 +187,7 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
         raise DimensionMismatchError(
             f"box dimension {box.dimension} != system dimension {sys.n}"
         )
-    bound = _largest_frobenius(sys)
+    bound = gn_bound(sys)
     for axis, side in enumerate(box.sides):
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)

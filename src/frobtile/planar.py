@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constructor import BrickSystem, construct_box, gn_bound
+from .constructor import BrickSystem, _largest_frobenius, construct_box
 from .errors import BoundNotMetError, NonCoprimeError, PreconditionError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
@@ -197,9 +197,12 @@ def corollary1_threshold(p: int, q: int, r: int, s: int) -> int:
     Every rectangle whose sides both reach the returned value is
     tileable by the three bricks.  The value is 1 plus g_n of the three
     bricks: the largest of the pairwise Frobenius numbers g(p,r), g(p,s),
-    g(r,s) and the Frobenius number 2qrs - (qr + qs + rs) of {qr, qs, rs}.
+    g(r,s) and the Frobenius number 2qrs - (qr + qs + rs) of {qr, qs, rs},
+    each axis's sides being pairwise coprime; 2qrs must fit in int64.
     """
-    return gn_bound(_corollary1_system(p, q, r, s)) + 1
+    system = _corollary1_system(p, q, r, s)
+    checked_mul(2, checked_prod((q, r, s)))
+    return _largest_frobenius(system) + 1
 
 
 def corollary1_construct(a1: int, a2: int, p: int, q: int, r: int, s: int) -> Tiling:

@@ -415,12 +415,11 @@ def is_prime(n: int) -> bool:
 def quotient_frobenius(values: Sequence[int]) -> int:
     """k*P - sum_i P/a_i, where P = a_0*...*a_k, for pairwise coprime a_i >= 2.
 
-    The Frobenius number of the products-over-one {P/a_i} of pairwise
-    coprime integers, in closed form: for k = 1 it is g(a_0, a_1).  The
-    caller checks coprimality.  Raises OverflowError when P or the result
-    leaves int64; the intermediate k*P may leave it.
+    The Frobenius number of the products-over-one {P/a_i}, in closed form
+    (g(a_0, a_1) for k = 1).  The caller checks coprimality and any range
+    of its own; only the result must fit in int64.
     """
-    prod = checked_prod(values)
+    prod = math.prod(values)
     gens = tuple(prod // a for a in values)
     return _checked_g((len(values) - 1) * prod - sum(gens), gens)
 
@@ -439,6 +438,7 @@ def closed_form_primes(primes: Iterable[int]) -> int:
     for p in plist:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
+    checked_mul(len(plist) - 1, checked_prod(plist))  # n * prod stays in int64
     return quotient_frobenius(plist)
 
 

@@ -192,6 +192,13 @@ class TestCorollary1:
         with pytest.raises(PreconditionError):
             corollary1_threshold(4, 3, 2, 5)  # gcd(p,r) = 2
 
+    def test_threshold_at_the_int64_edge(self):
+        # p * 3 leaves int64, g(p, 3) = 2p - 3 does not
+        assert corollary1_threshold(2**62 - 3, 5, 2, 3) == 2**63 - 8
+        # 2qrs leaves int64, 2qrs - (qr + qs + rs) does not
+        with pytest.raises(OverflowError, match="64-bit contract"):
+            corollary1_threshold(5, 4194289, 1048577, 1048579)
+
     def test_threshold_matches_system_bound(self):
         for p, q, r, s in ((6, 4, 5, 7), (5, 2, 3, 7), (7, 2, 3, 5)):
             system = BrickSystem((Brick((p, q)), Brick((r, s)), Brick((s, r))))

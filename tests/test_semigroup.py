@@ -20,6 +20,7 @@ from frobtile.semigroup import (
     frobenius_pair,
     is_prime,
     pair_representation,
+    quotient_frobenius,
     quotient_set,
     reduce_brauer_shockley,
     represent,
@@ -414,10 +415,19 @@ def test_closed_form_known_values():
 
 
 def test_closed_form_equals_general_on_quotients():
-    # the last: n * prod leaves int64, the Frobenius number does not
-    for primes in [(2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 5, 7, 11), (2, 3, 900000000000000017)]:
+    for primes in [(2, 3), (2, 3, 5), (3, 5, 7), (2, 3, 5, 7), (2, 5, 7, 11)]:
         q = quotient_set(primes)
         assert closed_form_primes(primes) == frobenius_general(q), primes
+
+
+def test_closed_form_needs_n_times_prod_in_int64():
+    # n * prod leaves int64 though the Frobenius number does not: the
+    # shared closed form gives it, closed_form_primes keeps its range
+    primes = (2, 3, 900000000000000017)
+    g = frobenius_general(quotient_set(primes))
+    assert quotient_frobenius(primes) == g == 6300000000000000113
+    with pytest.raises(OverflowError, match="64-bit contract"):
+        closed_form_primes(primes)
 
 
 def test_quotient_set_values():
