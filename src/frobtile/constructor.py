@@ -25,6 +25,9 @@ run of w_j equal slabs, is still one grid of a single brick, so the
 recursion returns grid blocks, never placements: a box is at most
 (n+1)! blocks, built into one tiling by a single grid_blocks call.
 Block lists are this small, so no sub-result is memoized.
+
+Admissibility is decided on exact integers, so it holds or fails for
+any sides; only the construction itself needs each X_k set in int64.
 """
 
 from __future__ import annotations
@@ -107,25 +110,20 @@ def check_admissible(sys: BrickSystem) -> AdmissibilityReport:
     """First (axis, subset) whose products-over-one share a factor, if any."""
     for k in range(1, sys.n + 1):
         for subset in combinations(range(sys.n + 1), k + 1):
-            gens = xk_generators(sys, k, subset)
-            g = math.gcd(*gens.generators) if len(gens) > 1 else gens.generators[0]
+            sides = [sys.bricks[i].sides[k - 1] for i in subset]
+            total = math.prod(sides)
+            g = math.gcd(*(total // s for s in sides))
             if g != 1:
                 return AdmissibilityReport(valid=False, axis=k, subset=subset, gcd=g)
     return AdmissibilityReport(valid=True)
 
 
 def gn_bound(sys: BrickSystem) -> int:
-    """Largest Frobenius number over every axis's products-over-one sets."""
+    """Largest Frobenius number over every axis's products-over-one sets,
+    each in closed form since admissible sides are pairwise coprime."""
     report = check_admissible(sys)
     if not report.valid:
         raise NotAdmissibleError(str(report))
-    return _largest_frobenius(sys)
-
-
-def _largest_frobenius(sys: BrickSystem) -> int:
-    """gn_bound without check_admissible (whose products of sides must fit in
-    int64), for sides known pairwise coprime along each axis, so that each
-    X_k set's Frobenius number is in closed form."""
     return max(
         quotient_frobenius([b.sides[k - 1] for b in bricks])
         for k in range(1, sys.n + 1)

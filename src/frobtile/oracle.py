@@ -70,11 +70,11 @@ order, and the first solution is the same with or without them.
 The DFS runs on an explicit frame stack, so depth costs no recursion.
 Infeasible is reported only after a complete search; hitting a node or
 time limit yields Exhausted instead.  Parallel mode expands the root,
-then finishes each surviving branch from its height vector in a worker
-process, all under one deadline and with the node limit split across
-the branches; it keeps the branch-order-first solution, so a Found
-result matches the sequential search whenever no limit truncates an
-earlier branch.
+then finishes each surviving branch in a worker process, starting from
+its height vector and the weight the root carried down to it, all under
+one deadline and with the node limit split across the branches; it
+keeps the branch-order-first solution, so a Found result matches the
+sequential search whenever no limit truncates an earlier branch.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, PreconditionError, SearchLimitError
@@ -150,9 +150,12 @@ class SearchStats:
 class SearchResult:
     status: str                      # found | infeasible | exhausted
     tiling: Optional[Tiling] = None
-    nodes: int = 0
     reason: Optional[str] = None     # node_limit | time_limit when exhausted
     stats: SearchStats = field(default_factory=SearchStats, compare=False)
+
+    @property
+    def nodes(self) -> int:
+        return self.stats.nodes
 
     def __str__(self) -> str:
         if self.status == FOUND:
@@ -219,7 +222,9 @@ class _Weights:
     are kept by ascending field count up to _WEIGHT_FIELDS fields, which
     bounds the int; dropping a point only weakens the prune.  root_cut
     is set when a point where every shape vanishes gives the box a
-    nonzero weight; no points are kept then.
+    nonzero weight; no points are kept then.  region gives the whole
+    box's weight, where the search starts; every other region's weight
+    is carried down from it, one placed shape at a time.
     """
 
     def __init__(self, box_sides, extents):
@@ -254,13 +259,13 @@ class _Weights:
             offset += fields
         self.bias = sum(1 << (width * f + width - 1) for f in range(offset))
 
-    def region(self, lo, hi):
-        """Weight of the box lo <= cell < hi, packed, without the bias."""
+    def region(self, sides):
+        """Weight of the box 0 <= cell < sides, packed, without the bias."""
         total = 0
         for z, _, strides, offset, _ in self.points:
             w = 1 << (self.width * offset)
-            for a, b, q, st in zip(lo, hi, z, strides):
-                w *= _axis_weights(b - a, q, st, a + 1)[a]
+            for s, q, st in zip(sides, z, strides):
+                w *= _axis_weights(s, q, st, 1)[0]
             total += w
         return total
 
@@ -395,27 +400,18 @@ class _Problem:
             tables.append(table)
         return tables
 
-    def start_weight(self, heights):
-        """Biased packed weight of the region above the height vector."""
-        weights = self.weights
-        w = weights.bias + weights.region((0,) * self.dimension, self.box_sides)
-        for x, h in enumerate(heights):
-            if h:
-                c = self.origin(0, x)[1:]
-                w -= weights.region((0, *c), (h, *(k + 1 for k in c)))
-        return w
 
-
-def _skyline_dfs(prob, start, node_limit, deadline, split=False):
+def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
     """Depth-first search from the height vector start.
 
-    Returns (status, payload, counts).  payload is the list of
-    (brick_index, perm, origin) placements below start when FOUND, the
-    limit's name when EXHAUSTED, and None when INFEASIBLE.  With split,
-    start is expanded but not descended into: the result is
-    (None, [(shape index, child heights), ...], counts) in branch order.
-    counts = [nodes, column, row-width, weight, memo hits, memo size,
-    depth].
+    weight is the biased packed weight of the region above start (unused
+    without weight points).  Returns (status, payload, counts).  payload
+    is the list of (brick_index, perm, origin) placements below start
+    when FOUND, the limit's name when EXHAUSTED, and None when
+    INFEASIBLE.  With split, start is expanded but not descended into:
+    the result is (None, [(shape index, child heights, child weight),
+    ...], counts) in branch order.  counts = [nodes, column, row-width,
+    weight, memo hits, memo size, depth].
     """
     H, row, shapes = prob.height, prob.row, prob.shapes
     colok, widthok = prob.colok, prob.widthok
@@ -445,7 +441,7 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
     t = s[x:x - x % row + row]
     L = len(t) - len(t.lstrip(mc))
     key = min(s, s[::-1])
-    w = prob.start_weight([ord(c) for c in s]) if dw else 0
+    w = weight
     if node_limit < 1:
         return done(EXHAUSTED, "node_limit")
     nodes = 1
@@ -479,7 +475,7 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
                 if cm == H:
                     if not split:
                         return done(FOUND, path(j, m, x))
-                    branches.append((j, child))
+                    branches.append((j, child, w - dw[j][m * columns + x] if dw else w))
                     continue
                 cx = child.index(cmc)
                 t = child[cx:cx - cx % row + row]
@@ -499,7 +495,7 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
                 hits += 1
                 continue
             if split:
-                branches.append((j, child))
+                branches.append((j, child, w - dw[j][m * columns + x] if dw else w))
                 continue
             if nodes >= node_limit:
                 return done(EXHAUSTED, "node_limit")
@@ -528,8 +524,9 @@ def _skyline_dfs(prob, start, node_limit, deadline, split=False):
 
 def _search_branch(args):
     """Worker for parallel mode: finish the search below one root branch."""
-    box_sides, brick_sides, policy, start, node_limit, deadline = args
-    return _skyline_dfs(_Problem(box_sides, brick_sides, policy), start, node_limit, deadline)
+    box_sides, brick_sides, policy, start, weight, node_limit, deadline = args
+    prob = _Problem(box_sides, brick_sides, policy)
+    return _skyline_dfs(prob, start, weight, node_limit, deadline)
 
 
 def _build_tiling(box, bricks, policy, triples):
@@ -563,10 +560,10 @@ def exact_cover_search(
                             time.monotonic() - t0)
         if status == FOUND:
             tiling = _build_tiling(box, bricks, cfg.rotation_policy, payload)
-            return SearchResult(FOUND, tiling=tiling, nodes=nodes, stats=stats)
+            return SearchResult(FOUND, tiling=tiling, stats=stats)
         if status == EXHAUSTED:
-            return SearchResult(EXHAUSTED, reason=payload, nodes=nodes, stats=stats)
-        return SearchResult(INFEASIBLE, nodes=nodes, stats=stats)
+            return SearchResult(EXHAUSTED, reason=payload, stats=stats)
+        return SearchResult(INFEASIBLE, stats=stats)
 
     if not _reachable([b.volume for b in bricks], volume) >> volume & 1:
         return finish(INFEASIBLE, volume_prunes=1)
@@ -577,19 +574,20 @@ def exact_cover_search(
     if prob.weights.root_cut:
         return finish(INFEASIBLE, counts=(0, 0, 0, 1, 0, 0, 0))
     start = chr(0) * math.prod(prob.cross)
+    weight = prob.weights.bias + prob.weights.region(box.sides)
     if not cfg.parallel:
-        return finish(*_skyline_dfs(prob, start, cfg.node_limit, deadline))
+        return finish(*_skyline_dfs(prob, start, weight, cfg.node_limit, deadline))
 
     # parallel: one worker per surviving root branch, joined in branch order;
     # the coordinator's expansion of the root is not counted as a node
-    _, branches, counts = _skyline_dfs(prob, start, cfg.node_limit, deadline, split=True)
+    _, branches, counts = _skyline_dfs(prob, start, weight, cfg.node_limit, deadline, split=True)
     counts[0] = 0
     if not branches:
         return finish(INFEASIBLE, None, counts)
     share, extra = divmod(cfg.node_limit, len(branches))
     args = [
-        (box.sides, brick_sides, cfg.rotation_policy, child, share + (k < extra), deadline)
-        for k, (_, child) in enumerate(branches)
+        (box.sides, brick_sides, cfg.rotation_policy, child, w, share + (k < extra), deadline)
+        for k, (_, child, w) in enumerate(branches)
     ]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -598,7 +596,7 @@ def exact_cover_search(
     for r in results:
         counts = [a + b for a, b in zip(counts, r[2])]
     counts[6] = 1 + max(r[2][6] for r in results)
-    for (j, _), (status, payload, _) in zip(branches, results):
+    for (j, _, _), (status, payload, _) in zip(branches, results):
         if status == FOUND:
             first = prob.placed[j] + (prob.origin(0, 0),)
             return finish(FOUND, [first] + payload, counts)
@@ -613,29 +611,19 @@ def exact_cover_search(
 
 def _guillotine_positive(w, h, squares, memo):
     """Sound-but-incomplete fast path: can w x h be cut into rectangles
-    that one square grids or two_brick_blocks over two of them settles?
-    True means tileable.  squares is ascending."""
+    that two_brick_blocks over two of the squares settles?  A grid of one
+    square is that criterion's one-block case, found with any partner.
+    True means tileable.  squares is ascending, at least two of them."""
     if w > h:
         w, h = h, w
     key = (w, h)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    ok = False
-    for square in squares:
-        s = square.sides[0]
-        if w % s == 0 and h % s == 0:
-            ok = True
-            break
-    if not ok:
-        for i in range(len(squares)):
-            for j in range(i + 1, len(squares)):
-                tiles = ((i, (0, 1)), (j, (0, 1)))
-                if two_brick_blocks((0, 0), (w, h), squares, tiles) is not None:
-                    ok = True
-                    break
-            if ok:
-                break
+    ok = any(
+        two_brick_blocks((0, 0), (w, h), squares, ((i, (0, 1)), (j, (0, 1)))) is not None
+        for i, j in combinations(range(len(squares)), 2)
+    )
     if not ok:
         smallest = squares[0].sides[0]
         for cut in range(smallest, w // 2 + 1):
@@ -662,9 +650,10 @@ def threshold_scan(
 
     Exact: with one or two square sizes, grids and the two-brick
     criterion decide every side both ways, with no search.  With more,
-    positive cases are settled by grids, the two-brick criterion over
-    pairs of squares and guillotine composition when possible (cheap and
-    sound), everything else by complete exact-cover search.
+    positive cases are settled by the two-brick criterion over pairs of
+    squares, whose one-block case is a grid, and guillotine composition
+    when possible (cheap and sound), everything else by complete
+    exact-cover search.
     """
     bricks = tuple(bricks)
     if limit < 1:

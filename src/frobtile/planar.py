@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constructor import BrickSystem, _largest_frobenius, construct_box
-from .errors import BoundNotMetError, NonCoprimeError, PreconditionError
+from .constructor import BrickSystem, construct_box, gn_bound
+from .errors import NonCoprimeError, PreconditionError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
     ROTATION_FIXED,
@@ -202,7 +202,7 @@ def corollary1_threshold(p: int, q: int, r: int, s: int) -> int:
     """
     system = _corollary1_system(p, q, r, s)
     checked_mul(2, checked_prod((q, r, s)))
-    return _largest_frobenius(system) + 1
+    return gn_bound(system) + 1
 
 
 def corollary1_construct(a1: int, a2: int, p: int, q: int, r: int, s: int) -> Tiling:
@@ -226,9 +226,7 @@ def prime_cubes_bound(primes: Sequence[int]) -> int:
 
 def prime_cubes_construct(a: int, primes: Sequence[int]) -> Tiling:
     """Tile the n-cube of side a with hypercubes of the n+1 given primes."""
-    bound = prime_cubes_bound(primes)
-    if a <= bound:
-        raise BoundNotMetError(0, bound + 1, a)
+    prime_cubes_bound(primes)  # validates the primes; construct_box checks a against it
     n = len(primes) - 1
     system = BrickSystem(tuple(Brick((prime,) * n) for prime in primes))
     return construct_box(BoxShape((a,) * n), system)

@@ -53,6 +53,11 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "gn", "--bricks", "6x4", "5x7", "7x5")
         assert code == 0 and out.strip() == "197"
 
+    def test_gn_past_int64_products(self, capsys):
+        bricks = (str(2**62 + 1) + "x5", "2x3", "3x2")
+        code, out, _ = run(capsys, "bound", "gn", "--bricks", *bricks)
+        assert code == 0 and out.strip() == str(2**63 - 1)
+
     def test_corollary1(self, capsys):
         code, out, _ = run(
             capsys, "bound", "corollary1", "--p", "6", "--q", "4", "--r", "5", "--s", "7"

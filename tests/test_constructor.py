@@ -82,6 +82,22 @@ def test_gn_bound():
         gn_bound(squares_system([2, 4, 3]))
 
 
+def test_admissibility_takes_products_of_sides_past_int64():
+    # g(2**62 + 1, 3) = 2**63 - 1 fits, though (2**62 + 1) * 2 * 3 does not
+    edge = BrickSystem([Brick((2**62 + 1, 5)), Brick((2, 3)), Brick((3, 2))])
+    assert check_admissible(edge).valid
+    assert gn_bound(edge) == 2**63 - 1
+    wide = BrickSystem([Brick((2**64, 5)), Brick((6, 7)), Brick((3, 11))])
+    assert str(check_admissible(wide)) == "NotAdmissible(axis=1, bricks=(0, 1), gcd=2)"
+    with pytest.raises(NotAdmissibleError):
+        gn_bound(wide)
+    # a box below g_n fails the bound; one above needs X_k sets in int64
+    with pytest.raises(BoundNotMetError):
+        construct_box(BoxShape((100, 100)), edge)
+    with pytest.raises(OverflowError, match="64-bit contract"):
+        construct_box(BoxShape((2**63, 2**63)), edge)
+
+
 def test_gn_bound_closed_form_matches_apery_tables():
     """Admissible means pairwise coprime sides per axis; then every X_k
     set's Frobenius number is quotient_frobenius of its sides."""

@@ -219,6 +219,23 @@ def test_stats_record_counts_prunes():
     assert w.stats.weight_prunes == 1 and w.stats.volume_prunes == 0 and w.nodes == 0
 
 
+@pytest.mark.parametrize("side,sides,parallel,counts", [
+    (23, (2, 3, 7), False, (5814, 2, 2331, 1373, 184, 100)),
+    (23, (2, 3, 7), True, (11731, 8, 4666, 2749, 368, 100)),
+    (19, (2, 3, 17), False, (737, 0, 243, 183, 42, 16)),
+    (19, (2, 3, 17), True, (953, 0, 315, 266, 20, 16)),
+])
+def test_stats_are_pinned(side, sides, parallel, counts):
+    """Counts (nodes, column, row-width, weight, memo hits, depth).  In
+    parallel every branch runs to completion in its own worker, so the
+    sums do not depend on the number of CPUs."""
+    r = exact_cover_search(BoxShape((side, side)), squares(*sides), SearchConfig(parallel=parallel))
+    st = r.stats
+    assert r.nodes == st.nodes
+    assert (st.nodes, st.column_prunes, st.row_width_prunes, st.weight_prunes,
+            st.memo_hits, st.max_depth) == counts
+
+
 # sha256 over encode() of the first solutions of 13x13 {2,3,5}, 17x17
 # {2,3,7} and 23x23 {2,3,17}, in that order, before the weight prunes
 SEARCH_WITNESS_DIGEST = "5c59d41adb71b287c27e5d67f21761ec8acb93cd88b5d127b1469177166b17e2"
@@ -304,18 +321,53 @@ def test_weight_fields_are_bounded():
     assert sum(p[4] for p in weights.points) <= oracle._WEIGHT_FIELDS
 
 
-def test_start_weight_is_the_remaining_region_weight():
-    prob = oracle._Problem((9, 11), ((2, 3), (1, 5)), "axis-permutations")
-    columns = math.prod(prob.cross)
-    heights = [0] * columns
-    w = prob.start_weight(heights)
-    for j, x in ((0, 0), (1, 3), (3, 7), (0, 0), (3, 8)):
-        m = heights[x]
-        e0, el = prob.shapes[j][:2]
-        assert heights[x:x + el] == [m] * el
-        w -= prob.dw[j][m * columns + x]
-        heights[x:x + el] = [m + e0] * el
-        assert w == prob.start_weight(heights)
+def _remaining_weight(prob, heights):
+    """Biased packed weight of the region above the height vector: the
+    whole box less each filled column, each a box of per-axis sums."""
+    weights = prob.weights
+
+    def region(lo, hi):
+        total = 0
+        for z, _, strides, offset, _ in weights.points:
+            w = 1 << (weights.width * offset)
+            for a, b, q, st in zip(lo, hi, z, strides):
+                w *= oracle._axis_weights(b - a, q, st, a + 1)[a]
+            total += w
+        return total
+
+    w = weights.bias + region((0,) * prob.dimension, prob.box_sides)
+    for x, h in enumerate(heights):
+        if h:
+            c = prob.origin(0, x)[1:]
+            w -= region((0, *c), (h, *(k + 1 for k in c)))
+    return w
+
+
+@pytest.mark.parametrize("box,sides,policy", [
+    ((9, 11), ((2, 3), (1, 5)), "axis-permutations"),
+    ((17, 17), ((2, 2), (3, 3), (7, 7)), "fixed"),
+    ((7, 6, 6), ((2, 2, 2), (3, 3, 3)), "fixed"),
+    ((6, 5, 7), ((2, 3, 1), (3, 2, 2)), "axis-permutations"),
+])
+def test_split_branches_carry_the_remaining_region_weight(box, sides, policy):
+    """Each branch of a split carries the weight of the region above its
+    heights, two levels down from the root."""
+    prob = oracle._Problem(box, sides, policy)
+    assert prob.dw
+    start = chr(0) * math.prod(prob.cross)
+    root = prob.weights.bias + prob.weights.region(box)
+    assert root == _remaining_weight(prob, [0] * len(start))
+    deadline = time.monotonic() + 60
+    level = [(start, root)]
+    for _ in range(2):
+        below = []
+        for heights, w in level:
+            _, branches, _ = oracle._skyline_dfs(prob, heights, w, 1000, deadline, split=True)
+            below += [(child, cw) for _, child, cw in branches]
+        assert below
+        for child, cw in below:
+            assert cw == _remaining_weight(prob, [ord(c) for c in child])
+        level = below
 
 
 @st.composite

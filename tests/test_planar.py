@@ -240,6 +240,12 @@ class TestPrimeCubes:
         with pytest.raises(BoundNotMetError) as info:
             prime_cubes_construct(29, [2, 3, 5])
         assert info.value.required == 30
+        assert (info.value.axis, info.value.got) == (0, 29)
+        # the primes are checked before the box, and the box before the bound
+        with pytest.raises(NotPrimeError):
+            prime_cubes_construct(29, [2, 3, 6])
+        with pytest.raises(PreconditionError, match="box sides must be >= 1"):
+            prime_cubes_construct(0, [2, 3, 5])
 
 
 class TestComposeSquares:
