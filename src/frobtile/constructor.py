@@ -20,14 +20,17 @@ whose sides all exceed g_n can be tiled, and the proof is an algorithm:
     m-th side as sum w_j * h_j and stack w_j copies of each slab.
 
 The representability of every side is exactly what the g_n bound
-guarantees.  A grid block of the (m-1)-dim tiling, lifted through a
-run of w_j equal slabs, is still one grid of a single brick, so the
-recursion returns grid blocks, never placements: a box is at most
-(n+1)! blocks, built into one tiling by a single grid_blocks call.
-Block lists are this small, so no sub-result is memoized.
+guarantees, and each representation is in closed form
+(semigroup.quotient_representation), so no Apery table is built.  A
+grid block of the (m-1)-dim tiling, lifted through a run of w_j equal
+slabs, is still one grid of a single brick, so the recursion returns
+grid blocks, never placements: a box is at most (n+1)! blocks, built
+into one tiling by a single grid_blocks call.  Block lists are this
+small, so no sub-result is memoized.
 
 Admissibility is decided on exact integers, so it holds or fails for
-any sides; only the construction itself needs each X_k set in int64.
+any sides; only the construction itself needs each X_k set it
+represents over in int64.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import (
     BoundNotMetError,
@@ -44,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .model import BoxShape, Brick, Tiling, grid_blocks, identity_orientation
-from .semigroup import GeneratorSet, checked_prod, quotient_frobenius, represent
+from .semigroup import checked_prod, quotient_frobenius, quotient_representation
 
 
 @dataclass(frozen=True)
@@ -87,25 +90,6 @@ class AdmissibilityReport:
         return f"NotAdmissible(axis={self.axis}, bricks={self.subset}, gcd={self.gcd})"
 
 
-def xk_generators(sys: BrickSystem, k: int, subset: Sequence[int]) -> GeneratorSet:
-    """Products-over-one of the k-th-axis sides of a (k+1)-subset.
-
-    k is 1-based (axis k of the mathematical statement = model axis
-    k-1); brick indices are 0-based.
-    """
-    if not 1 <= k <= sys.n:
-        raise PreconditionError(f"axis k must be in 1..{sys.n}, got {k}")
-    subset = tuple(subset)
-    if len(set(subset)) != k + 1:
-        raise PreconditionError(f"need a ({k + 1})-subset of distinct bricks, got {subset}")
-    for i in subset:
-        if not 0 <= i < len(sys.bricks):
-            raise PreconditionError(f"brick index {i} out of range")
-    sides = [sys.bricks[i].sides[k - 1] for i in subset]
-    total = checked_prod(sides)
-    return GeneratorSet(total // s for s in sides)
-
-
 def check_admissible(sys: BrickSystem) -> AdmissibilityReport:
     """First (axis, subset) whose products-over-one share a factor, if any."""
     for k in range(1, sys.n + 1):
@@ -131,16 +115,7 @@ def gn_bound(sys: BrickSystem) -> int:
     )
 
 
-def _xk_sets(sys: BrickSystem) -> dict[tuple[int, tuple[int, ...]], GeneratorSet]:
-    """Every X_k set, keyed by (k, subset), so each builds its tables once."""
-    return {
-        (k, subset): xk_generators(sys, k, subset)
-        for k in range(1, sys.n + 1)
-        for subset in combinations(range(sys.n + 1), k + 1)
-    }
-
-
-def _blocks(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...], sets) -> list:
+def _blocks(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...]) -> list:
     """Grid blocks (brick id, corner, sides) tiling the box by brick_ids.
 
     Along the last of the box's m axes each brick gives a run of w equal
@@ -149,17 +124,17 @@ def _blocks(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...]
     order.
     """
     m = len(sides)
-    # brick_ids is ascending, so it is the subset of an X_m set, and the
-    # lengths (m = 1) or heights (m > 1) along the last axis are X_m
-    gens = sets[(m, brick_ids)]
-    rep = represent(sides[m - 1], gens)
-    assert rep is not None, (sides, brick_ids)
-    weight = dict(zip(gens.generators, rep.coefficients))
     axis_sides = [sys.bricks[b].sides[m - 1] for b in brick_ids]
+    # the X_m set of these sides, total // side each, in int64: the slab
+    # heights (m > 1), or the segment lengths (m = 1, where total // side
+    # is the other brick's length), so weights are keyed by that value
+    total = checked_prod(axis_sides)
+    coeffs = quotient_representation(sides[m - 1], axis_sides)
+    assert coeffs is not None, (sides, brick_ids)
+    weight = {total // side: c for side, c in zip(axis_sides, coeffs)}
     if m == 1:
         runs = sorted(zip(axis_sides, brick_ids))
     else:
-        total = checked_prod(axis_sides)
         runs = [(total // side, b) for side, b in zip(axis_sides, brick_ids)]
     blocks, at = [], 0
     for h, b in runs:
@@ -169,7 +144,7 @@ def _blocks(sys: BrickSystem, sides: tuple[int, ...], brick_ids: tuple[int, ...]
         if m == 1:
             sub = [(b, (), ())]  # the segment itself, with no lower axes
         else:
-            sub = _blocks(sys, sides[:-1], tuple(i for i in brick_ids if i != b), sets)
+            sub = _blocks(sys, sides[:-1], tuple(i for i in brick_ids if i != b))
         for i, corner, block_sides in sub:
             blocks.append((i, corner + (at,), block_sides + (w * h,)))
         at += w * h
@@ -190,9 +165,8 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)
     n = sys.n
-    sets = _xk_sets(sys)
     blocks = [
         (index, identity_orientation(n), corner, sides)
-        for index, corner, sides in _blocks(sys, box.sides, tuple(range(n + 1)), sets)
+        for index, corner, sides in _blocks(sys, box.sides, tuple(range(n + 1)))
     ]
     return grid_blocks(box.sides, sys.bricks, blocks)

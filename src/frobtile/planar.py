@@ -37,6 +37,7 @@ from .model import (
     grid_blocks,
 )
 from .semigroup import (
+    checked_add,
     checked_mul,
     checked_prod,
     closed_form_primes,
@@ -198,11 +199,12 @@ def corollary1_threshold(p: int, q: int, r: int, s: int) -> int:
     tileable by the three bricks.  The value is 1 plus g_n of the three
     bricks: the largest of the pairwise Frobenius numbers g(p,r), g(p,s),
     g(r,s) and the Frobenius number 2qrs - (qr + qs + rs) of {qr, qs, rs},
-    each axis's sides being pairwise coprime; 2qrs must fit in int64.
+    each axis's sides being pairwise coprime; 2qrs and the value itself
+    must fit in int64.
     """
     system = _corollary1_system(p, q, r, s)
     checked_mul(2, checked_prod((q, r, s)))
-    return gn_bound(system) + 1
+    return checked_add(gn_bound(system), 1)
 
 
 def corollary1_construct(a1: int, a2: int, p: int, q: int, r: int, s: int) -> Tiling:

@@ -18,21 +18,27 @@ built one generator at a time: each generator a splits Z/mZ into cycles
 r, r + a, r + 2a, ... and relaxing a cycle once around from its minimum
 is exact.  Along a cycle that relaxation is a running minimum of
 dist[j] - j*a, so numpy does all cycles of one generator in one
-np.minimum.accumulate; below m = 128, or where the entries could leave
-int64, a Python loop does the same pass.  A GeneratorSet builds the
-tables of all its prefixes on first use, all numpy or all tuples, and
-keeps them for its lifetime; every operation reads them:
+np.minimum.accumulate.  A GeneratorSet builds the tables of all its
+prefixes on first use, as one chain of numpy arrays: int64 while the
+values its passes and readers meet fit, then object dtype (exact Python
+ints) for the passes that follow.  It keeps them for its lifetime;
+every operation reads them:
 
   * frobenius_general takes the table's maximum;
   * represent walks back from the largest generator, taking the largest
     coefficient that leaves a remainder in the semigroup of the smaller
     generators (read from that prefix's table; the largest such
     coefficient is among the top m candidates, which numpy tests at
-    once);
+    once while m times the generator fits int64);
   * reduce_brauer_shockley drops the generators representable over the
     rest (x is redundant exactly when x - y is in <S> for a smaller
     generator y, one table read each) and scales out common factors:
       g(d*t_1, ..., d*t_k, s) = d*g(t_1, ..., t_k, s) + (d-1)*s
+
+The products-over-one {P/a_i} of pairwise coprime a_i, the sets the
+tiling construction represents over, need no table: their Frobenius
+number (quotient_frobenius) and representations (quotient_representation,
+by the Chinese remainder theorem) have closed forms.
 
 Results are checked against a signed 64-bit contract: a Frobenius
 number beyond 2^63 - 1 raises OverflowError rather than silently
@@ -141,24 +147,9 @@ class Representation:
 # Apery tables
 # ---------------------------------------------------------------------------
 
-_INF = float("inf")
-
-# a numpy table's entry for a class its generators cannot reach: above
+# an int64 table's entry for a class its generators cannot reach: above
 # every real entry, and far enough below 2^63 that a pass cannot overflow
 _UNREACHED = INT64_MAX // 2
-
-# below this modulus the loop builds a table faster than numpy's fixed
-# cost per pass
-_VECTOR_MIN_M = 128
-
-
-def _vectorized(m: int, top: int) -> bool:
-    """Does numpy build the table of generators mod m up to top?
-
-    Real entries stay below m*top <= _UNREACHED, and a pass adds at most
-    m*top to an entry, so int64 holds every value when 2*m*top does.
-    """
-    return m >= _VECTOR_MIN_M and 2 * m * top <= INT64_MAX
 
 
 def _prefix_tables(gens: tuple[int, ...]) -> tuple:
@@ -166,65 +157,36 @@ def _prefix_tables(gens: tuple[int, ...]) -> tuple:
 
     gens is sorted ascending, of any gcd; table i - 2 is that of gens[:i]
     for i >= 2, one pass over table i - 3 (or over gens[:1]'s, which is
-    not kept: nothing reads it).  A class a prefix cannot reach holds
-    _INF in a tuple table and _UNREACHED in a numpy table.  The tables
-    are read-only numpy int64 arrays where _vectorized(m, gens[-1]) holds
-    and tuples otherwise, so one set never mixes the two.
+    not kept: nothing reads it).  Each table is a read-only numpy array.
+    Table i - 2 is read at targets below m*gens[i] (the last table at any
+    target, but it reaches every class), and a pass adds at most m*a to
+    an entry; so it is int64, with _UNREACHED for a class it cannot
+    reach, while 2*m*gens[i] fits int64 (2*m*gens[-1] for the last
+    table).  From the first table where that fails, the chain widens to
+    object dtype: exact Python ints, and math.inf for an unreached class.
     """
     m = gens[0]
-    if _vectorized(m, gens[-1]):
-        table = np.full(m, _UNREACHED, dtype=np.int64)
-        table[0] = 0
-        tables = []
-        for a in gens[1:]:
-            table = _relax_vector(table.copy(), a)
-            tables.append(table)
-        for table in tables:
-            table.flags.writeable = False
-        return tuple(tables)
-    dist = [0] + [_INF] * (m - 1)
-    return tuple(tuple(_relax_loop(dist, a)) for a in gens[1:])
-
-
-def _relax_loop(dist: list, a: int) -> list:
-    """Close dist under adding a, one pass per cycle a induces mod m.
-
-    Relaxing a cycle once around, starting from its minimum, is exact.
-    """
-    m = len(dist)
-    step = a % m
-    if step == 0:
-        return dist
-    n_cycles = math.gcd(m, step)
-    cycle_len = m // n_cycles
-    for r0 in range(n_cycles):
-        # locate the cycle minimum, then relax once around from it
-        r = r0
-        best_r, best = r0, dist[r0]
-        for _ in range(cycle_len - 1):
-            r = (r + step) % m
-            if dist[r] < best:
-                best_r, best = r, dist[r]
-        if best is _INF:
-            continue
-        r = best_r
-        cur = best
-        for _ in range(cycle_len - 1):
-            nxt = (r + step) % m
-            cand = cur + a
-            if cand < dist[nxt]:
-                dist[nxt] = cand
-            r, cur = nxt, dist[nxt]
-    return dist
+    table = np.full(m, _UNREACHED, dtype=np.int64)
+    table[0] = 0
+    tables = []
+    for i, a in enumerate(gens[1:], start=2):
+        if table.dtype != object and 2 * m * gens[min(i, len(gens) - 1)] > INT64_MAX:
+            table = table.astype(object)
+            table[table == _UNREACHED] = math.inf
+        table = _relax_vector(table.copy(), a)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def _relax_vector(dist: np.ndarray, a: int) -> np.ndarray:
-    """_relax_loop on an int64 array, all cycles at once.
+    """Close dist under adding a, all cycles a induces mod m at once.
 
+    Relaxing a cycle once around, starting from its minimum, is exact.
     Along a cycle r, r + a, r + 2a, ... (mod m) of length L, position t
     becomes t*a + min over j <= t of (dist[j] - j*a), or that minimum
     taken over the whole cycle plus L*a when the best source lies past
-    the row's end: one running minimum per row.
+    the row's end: one running minimum per row, computed in place.
     """
     m = dist.size
     step = a % m
@@ -233,11 +195,16 @@ def _relax_vector(dist: np.ndarray, a: int) -> np.ndarray:
     n_cycles = math.gcd(m, step)
     length = m // n_cycles
     # row r0 lists the residues of the cycle through r0, in walking order
-    order = np.arange(length, dtype=np.int64) * step % m + np.arange(n_cycles, dtype=np.int64)[:, None]
-    ramp = np.arange(length, dtype=np.int64) * a
-    run = np.minimum.accumulate(dist[order] - ramp, axis=1)
+    order = np.arange(length, dtype=np.int64) * step
+    order %= m
+    order = order + np.arange(n_cycles, dtype=np.int64)[:, None]
+    ramp = np.arange(length, dtype=dist.dtype) * a
+    run = dist[order]
+    run -= ramp
+    np.minimum.accumulate(run, axis=1, out=run)
     np.minimum(run, run[:, -1:] + length * a, out=run)
-    dist[order] = run + ramp
+    run += ramp
+    dist[order] = run
     return dist
 
 
@@ -257,9 +224,8 @@ def _largest_multiple(rem: int, prefix_table, s: int) -> int:
     """
     m = len(prefix_table)
     top, low = divmod(rem, s)
-    if isinstance(prefix_table, np.ndarray):
-        # the set's tables are numpy, so m*s <= _UNREACHED, and candidate
-        # c = top - j leaves low + j*s < m*s
+    if m * s <= INT64_MAX:
+        # candidate c = top - j leaves low + j*s < m*s, in int64
         left = low + s * np.arange(min(m, top + 1), dtype=np.int64)
         return top - int(np.argmax(prefix_table[left % m] <= left))
     for c in range(top, -1, -1):
@@ -267,10 +233,6 @@ def _largest_multiple(rem: int, prefix_table, s: int) -> int:
         if prefix_table[x % m] <= x:
             return c
     raise AssertionError(f"{rem} is not in the semigroup up to {s}")
-
-
-def _max_entry(table) -> int:
-    return int(table.max()) if isinstance(table, np.ndarray) else max(table)
 
 
 def _checked_g(g: int, gens: tuple[int, ...]) -> int:
@@ -298,7 +260,7 @@ def frobenius_general(S: GeneratorSet) -> int:
     gens = S.generators
     if len(gens) == 2:
         return frobenius_pair(*gens)
-    return _checked_g(_max_entry(S._tables[-1]) - gens[0], gens)
+    return _checked_g(int(S._tables[-1].max()) - gens[0], gens)
 
 
 def _frobenius_reduced(S: GeneratorSet) -> int:
@@ -323,7 +285,7 @@ def _frobenius_reduced(S: GeneratorSet) -> int:
         if d > 1:
             core = GeneratorSet([t // d for t in rest] + [kept[j]])
             return _checked_g(d * _frobenius_reduced(core) + (d - 1) * kept[j], gens)
-    return _checked_g(_max_entry(table) - gens[0], gens)
+    return _checked_g(int(table.max()) - gens[0], gens)
 
 
 def reduce_brauer_shockley(S: GeneratorSet) -> int:
@@ -422,6 +384,27 @@ def quotient_frobenius(values: Sequence[int]) -> int:
     prod = math.prod(values)
     gens = tuple(prod // a for a in values)
     return _checked_g((len(values) - 1) * prod - sum(gens), gens)
+
+
+def quotient_representation(x: int, values: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Coefficients c_i >= 0 with sum_i c_i * P/a_i = x, for pairwise coprime
+    a_i = values[i] >= 2 and P = a_0*...*a_k; or None if there are none.
+
+    Modulo a_i every P/a_j but P/a_i vanishes, so c_i = x * (P/a_i)^-1 is
+    fixed mod a_i.  Each c_i but the one on the largest generator
+    P/min(values) takes its least residue, and that one takes the slack:
+    the choice of represent(x, quotient_set(values)), lexicographically
+    greatest from the largest generator down.  Exact ints throughout;
+    the caller checks coprimality and any range of its own.
+    """
+    prod = math.prod(values)
+    big = values.index(min(values))
+    coeffs = [x * pow(prod // a, -1, a) % a for a in values]
+    slack = x - sum(c * (prod // a) for i, (c, a) in enumerate(zip(coeffs, values)) if i != big)
+    if slack < 0:
+        return None
+    coeffs[big] = slack // (prod // values[big])
+    return tuple(coeffs)
 
 
 def closed_form_primes(primes: Iterable[int]) -> int:

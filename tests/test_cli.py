@@ -64,6 +64,13 @@ class TestBound:
         )
         assert code == 0 and out.strip() == "198"
 
+    def test_corollary1_past_int64_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "corollary1", "--p", str(2**62 + 1), "--q", "5", "--r", "2", "--s", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: OverflowError:") and "64-bit contract" in err
+
     def test_prime_cubes(self, capsys):
         code, out, _ = run(capsys, "bound", "prime-cubes", "--primes", "2", "3", "5")
         assert code == 0 and out.strip() == "29"

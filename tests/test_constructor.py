@@ -15,7 +15,6 @@ from frobtile.constructor import (
     check_admissible,
     construct_box,
     gn_bound,
-    xk_generators,
 )
 from frobtile.errors import (
     BoundNotMetError,
@@ -25,7 +24,14 @@ from frobtile.errors import (
 )
 from frobtile.codec import encode
 from frobtile.model import BoxShape, Brick, Tiling, verify_full
-from frobtile.semigroup import frobenius_general, quotient_frobenius
+from frobtile.planar import corollary1_construct
+from frobtile.semigroup import (
+    frobenius_general,
+    quotient_frobenius,
+    quotient_representation,
+    quotient_set,
+    represent,
+)
 
 
 def rect_system():
@@ -52,16 +58,40 @@ def test_system_validation():
         BrickSystem([Brick((2, 2)), Brick((3, 3)), Brick((5, 5, 5))])
 
 
-def test_xk_generators():
-    sys = rect_system()
-    assert xk_generators(sys, 2, (0, 1, 2)).generators == (20, 28, 35)
-    assert xk_generators(sys, 1, (0, 1)).generators == (5, 6)
-    sq = squares_system([2, 3, 5])
-    assert xk_generators(sq, 2, (0, 1, 2)).generators == (6, 10, 15)
-    with pytest.raises(PreconditionError):
-        xk_generators(sys, 3, (0, 1, 2))
-    with pytest.raises(PreconditionError):
-        xk_generators(sys, 2, (0, 1))
+def test_quotient_set_of_brick_sides():
+    # the X_k sets of rect_system's axis 2 (all three bricks) and axis 1
+    # (bricks 0 and 1), and of the squares {2, 3, 5}
+    assert quotient_set([4, 7, 5]).generators == (20, 28, 35)
+    assert quotient_set([6, 5]).generators == (5, 6)
+    assert quotient_set([2, 3, 5]).generators == (6, 10, 15)
+
+
+def test_quotient_representation_matches_represent():
+    """The closed form is represent's lexicographically greatest choice,
+    coefficient i on the generator P/values[i]."""
+    rng = random.Random(18)
+    nones = 0
+    for k in (2, 3, 4):
+        for _ in range(150):
+            values = []
+            while len(values) < k:
+                v = rng.randint(2, 40)
+                if all(math.gcd(v, u) == 1 for u in values):
+                    values.append(v)
+            S, g, prod = quotient_set(values), quotient_frobenius(values), math.prod(values)
+            for x in (0, max(g - 1, 0), g, g + 1, rng.randrange(g + 2), g + rng.randint(1, 3 * prod)):
+                got = quotient_representation(x, values)
+                rep = represent(x, S)
+                if rep is None:
+                    assert got is None, (values, x)
+                    nones += 1
+                    continue
+                by_generator = dict(zip(S.generators, rep.coefficients))
+                assert got == tuple(by_generator[prod // a] for a in values), (values, x)
+    assert nones > 100
+    # 31 = 15 + 10 + 6; g(6, 10, 15) = 29
+    assert quotient_representation(31, [2, 3, 5]) == (1, 1, 1)
+    assert quotient_representation(29, [2, 3, 5]) is None
 
 
 def test_check_admissible():
@@ -125,11 +155,13 @@ def test_gn_bound_closed_form_matches_apery_tables():
         if not coprime:
             continue
         admissible += 1
-        general = [frobenius_general(S) for S in constructor._xk_sets(sys).values()]
-        closed = [
-            quotient_frobenius([sys.bricks[i].sides[k - 1] for i in subset])
-            for k, subset in constructor._xk_sets(sys)
+        xk_sides = [
+            [b.sides[k - 1] for b in bricks]
+            for k in range(1, n + 1)
+            for bricks in combinations(sys.bricks, k + 1)
         ]
+        general = [frobenius_general(quotient_set(sides)) for sides in xk_sides]
+        closed = [quotient_frobenius(sides) for sides in xk_sides]
         assert closed == general, sys
         assert gn_bound(sys) == max(general)
     assert admissible > 100
@@ -186,28 +218,22 @@ def test_construct_dimension_mismatch():
 
 
 def test_construct_checks_dimension_before_the_bound():
-    # a system with large sides can need a huge Apery table; a box of the
-    # wrong dimension is rejected without building one
-    with mock.patch.object(semigroup, "_prefix_tables", side_effect=AssertionError):
+    # a box of the wrong dimension is rejected before g_n is computed
+    with mock.patch.object(constructor, "gn_bound", side_effect=AssertionError):
         with pytest.raises(DimensionMismatchError):
             construct_box(BoxShape((30, 30, 30)), squares_system([2, 3, 5]))
 
 
-def test_construct_builds_each_xk_sets_tables_once(monkeypatch):
-    # distinct primes per axis, so the four X_2 sets and the X_3 set differ;
-    # the bound is in closed form, so only represent reads tables, and it
-    # reads each set's at most once
-    sys = mixed_system()
-    builds, read = [], set()
-    build, rep = semigroup._prefix_tables, constructor.represent
-    monkeypatch.setattr(semigroup, "_prefix_tables", lambda gens: builds.append(gens) or build(gens))
-    monkeypatch.setattr(constructor, "represent", lambda a, S: read.add(S.generators) or rep(a, S))
-    t = construct_box(BoxShape((384, 385, 386)), sys)
-    assert t.box.sides == (384, 385, 386)
-    tabled = {S.generators for S in constructor._xk_sets(sys).values() if len(S) > 2}
-    assert len(tabled) == 5
-    assert len(builds) == len(set(builds))
-    assert set(builds) == read & tabled
+def test_construct_box_builds_no_apery_table():
+    # every side is represented in closed form over its X_k set
+    with mock.patch.object(semigroup, "_prefix_tables", side_effect=AssertionError):
+        for build in (
+            lambda: construct_box(BoxShape((384,) * 3), squares_system([2, 3, 5, 7])),
+            lambda: construct_box(BoxShape((384, 385, 386)), mixed_system()),
+            lambda: corollary1_construct(198, 199, 6, 4, 5, 7),
+            lambda: construct_box(BoxShape((101,)), BrickSystem([Brick((4,)), Brick((9,))])),
+        ):
+            assert verify_full(build()).valid
 
 
 def test_construct_random_prime_systems():

@@ -195,6 +195,9 @@ class TestCorollary1:
     def test_threshold_at_the_int64_edge(self):
         # p * 3 leaves int64, g(p, 3) = 2p - 3 does not
         assert corollary1_threshold(2**62 - 3, 5, 2, 3) == 2**63 - 8
+        # g_n = g(p, 3) = 2^63 - 1 fits, the threshold 2^63 does not
+        with pytest.raises(OverflowError, match="64-bit contract"):
+            corollary1_threshold(2**62 + 1, 5, 2, 3)
         # 2qrs leaves int64, 2qrs - (qr + qs + rs) does not
         with pytest.raises(OverflowError, match="64-bit contract"):
             corollary1_threshold(5, 4194289, 1048577, 1048579)

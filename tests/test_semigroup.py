@@ -158,17 +158,52 @@ def test_scaling_identity():
 # Apery tables: the numpy pass, int64 headroom and table ownership
 # ---------------------------------------------------------------------------
 
+def relax_loop(dist, a):
+    """Close dist under adding a, one pass per cycle a induces mod m.
+
+    The reference for semigroup._relax_vector: relaxing a cycle once
+    around, starting from its minimum, is exact.
+    """
+    m = len(dist)
+    step = a % m
+    if step == 0:
+        return dist
+    n_cycles = math.gcd(m, step)
+    cycle_len = m // n_cycles
+    for r0 in range(n_cycles):
+        # locate the cycle minimum, then relax once around from it
+        r = r0
+        best_r, best = r0, dist[r0]
+        for _ in range(cycle_len - 1):
+            r = (r + step) % m
+            if dist[r] < best:
+                best_r, best = r, dist[r]
+        if best == math.inf:
+            continue
+        r = best_r
+        cur = best
+        for _ in range(cycle_len - 1):
+            nxt = (r + step) % m
+            cand = cur + a
+            if cand < dist[nxt]:
+                dist[nxt] = cand
+            r, cur = nxt, dist[nxt]
+    return dist
+
+
 def loop_table(gens):
     """The Apery table of ascending gens, built by the loop pass alone."""
-    dist = [0] + [semigroup._INF] * (gens[0] - 1)
+    dist = [0] + [math.inf] * (gens[0] - 1)
     for a in gens[1:]:
-        semigroup._relax_loop(dist, a)
+        relax_loop(dist, a)
     return tuple(dist)
 
 
 def as_loop_table(table):
-    """A numpy table in the loop's form: unreached classes hold _INF."""
-    return tuple(w if w < semigroup._UNREACHED else semigroup._INF for w in table.tolist())
+    """A numpy table in the loop's form: unreached classes hold math.inf."""
+    if table.dtype == object:
+        return tuple(table.tolist())
+    return tuple(w if w < semigroup._UNREACHED else math.inf for w in table.tolist())
 
 
 def loop_walk_back(a, gens):
@@ -212,44 +247,77 @@ def numpy_path_sets(rng, count):
     return out
 
 
+def small_sets(rng, count):
+    """Valid sets with m in [2, 127] and 3 to 6 generators."""
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 127)
+        k = rng.randint(3, 6)
+        gens = {m}
+        while len(gens) < k:
+            gens.add(rng.randint(m + 1, 4 * m + 8))
+        gens = tuple(sorted(gens))
+        if math.gcd(*gens) == 1:
+            out.append(gens)
+    return out
+
+
+# sets past the int64 headroom, each with the number of its tables that
+# stay int64; the chain widens to exact Python ints for its last passes
+WIDENED = {
+    (3000, 3001, 3007, 3011, 2**56 + 1): 2,
+    (20000, 20001, 20011, 2**50 + 3): 1,
+}
+
+
 def test_numpy_pass_matches_the_loop():
     rng = random.Random(2026)
-    sets = numpy_path_sets(rng, 12)
+    sets = numpy_path_sets(rng, 12) + small_sets(rng, 12)
     assert any(math.gcd(g[0], g[i] % g[0]) > 1 for g in sets for i in range(1, len(g)))
     assert any(g[i] % g[0] == 0 for g in sets for i in range(1, len(g)))
-    for gens in sets:
+    for gens in sets + list(WIDENED):
         S = GeneratorSet(gens)
         # one table per prefix of two or more generators
         assert len(S._tables) == len(gens) - 1
+        narrow = WIDENED.get(gens, len(gens) - 1)
         for i, table in enumerate(S._tables, start=2):
-            assert isinstance(table, np.ndarray), gens[:i]
+            assert table.dtype == (np.int64 if i - 2 < narrow else object), gens[:i]
             # prefixes of gcd > 1 leave classes unreached
             assert as_loop_table(table) == loop_table(gens[:i]), gens[:i]
         g = frobenius_general(S)
         assert g == max(loop_table(gens)) - gens[0]
         assert reduce_brauer_shockley(S) == g, gens
+        # reachability masks up to g are too long past the headroom
+        reference = loop_walk_back if gens in WIDENED else walk_back_representation
         for a in (0, g, g + 1, rng.randint(0, g), g + 1 + rng.randrange(gens[0])):
             rep = represent(a, S)
-            assert (rep and rep.coefficients) == walk_back_representation(a, gens), (a, gens)
+            assert (rep and rep.coefficients) == reference(a, gens), (a, gens)
 
 
 def test_int64_headroom_keeps_exact_python_ints():
-    # 2*m*max(S) > 2^63 - 1: the loop builds these tables, in Python ints
+    # 2*m*max(S) > 2^63 - 1: every table of this set holds Python ints
     gens = (300, 2**54 + 1, 2**54 + 7)
     S = GeneratorSet(gens)
-    assert all(isinstance(table, tuple) for table in S._tables)
-    assert len(S._tables) == len(gens) - 1
+    assert [table.dtype for table in S._tables] == [object, object]
     table = S._tables[-1]
-    assert table == loop_table(gens)
+    assert as_loop_table(table) == loop_table(gens)
     g = max(table) - 300
     assert frobenius_general(S) == g == 558446353793941289
     assert reduce_brauer_shockley(S) == g
-    # its prefix (256, 300) alone would take numpy; one set never mixes forms
+    # table i - 2 stays int64 while 2*m*gens[i], the generator whose
+    # coefficient it picks, fits: (256, 300) alone is int64, but in these
+    # sets it is read at targets past 2^62, so it widens, with math.inf
+    # for the classes its gcd of 4 leaves unreached
     mixed = (256, 300, 2**55 + 3, 2**56 + 1)
-    assert isinstance(GeneratorSet(mixed[:2])._tables[-1], np.ndarray)
-    assert all(isinstance(table, tuple) for table in GeneratorSet(mixed)._tables)
-    for gens in (gens, mixed):
+    edge = (256, 300, 2**61 + 1)
+    assert GeneratorSet(mixed[:2])._tables[-1].dtype == np.int64
+    for wide in (mixed, edge):
+        assert all(table.dtype == object for table in GeneratorSet(wide)._tables)
+        assert math.inf in GeneratorSet(wide)._tables[0].tolist()
+    for gens in (gens, mixed, edge) + tuple(WIDENED):
         S = GeneratorSet(gens)
+        for i, table in enumerate(S._tables, start=2):
+            assert as_loop_table(table) == loop_table(gens[:i]), gens[:i]
         g = frobenius_general(S)
         assert g == max(loop_table(gens)) - gens[0]
         assert reduce_brauer_shockley(S) == g
@@ -257,6 +325,12 @@ def test_int64_headroom_keeps_exact_python_ints():
         for a in (g + 1, g + 12_345, g // 2, 2**63 + 7):
             rep = represent(a, S)
             assert (rep and rep.coefficients) == loop_walk_back(a, gens), (a, gens)
+    # here the coefficient of 2^61 + 1 is 0: candidates 3, 2 and 1 leave
+    # remainders in classes 1, 2 and 3 mod 4, which (256, 300) never
+    # reaches; the last lies past 2^62, where an int64 table's _UNREACHED
+    # would pass it as a member
+    a = 6917529027641100504
+    assert represent(a, GeneratorSet(edge)).coefficients == loop_walk_back(a, edge) == (9, 23058430092136994, 0)
     assert frobenius_general(GeneratorSet([3, 4, 2**62])) == 5
 
 
