@@ -4,6 +4,11 @@ Exit codes: 0 success (including "tileable" and Valid), 1 clean
 negative (not tileable, not representable, Invalid, Infeasible),
 2 bad input or violated precondition, 3 resource limits hit.
 Every failure is a single stderr line "error: <Type>: <message>".
+
+main builds its parser once per process, on its first call, and parses
+every later argv with it: the parser depends on no input, and argparse
+keeps no state between parse_args calls.  build_parser returns a fresh
+one.
 """
 
 from __future__ import annotations
@@ -384,9 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (SearchLimitError, CapExceededError) as exc:

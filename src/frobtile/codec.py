@@ -16,7 +16,9 @@ Layout:
 Every placement line follows one layout (_layout): fixed literal text
 around 2n + 1 integers, the brick index, the orientation and the
 origin, each written as its shortest decimal.  encode fills the lines
-into byte matrices from that layout.  decode reads a document in that
+into byte matrices from that layout; under the fixed policy the
+orientation, the identity on every line, is part of the literal text,
+so a line has n + 1 numbers to fill.  decode reads a document in that
 layout straight into columns (_canonical), a window of whole lines at a
 time.  In a window it finds the runs of digits once, and the text left
 when the digits are deleted must be the layout's literal text, once per
@@ -48,7 +50,7 @@ from typing import Union
 import numpy as np
 
 from .errors import FrobtileError, TilingParseError
-from .model import BoxShape, Brick, Placement, Tiling
+from .model import ROTATION_FIXED, BoxShape, Brick, Placement, Tiling
 
 FORMAT_TAG = "tiling/1"
 
@@ -83,11 +85,16 @@ def _group_table() -> np.ndarray:
 _GROUPS = _group_table()
 
 
-def _layout(n: int) -> list[bytes]:
+def _layout(n: int, fixed: bool = False) -> list[bytes]:
     """The literal text around a placement line's 2n + 1 integers (brick,
-    orientation, origin), the last piece closing the line."""
+    orientation, origin), the last piece closing the line; with fixed,
+    the identity orientation is literal text and n + 1 integers remain."""
     between = [b", "] * (n - 1)
-    return [b'    {"brick": ', b', "orientation": [', *between, b'], "origin": [', *between, b"]},\n"]
+    layout = [b'    {"brick": ', b', "orientation": [', *between, b'], "origin": [', *between, b"]},\n"]
+    if fixed:
+        orientation = b"".join(piece + b"%d" % j for j, piece in enumerate(layout[1 : n + 1]))
+        layout[1 : n + 2] = [orientation + layout[n + 1]]
+    return layout
 
 
 def _decimals(values: np.ndarray, groups: int) -> np.ndarray:
@@ -104,14 +111,16 @@ def _decimals(values: np.ndarray, groups: int) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _placement_lines(brick_index, orientation, origin):
+def _placement_lines(t: Tiling):
     """The placement lines, _LINES_CHUNK lines per string; the last line
     ends without its comma."""
-    layout = _layout(origin.shape[1])
-    m = len(brick_index)
+    fixed = t.rotation_policy == ROTATION_FIXED
+    layout = _layout(t.dimension, fixed)
+    m = len(t.brick_index)
     for s in range(0, m, _LINES_CHUNK):
         e = min(s + _LINES_CHUNK, m)
-        columns = [brick_index[s:e], *orientation[s:e].T, *origin[s:e].T]
+        orientation = [] if fixed else t.orientation[s:e].T
+        columns = [t.brick_index[s:e], *orientation, *t.origin[s:e].T]
         groups = [(len(str(c.max())) + 2) // 3 for c in columns]
         template = layout[0] + b"".join(b"\0" * 4 * g + text for g, text in zip(groups, layout[1:]))
         lines = np.empty((e - s, len(template)), dtype=np.uint8)
@@ -143,8 +152,7 @@ def encode(t: Tiling) -> str:
             _PLACEMENTS_OPEN,
         ]
     )
-    lines = _placement_lines(t.brick_index, t.orientation, t.origin)
-    return "".join([head, *lines, _PLACEMENTS_CLOSE])
+    return "".join([head, *_placement_lines(t), _PLACEMENTS_CLOSE])
 
 
 def _is_int(v) -> bool:

@@ -4,7 +4,10 @@ A tiling is a box, a list of brick types, and m axis-aligned placements
 stored column-wise as three int64 arrays: ``brick_index`` (m,),
 ``orientation`` (m, n) and ``origin`` (m, n).  Placement i puts brick
 ``brick_index[i]`` at ``origin[i]``, with brick axis ``orientation[i, j]``
-along box axis j.  The columns are all a tiling stores:
+along box axis j.  Under the fixed policy every orientation is the
+identity, so ``orientation`` is a read-only view of one identity row
+(row stride 0), whatever the caller passed once it has been validated.
+The columns are all a tiling stores:
 ``Tiling.placements`` builds a fresh tuple of ``Placement`` objects from
 them on every read, for callers that want one object per placement.
 
@@ -19,10 +22,11 @@ which is what verify_full tests.  It decides (ii) with a difference
 array: each placement adds +1 and -1 at the 2^n corners of its box,
 and n cumulative sums turn that into the number of placements covering
 every cell.  Coordinates are first compressed to the placements' own
-breakpoints, so a few large bricks in a huge box cost a few cells, and
-the raster is built in slabs along axis 0 under a fixed cell budget
-(RASTER_SLAB_CELLS, or one plane if that is larger), so memory stays
-bounded on any box.  Time is linear in cells plus placements, after a
+breakpoints, so a few large bricks in a huge box cost a few cells; the
+compressed coordinates and the corner offsets are int32 while the
+padded raster has fewer than 2^31 cells.  The raster is built in slabs
+along axis 0 under a fixed cell budget (RASTER_SLAB_CELLS, or one plane
+if that is larger), so memory stays bounded on any box.  Time is linear in cells plus placements, after a
 few sorts of the placements' coordinates.  The fit check (i) compares
 origins with box - extent, so an origin near the int64 limit cannot
 wrap around into the box.  verify_sampled swaps (ii) for a randomized
@@ -152,6 +156,12 @@ def _row_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return out
 
 
+def _identity_rows(m: int, n: int) -> np.ndarray:
+    """(m, n) identity orientations: one read-only int64 row, row stride 0."""
+    row = np.arange(n, dtype=np.int64).tobytes()
+    return np.ndarray((m, n), dtype=np.int64, buffer=row, strides=(0, 8))
+
+
 def _readonly(a) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.int64)
     a.flags.writeable = False
@@ -203,7 +213,9 @@ class Tiling:
         """A tiling from column arrays, validated like the constructor.
 
         Arrays that already are contiguous int64 are kept, not copied,
-        and are made read-only.
+        and are made read-only.  Under the fixed policy the orientation
+        may be one row for all placements; once checked, it is replaced
+        by a view of the identity row.
         """
         t = object.__new__(cls)
         t._fill(box, tuple(bricks), brick_index, orientation, origin, rotation_policy, None)
@@ -219,8 +231,15 @@ class Tiling:
                     f"brick {b.sides} has dimension {b.dimension}, box has {n}"
                 )
         brick_index = _readonly(brick_index)
-        orientation = _readonly(orientation)
         origin = _readonly(origin)
+        fixed = policy == ROTATION_FIXED
+        if fixed:
+            # checked as given, where one row may stand for all, then dropped
+            orientation = np.asarray(orientation, dtype=np.int64)
+            if orientation.shape != origin.shape:
+                orientation = np.broadcast_to(orientation, origin.shape)
+        else:
+            orientation = _readonly(orientation)
         bad = _first_bad_placement(len(bricks), brick_index, orientation, origin, policy)
         if bad is not None:
             i, check = bad
@@ -231,6 +250,8 @@ class Tiling:
                     int(brick_index[i]), tuple(orientation[i].tolist()), tuple(origin[i].tolist())
                 )
             raise PreconditionError(_PLACEMENT_ERRORS[check].format(i=i, p=p))
+        if fixed:
+            orientation = _identity_rows(len(origin), n)
         set_ = object.__setattr__
         set_(self, "box", box)
         set_(self, "bricks", bricks)
@@ -242,9 +263,13 @@ class Tiling:
     def __setattr__(self, name, value):
         raise AttributeError(f"Tiling is immutable; cannot set {name!r}")
 
+    def _columns(self) -> tuple:
+        """The columns, with a fixed-policy orientation as its one row."""
+        fixed = self.rotation_policy == ROTATION_FIXED
+        return self.brick_index, self.orientation[:1] if fixed else self.orientation, self.origin
+
     def __reduce__(self):
-        columns = (self.brick_index, self.orientation, self.origin)
-        return Tiling.from_arrays, (self.box, self.bricks, *columns, self.rotation_policy)
+        return Tiling.from_arrays, (self.box, self.bricks, *self._columns(), self.rotation_policy)
 
     @property
     def dimension(self) -> int:
@@ -281,22 +306,12 @@ class Tiling:
             self.box == other.box
             and self.bricks == other.bricks
             and self.rotation_policy == other.rotation_policy
-            and np.array_equal(self.brick_index, other.brick_index)
-            and np.array_equal(self.orientation, other.orientation)
-            and np.array_equal(self.origin, other.origin)
+            and all(map(np.array_equal, self._columns(), other._columns()))
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.box,
-                self.bricks,
-                self.rotation_policy,
-                self.brick_index.tobytes(),
-                self.orientation.tobytes(),
-                self.origin.tobytes(),
-            )
-        )
+        columns = tuple(c.tobytes() for c in self._columns())
+        return hash((self.box, self.bricks, self.rotation_policy, columns))
 
     def __repr__(self) -> str:
         return (
@@ -311,6 +326,9 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
     if m == 0:
         return None
     ident = np.arange(n)
+    if orientation.strides[0] == 0:
+        # one row repeated: check it once
+        orientation = orientation[:1]
     sorted_orientation = orientation if policy == ROTATION_FIXED else np.sort(orientation, axis=1)
     if (
         not np.count_nonzero(sorted_orientation != ident)
@@ -320,12 +338,13 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
     ):
         return None
     not_perm = (np.sort(orientation, axis=1) != ident).any(axis=1)
+    not_identity = (orientation != ident).any(axis=1) & (policy == ROTATION_FIXED)
     checks = np.stack(
         [
             (brick_index < 0) | (brick_index >= nbricks),
             (origin < 0).any(axis=1),
-            not_perm,
-            (orientation != ident).any(axis=1) & (policy == ROTATION_FIXED),
+            np.broadcast_to(not_perm, (m,)),
+            np.broadcast_to(not_identity, (m,)),
         ]
     )
     i = int(np.argmax(checks.any(axis=0)))
@@ -412,20 +431,18 @@ def _check_volume(t: Tiling, mode: str) -> Optional[VerifyReport]:
 def _corner_terms(lo: np.ndarray, hi: np.ndarray, strides: Sequence[int]):
     """Flat offsets (2^k, m) and signs (2^k,) of the corners over the given axes.
 
-    lo and hi hold one row of m coordinates per axis.  Corner c takes hi
-    on the axes whose bit is set and lo elsewhere; its sign is -1 to the
-    number of hi coordinates.
+    lo and hi hold one row of m coordinates per axis, of the offsets'
+    dtype: the caller sees that every offset fits it.  A corner takes hi
+    on some axes and lo on the others; its sign is -1 to the number of
+    hi coordinates.  The 2^(k-1) corners of sign +1 come first.
     """
     k = len(strides)
-    offsets = np.zeros((2**k, lo.shape[1]), dtype=np.int64)
-    signs = np.ones(2**k, dtype=np.int32)
-    for c in range(2**k):
+    corners = sorted(range(2**k), key=lambda c: bin(c).count("1") % 2)
+    offsets = np.zeros((2**k, lo.shape[1]), dtype=lo.dtype)
+    for row, c in enumerate(corners):
         for axis, stride in enumerate(strides):
-            if c >> axis & 1:
-                offsets[c] += hi[axis] * stride
-                signs[c] = -signs[c]
-            else:
-                offsets[c] += lo[axis] * stride
+            offsets[row] += (hi if c >> axis & 1 else lo)[axis] * stride
+    signs = np.repeat(np.array([1, -1], dtype=np.int32), 2 ** (k - 1))
     return offsets, signs
 
 
@@ -434,32 +451,36 @@ def _raster_slabs(lo: np.ndarray, hi: np.ndarray, shape: Sequence[int]):
 
     counts has one extra plane of padding on every axis but 0, which
     stays zero.  Each placement adds +1 or -1 at each of its corners,
-    kept as offsets into the whole padded raster.  With several slabs
+    kept as offsets into the whole padded raster, of lo's dtype (which
+    must hold them: int32 below 2^31 padded cells).  With several slabs
     the +1 and the -1 offsets are each sorted once, in place, so a slab
     adds one run of each.  Every axis of a slab is then summed, and the
-    last row of the previous slab is carried in.
+    last row of the previous slab is carried in.  The slabs share one
+    buffer, so counts holds only until the next slab is asked for.
     """
     plane_shape = tuple(s + 1 for s in shape[1:])
     plane = math.prod(plane_shape)
     strides = [math.prod(plane_shape[k:]) for k in range(len(shape))]
     rows_per_slab = max(1, RASTER_SLAB_CELLS // plane)
-    at, signs = _corner_terms(lo.T, hi.T, strides)
-    corners = [(at[signs == sign].reshape(-1), sign) for sign in (1, -1)]
-    del at
+    at, _ = _corner_terms(lo.T, hi.T, strides)
+    half = len(at) // 2
+    # the sign as an int32 scalar: np.add.at with a Python int is ~20x slower
+    corners = [(at[:half].reshape(-1), np.int32(1)), (at[half:].reshape(-1), np.int32(-1))]
     several = rows_per_slab < shape[0]
     if several:
         for offsets, _ in corners:
             offsets.sort()
+    # a spare last row takes the far corners at the end of the box
+    slab = np.empty((min(rows_per_slab, shape[0]) + 1,) + plane_shape, dtype=np.int32)
     carry = 0
     for row0 in range(0, shape[0], rows_per_slab):
         row1 = min(row0 + rows_per_slab, shape[0])
-        # a spare last row takes the far corners at the end of the box
-        counts = np.zeros((row1 - row0 + 1,) + plane_shape, dtype=np.int32)
+        counts = slab[: row1 - row0 + 1]
+        counts.fill(0)
         for offsets, sign in corners:
             if several:
                 offsets = offsets[slice(*np.searchsorted(offsets, (row0 * plane, row1 * plane)))]
-            weights = np.full(len(offsets), sign, dtype=np.int32)
-            np.add.at(counts.reshape(-1), offsets - row0 * plane, weights)
+            np.add.at(counts.reshape(-1), offsets - row0 * plane, sign)
         counts = counts[:-1]
         for axis in range(counts.ndim):
             np.cumsum(counts, axis=axis, dtype=np.int32, out=counts)
@@ -504,14 +525,18 @@ def _first_overlap(lo: np.ndarray, hi: np.ndarray) -> Optional[tuple[int, int]]:
         return None
     # compress each axis to the placements' breakpoints: every compressed
     # cell is covered wholly or not at all by each placement
-    clo = np.empty_like(lo)
-    chi = np.empty_like(hi)
-    shape = []
-    for k in range(n):
-        points, inverse = np.unique(np.concatenate([lo[:, k], hi[:, k]]), return_inverse=True)
-        inverse = inverse.reshape(-1)
-        clo[:, k], chi[:, k] = inverse[:m], inverse[m:]
-        shape.append(len(points) - 1)
+    points = [np.unique(np.concatenate([lo[:, k], hi[:, k]])) for k in range(n)]
+    shape = [len(p) - 1 for p in points]
+    # every corner offset lies in the raster padded on each axis, so the
+    # compressed corners and their offsets are int32 while it is below 2^31
+    padded = math.prod(s + 1 for s in shape)
+    dtype = np.int32 if padded < 2**31 else np.int64
+    clo = np.empty(lo.shape, dtype=dtype)
+    chi = np.empty(hi.shape, dtype=dtype)
+    for k, p in enumerate(points):
+        clo[:, k] = np.searchsorted(p, lo[:, k])
+        chi[:, k] = np.searchsorted(p, hi[:, k])
+    del points
     first = m
     for row0, counts in _raster_slabs(clo, chi, shape):
         if counts.max() > 1:
@@ -653,8 +678,14 @@ def grid_blocks(
     orientation[j] along box axis j; the oriented brick sides must divide
     the block's.  The blocks should fill the box exactly: that is the
     verifier's to check.  Placements come in lexicographic origin order.
+    Under the fixed policy, where every block should have the identity
+    orientation, no orientation column is built: Tiling gets the one row.
     """
     n = len(box_sides)
+    # a fixed-policy block that is not the identity gets its rows, so that
+    # Tiling names its first placement
+    identity = identity_orientation(n)
+    one_row = policy == ROTATION_FIXED and all(tuple(b[1]) == identity for b in blocks)
     columns = []
     inside = True  # every block lies within the box
     for index, orientation, corner, sides in blocks:
@@ -675,14 +706,17 @@ def grid_blocks(
             steps = np.arange(corner[k], corner[k] + sides[k], extents[k])
             origin[..., k] = steps.reshape([-1] + [1] * (n - 1 - k))
         origin = origin.reshape(-1, n)
-        brick_index = np.full(len(origin), index, dtype=np.int64)
-        columns.append((brick_index, np.full(origin.shape, orientation, dtype=np.int64), origin))
+        column = [np.full(len(origin), index, dtype=np.int64), origin]
+        if not one_row:
+            column.insert(1, np.full(origin.shape, orientation, dtype=np.int64))
+        columns.append(column)
     if len(columns) == 1:
         # one grid is already in origin order
-        brick_index, orientation, origin = columns[0]
+        columns = columns[0]
     else:
-        brick_index, orientation, origin = map(np.concatenate, zip(*columns))
-        del columns  # free the blocks' columns before the sort copies them
+        # the blocks' columns are freed before the sort copies them
+        columns = [np.concatenate(c) for c in zip(*columns)]
+        origin = columns[-1]
         # lexicographic origin order; ties keep block order.  Origins in
         # the box sort so by their row-major offset, which fits int64 while
         # the box's volume does
@@ -691,10 +725,11 @@ def grid_blocks(
             order = np.argsort(origin @ np.array(strides, dtype=np.int64), kind="stable")
         else:
             order = np.lexsort(origin.T[::-1])
-        brick_index, orientation, origin = brick_index[order], orientation[order], origin[order]
-    return Tiling.from_arrays(
-        BoxShape(box_sides), bricks, brick_index, orientation, origin, rotation_policy=policy
-    )
+        del origin
+        columns = [c[order] for c in columns]
+    if one_row:
+        columns.insert(1, _identity_rows(len(columns[0]), n))
+    return Tiling.from_arrays(BoxShape(box_sides), bricks, *columns, rotation_policy=policy)
 
 
 def grid_fill(box: BoxShape, brick: Brick) -> Tiling:

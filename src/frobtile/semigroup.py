@@ -194,15 +194,17 @@ def _relax_vector(dist: np.ndarray, a: int) -> np.ndarray:
         return dist
     n_cycles = math.gcd(m, step)
     length = m // n_cycles
-    # row r0 lists the residues of the cycle through r0, in walking order
-    order = np.arange(length, dtype=np.int64) * step
+    # row r0 lists the residues of the cycle through r0, in walking order;
+    # one cycle is one row, with no second axis
+    order = np.arange(0, length * step, step, dtype=np.int64)
     order %= m
-    order = order + np.arange(n_cycles, dtype=np.int64)[:, None]
-    ramp = np.arange(length, dtype=dist.dtype) * a
+    if n_cycles > 1:
+        order = order + np.arange(n_cycles, dtype=np.int64)[:, None]
+    ramp = np.arange(0, length * a, a, dtype=dist.dtype)
     run = dist[order]
     run -= ramp
-    np.minimum.accumulate(run, axis=1, out=run)
-    np.minimum(run, run[:, -1:] + length * a, out=run)
+    np.minimum.accumulate(run, axis=-1, out=run)
+    np.minimum(run, run[..., -1:] + length * a, out=run)
     run += ramp
     dist[order] = run
     return dist

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from frobtile import cli
 from frobtile.cli import main
 from frobtile.codec import load_tiling
 from frobtile.model import verify_full
@@ -309,6 +310,40 @@ class TestRender:
         with pytest.raises(SystemExit) as info:
             main(["frob"])
         assert info.value.code == 2
+
+
+def test_main_keeps_one_parser(capsys, monkeypatch):
+    """Calls through main's one parser match calls through a fresh one."""
+    calls = [
+        (["decide", "two-squares", "--box", "12x13", "--x", "two", "--y", "3"], 2),
+        (["frob", "pair", "--gens", "4", "6"], 2),
+        (["decide", "two-squares", "--box", "5x5", "--x", "2", "--y", "3"], 1),
+        (["decide", "two-squares", "--box", "12x13", "--x", "2", "--y", "3"], 0),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    outcome(["frob", "pair", "--gens", "5", "7"])
+    parser = cli._PARSER
+    shared = [outcome(argv) for argv, _ in calls]
+    assert cli._PARSER is parser
+    fresh = []
+    for argv, _ in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [code for _, code in calls]
+    argparse_err = shared[0][2]
+    assert argparse_err.startswith("error: ArgumentError:") and argparse_err.count("\n") == 1
+    assert shared[1][2].startswith("error: NonCoprimeError:")
+    assert shared[3][1].startswith("tileable")
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_console_entry_point():

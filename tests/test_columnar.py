@@ -174,6 +174,24 @@ def test_verify_full_slabs_match_one_raster(t, budget):
         assert_matches_pairwise(t)
 
 
+@SETTINGS
+@given(corrupted(any_tiling), st.integers(1, 40))
+def test_raster_slabs_int32_matches_int64(t, budget):
+    # verify_full holds corners and offsets in int32 while the padded
+    # raster has fewer than 2^31 cells, in int64 past that
+    extents = t.oriented_extents()
+    assume(model._check_fits(t, t.origin, extents, "full") is None)
+    lo, hi = t.origin, t.origin + extents
+    slabs = []
+    with mock.patch.object(model, "RASTER_SLAB_CELLS", budget):
+        for dtype in (np.int32, np.int64):
+            corners = lo.astype(dtype), hi.astype(dtype)
+            slabs.append([(row0, c.copy()) for row0, c in model._raster_slabs(*corners, t.box.sides)])
+    narrow, wide = slabs
+    assert [r for r, _ in narrow] == [r for r, _ in wide]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(narrow, wide))
+
+
 # placements whose far corner, origin + side, lies beyond 2^63 - 1
 NEAR_INT64_MAX = [
     ([4], [2], [[0], [2**63 - 2]], 1),

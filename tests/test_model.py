@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import pickle
 import random
 import re
 
@@ -92,6 +93,45 @@ def test_tiling_stores_only_its_columns():
         assert first == tuple(Placement(0, (0, 1), (x, y)) for x in (0, 2) for y in (0, 3))
         assert all(type(v) is int for p in first for v in (p.brick_index, *p.orientation, *p.origin))
         assert not _holds_placement_tuple(t)
+
+
+def test_fixed_policy_orientation_is_one_row():
+    """Every way to a fixed-policy tiling holds a one-row orientation view."""
+    witness = tile_square_235p(43, 5).witness  # several grid blocks
+    m, n = witness.origin.shape
+    identity = np.tile(np.arange(n, dtype=np.int64), (m, 1))
+    explicit = Tiling.from_arrays(
+        witness.box, witness.bricks, witness.brick_index, identity, witness.origin
+    )
+    built = [
+        witness,
+        grid_fill(BoxShape((4, 6)), Brick((2, 3))),
+        decode(encode(witness)),
+        Tiling(witness.box, witness.bricks, witness.placements),
+        explicit,
+    ]
+    for t in built:
+        assert t.rotation_policy == "fixed"
+        assert t.orientation.shape == t.origin.shape and t.orientation.strides[0] == 0
+        assert not t.orientation.flags.writeable
+        assert (t.orientation == np.arange(t.dimension)).all()
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and back.orientation.strides[0] == 0
+        # the pickle carries the one row, not m copies of it
+        assert len(t.__reduce__()[1][3]) <= 1
+    for t in built[2:]:
+        assert t.placements == witness.placements
+        assert t == explicit and hash(t) == hash(explicit)
+    # a non-identity row is still rejected, as a column or as the one row
+    rotated = identity.copy()
+    rotated[3] = np.arange(n)[::-1]
+    message = "placement 3: non-identity orientation under the fixed policy"
+    with pytest.raises(PreconditionError, match=message):
+        Tiling.from_arrays(witness.box, witness.bricks, witness.brick_index, rotated, witness.origin)
+    with pytest.raises(PreconditionError, match=message.replace("3", "0")):
+        Tiling.from_arrays(
+            witness.box, witness.bricks, witness.brick_index, rotated[3], witness.origin
+        )
 
 
 def test_structural_error_names_the_callers_origin():
