@@ -92,6 +92,7 @@ def _layout(n: int, fixed: bool = False) -> list[bytes]:
     between = [b", "] * (n - 1)
     layout = [b'    {"brick": ', b', "orientation": [', *between, b'], "origin": [', *between, b"]},\n"]
     if fixed:
+        # the identity's digits fill the orientation's n fields
         orientation = b"".join(piece + b"%d" % j for j, piece in enumerate(layout[1 : n + 1]))
         layout[1 : n + 2] = [orientation + layout[n + 1]]
     return layout

@@ -326,25 +326,23 @@ def _first_bad_placement(nbricks, brick_index, orientation, origin, policy):
     if m == 0:
         return None
     ident = np.arange(n)
-    if orientation.strides[0] == 0:
-        # one row repeated: check it once
-        orientation = orientation[:1]
-    sorted_orientation = orientation if policy == ROTATION_FIXED else np.sort(orientation, axis=1)
+    # one row repeated (row stride 0) is checked once
+    rows = orientation[:1] if orientation.strides[0] == 0 else orientation
+    sorted_rows = rows if policy == ROTATION_FIXED else np.sort(rows, axis=1)
     if (
-        not np.count_nonzero(sorted_orientation != ident)
+        not np.count_nonzero(sorted_rows != ident)
         and brick_index.min() >= 0
         and brick_index.max() < nbricks
         and origin.min() >= 0
     ):
         return None
     not_perm = (np.sort(orientation, axis=1) != ident).any(axis=1)
-    not_identity = (orientation != ident).any(axis=1) & (policy == ROTATION_FIXED)
     checks = np.stack(
         [
             (brick_index < 0) | (brick_index >= nbricks),
             (origin < 0).any(axis=1),
-            np.broadcast_to(not_perm, (m,)),
-            np.broadcast_to(not_identity, (m,)),
+            not_perm,
+            (orientation != ident).any(axis=1) & (policy == ROTATION_FIXED),
         ]
     )
     i = int(np.argmax(checks.any(axis=0)))
