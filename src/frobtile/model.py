@@ -26,13 +26,14 @@ breakpoints, so a few large bricks in a huge box cost a few cells; the
 compressed coordinates and the corner offsets are int32 while the
 padded raster has fewer than 2^31 cells.  The raster is built in slabs
 along axis 0 under a fixed cell budget (RASTER_SLAB_CELLS, or one plane
-if that is larger), so memory stays bounded on any box.  Time is linear in cells plus placements, after a
-few sorts of the placements' coordinates.  The fit check (i) compares
-origins with box - extent, so an origin near the int64 limit cannot
-wrap around into the box.  verify_sampled swaps (ii) for a randomized
-unit-cell coverage check: it draws seeded random cells and asserts
-each is covered exactly once, testing candidates from a bucket grid
-against contiguous columns of origins and extents, one axis at a time.
+if that is larger), so memory stays bounded on any box.  Time is linear
+in cells plus placements, after a few sorts of the placements'
+coordinates.  The fit check (i) compares origins with box - extent, so
+an origin near the int64 limit cannot wrap around into the box.
+verify_sampled swaps (ii) for a randomized unit-cell coverage check: it
+draws seeded random cells and asserts each is covered exactly once,
+testing candidates from a bucket grid against contiguous columns of
+origins and extents, one axis at a time.
 
 Construction-time validation is structural only (dimensions, index
 ranges, permutation validity) and runs once per tiling, vectorized;
@@ -156,10 +157,10 @@ def _row_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return out
 
 
-def _identity_rows(m: int, n: int) -> np.ndarray:
-    """(m, n) identity orientations: one read-only int64 row, row stride 0."""
-    row = np.arange(n, dtype=np.int64).tobytes()
-    return np.ndarray((m, n), dtype=np.int64, buffer=row, strides=(0, 8))
+def _repeated(row: np.ndarray, m: int) -> np.ndarray:
+    """m copies of an int64 row as one read-only (m, n) view: row stride 0."""
+    # positional arguments: with keywords the constructor takes half again as long
+    return np.ndarray((m, len(row)), np.int64, row.tobytes(), 0, (0, 8))
 
 
 def _readonly(a) -> np.ndarray:
@@ -234,10 +235,12 @@ class Tiling:
         origin = _readonly(origin)
         fixed = policy == ROTATION_FIXED
         if fixed:
-            # checked as given, where one row may stand for all, then dropped
+            # one row for all is spread over a copy of its bytes, and kept
+            # once checked; an (m, n) column is checked, then dropped
             orientation = np.asarray(orientation, dtype=np.int64)
-            if orientation.shape != origin.shape:
-                orientation = np.broadcast_to(orientation, origin.shape)
+            given_row = orientation.ndim == 1
+            if given_row:
+                orientation = _repeated(orientation, len(origin))
         else:
             orientation = _readonly(orientation)
         bad = _first_bad_placement(len(bricks), brick_index, orientation, origin, policy)
@@ -250,8 +253,8 @@ class Tiling:
                     int(brick_index[i]), tuple(orientation[i].tolist()), tuple(origin[i].tolist())
                 )
             raise PreconditionError(_PLACEMENT_ERRORS[check].format(i=i, p=p))
-        if fixed:
-            orientation = _identity_rows(len(origin), n)
+        if fixed and not given_row:
+            orientation = _repeated(np.arange(n, dtype=np.int64), len(origin))
         set_ = object.__setattr__
         set_(self, "box", box)
         set_(self, "bricks", bricks)
@@ -264,9 +267,10 @@ class Tiling:
         raise AttributeError(f"Tiling is immutable; cannot set {name!r}")
 
     def _columns(self) -> tuple:
-        """The columns, with a fixed-policy orientation as its one row."""
-        fixed = self.rotation_policy == ROTATION_FIXED
-        return self.brick_index, self.orientation[:1] if fixed else self.orientation, self.origin
+        """The columns, a fixed-policy orientation as the identity row it repeats."""
+        if self.rotation_policy == ROTATION_FIXED:
+            return self.brick_index, np.arange(self.dimension, dtype=np.int64), self.origin
+        return self.brick_index, self.orientation, self.origin
 
     def __reduce__(self):
         return Tiling.from_arrays, (self.box, self.bricks, *self._columns(), self.rotation_policy)
@@ -726,7 +730,7 @@ def grid_blocks(
         del origin
         columns = [c[order] for c in columns]
     if one_row:
-        columns.insert(1, _identity_rows(len(columns[0]), n))
+        columns.insert(1, identity)
     return Tiling.from_arrays(BoxShape(box_sides), bricks, *columns, rotation_policy=policy)
 
 
