@@ -1,5 +1,11 @@
 """Command-line front-end.
 
+Each verb is one row of _VERBS: its group, name, help text, argument
+specs, and either a writer with the library call it writes, or a
+handler of its own.  There is one writer per kind of result: _value
+prints a value, _tiling a tiling (to --out or stdout), _decision a
+verdict (its witness to --witness) and _report a verification report.
+
 Exit codes: 0 success (including "tileable" and Valid), 1 clean
 negative (not tileable, not representable, Invalid, Infeasible),
 2 bad input or violated precondition, 3 resource limits hit.
@@ -19,7 +25,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .codec import encode, load_tiling, save_tiling
+from .codec import encode_pieces, load_tiling, save_tiling
 from .constructor import BrickSystem, construct_box, gn_bound
 from .errors import CapExceededError, FrobtileError, SearchLimitError
 from .model import (
@@ -31,15 +37,8 @@ from .model import (
     verify_full,
     verify_sampled,
 )
-from .oracle import (
-    EXHAUSTED,
-    FOUND,
-    SearchConfig,
-    exact_cover_search,
-    threshold_scan,
-)
+from .oracle import EXHAUSTED, FOUND, SearchConfig, exact_cover_search, threshold_scan
 from .planar import (
-    Decision,
     corollary1_construct,
     corollary1_threshold,
     decide_single_brick,
@@ -78,46 +77,53 @@ def _shape(text: str) -> tuple[int, ...]:
     return sides
 
 
+def _bricks(shapes) -> tuple[Brick, ...]:
+    return tuple(Brick(sides) for sides in shapes)
+
+
 def _write_tiling(t: Tiling, path: str) -> None:
     save_tiling(t, path)
     print(f"wrote {path} ({len(t.brick_index)} placements)")
 
 
 def _emit_tiling(t: Tiling, out: Optional[str]) -> None:
+    """Write t to out, or print it a piece at a time, as print(encode(t)) would."""
     if out is None:
-        print(encode(t))
+        # looked up per call, so that a redirected stdout gets the text
+        sys.stdout.writelines(encode_pieces(t))
+        sys.stdout.write("\n")
     else:
         _write_tiling(t, out)
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        rotation_policy=args.rotations,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        parallel=args.parallel,
-    )
+# the writers: each runs the verb's library call, args.call, and writes its result
 
 
-# ---------------------------------------------------------------- frob
-
-
-def _cmd_frob_pair(args) -> int:
-    print(frobenius_pair(args.gens[0], args.gens[1]))
+def _value(args) -> int:
+    print(args.call(args))
     return 0
 
 
-def _cmd_frob_general(args) -> int:
-    print(frobenius_general(GeneratorSet(args.gens)))
+def _tiling(args) -> int:
+    _emit_tiling(args.call(args), args.out)
     return 0
 
 
-def _cmd_frob_reduced(args) -> int:
-    print(reduce_brauer_shockley(GeneratorSet(args.gens)))
-    return 0
+def _decision(args) -> int:
+    decision = args.call(args)
+    print(str(decision))
+    if decision.tileable and args.witness is not None:
+        _write_tiling(decision.witness, args.witness)
+    return 0 if decision.tileable else 1
 
 
-def _cmd_frob_represent(args) -> int:
+def _report(args) -> int:
+    report = args.call(args)
+    print(str(report))
+    return 0 if report.valid else 1
+
+
+def _represent(args) -> int:
     rep = represent(args.target, GeneratorSet(args.gens))
     if rep is None:
         print(f"{args.target} is not representable")
@@ -126,51 +132,7 @@ def _cmd_frob_represent(args) -> int:
     return 0
 
 
-def _cmd_frob_closed_form(args) -> int:
-    print(closed_form_primes(args.primes))
-    return 0
-
-
-# ---------------------------------------------------------------- bound
-
-
-def _cmd_bound_gn(args) -> int:
-    system = BrickSystem(tuple(Brick(sides) for sides in args.bricks))
-    print(gn_bound(system))
-    return 0
-
-
-def _cmd_bound_corollary1(args) -> int:
-    print(corollary1_threshold(args.p, args.q, args.r, args.s))
-    return 0
-
-
-def _cmd_bound_prime_cubes(args) -> int:
-    print(prime_cubes_bound(args.primes))
-    return 0
-
-
-# ---------------------------------------------------------------- tile
-
-
-def _cmd_tile_construct(args) -> int:
-    system = BrickSystem(tuple(Brick(sides) for sides in args.bricks))
-    _emit_tiling(construct_box(BoxShape(args.box), system), args.out)
-    return 0
-
-
-def _cmd_tile_corollary1(args) -> int:
-    t = corollary1_construct(args.box[0], args.box[1], args.p, args.q, args.r, args.s)
-    _emit_tiling(t, args.out)
-    return 0
-
-
-def _cmd_tile_prime_cubes(args) -> int:
-    _emit_tiling(prime_cubes_construct(args.side, args.primes), args.out)
-    return 0
-
-
-def _cmd_tile_squares_235p(args) -> int:
+def _squares_235p(args) -> int:
     decision = tile_square_235p(args.side, args.p)
     if not decision.tileable:
         print(str(decision))
@@ -179,73 +141,27 @@ def _cmd_tile_squares_235p(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- decide
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(args.rotations, args.node_limit, args.time_limit, args.parallel)
 
 
-def _finish_decision(decision: Decision, witness_path: Optional[str]) -> int:
-    print(str(decision))
-    if decision.tileable and witness_path is not None:
-        _write_tiling(decision.witness, witness_path)
-    return 0 if decision.tileable else 1
-
-
-def _cmd_decide_single_brick(args) -> int:
-    a1, a2 = args.box
-    x1, x2 = args.brick
-    return _finish_decision(decide_single_brick(a1, a2, x1, x2), args.witness)
-
-
-def _cmd_decide_two_squares(args) -> int:
-    a1, a2 = args.box
-    return _finish_decision(decide_two_squares(a1, a2, args.x, args.y), args.witness)
-
-
-def _cmd_decide_235p(args) -> int:
-    return _finish_decision(tile_square_235p(args.side, args.p), args.witness)
-
-
-# ---------------------------------------------------------------- oracle
-
-
-def _cmd_oracle_search(args) -> int:
-    bricks = tuple(Brick(sides) for sides in args.bricks)
-    result = exact_cover_search(BoxShape(args.box), bricks, _search_config(args))
+def _search(args) -> int:
+    result = exact_cover_search(BoxShape(args.box), _bricks(args.bricks), _search_config(args))
     print(str(result))
     if args.stats:
         print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
-    if result.status == FOUND:
-        if args.out is not None:
-            _write_tiling(result.tiling, args.out)
-        return 0
-    return 3 if result.status == EXHAUSTED else 1
+    if result.status == FOUND and args.out is not None:
+        _write_tiling(result.tiling, args.out)
+    return 0 if result.status == FOUND else 3 if result.status == EXHAUSTED else 1
 
 
-def _cmd_oracle_scan(args) -> int:
-    bricks = tuple(Brick(sides) for sides in args.bricks)
-    misses = threshold_scan(bricks, args.limit, _search_config(args))
+def _scan(args) -> int:
+    misses = threshold_scan(_bricks(args.bricks), args.limit, _search_config(args))
     print(" ".join(str(a) for a in misses))
     return 0
 
 
-# ---------------------------------------------------------------- verify
-
-
-def _cmd_verify_full(args) -> int:
-    report = verify_full(load_tiling(args.tiling))
-    print(str(report))
-    return 0 if report.valid else 1
-
-
-def _cmd_verify_sampled(args) -> int:
-    report = verify_sampled(load_tiling(args.tiling), samples=args.samples, seed=args.seed)
-    print(str(report))
-    return 0 if report.valid else 1
-
-
-# ---------------------------------------------------------------- render
-
-
-def _cmd_render(args) -> int:
+def _render(args) -> int:
     t = load_tiling(args.tiling)
     if args.format == "ascii":
         text = render_ascii(t)
@@ -260,132 +176,114 @@ def _cmd_render(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- parser
+# an argument spec is (flag, add_argument keywords)
 
 
-def _add_search_flags(sub) -> None:
-    sub.add_argument("--rotations", choices=(ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS),
-                     default=ROTATION_AXIS_PERMUTATIONS, help="brick rotation policy")
-    sub.add_argument("--node-limit", type=int, default=100_000_000)
-    sub.add_argument("--time-limit", type=float, default=600.0)
-    sub.add_argument("--parallel", action="store_true",
-                     help="split the root branches over worker processes")
+def _ints(flag: str, nargs=None) -> tuple:
+    return flag, {"type": int, "nargs": nargs, "required": True}
+
+
+_BOX = "--box", {"type": _shape, "required": True}
+_BRICKS = "--bricks", {"type": _shape, "nargs": "+", "required": True}
+_OUT = "--out", {}
+_WITNESS = "--witness", {}
+_TILING = "--tiling", {"required": True}
+_GENS = _ints("--gens", "+")
+_PRIMES = _ints("--primes", "+")
+_SIDE = _ints("--side")
+_P = _ints("--p")
+_PQRS = [_ints(flag) for flag in ("--p", "--q", "--r", "--s")]
+_SEARCH = [
+    ("--rotations", {"choices": (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS),
+                     "default": ROTATION_AXIS_PERMUTATIONS, "help": "brick rotation policy"}),
+    ("--node-limit", {"type": int, "default": 100_000_000}),
+    ("--time-limit", {"type": float, "default": 600.0}),
+    ("--parallel", {"action": "store_true",
+                    "help": "split the root branches over worker processes"}),
+]
+
+# group: help text, in the order the groups are listed
+_GROUPS = {
+    "frob": "Frobenius numbers and representations",
+    "bound": "tileability side bounds",
+    "tile": "construct tilings",
+    "decide": "tileability criteria with witnesses",
+    "oracle": "exhaustive exact-cover search",
+    "verify": "check a serialized tiling",
+    "render": "draw a 2-D tiling",
+}
+
+# (group, verb, help, argument specs, writer or handler, library call);
+# a verb of None is the group itself
+_VERBS = (
+    ("frob", "pair", "two coprime generators, closed form", [_ints("--gens", 2)],
+     _value, lambda a: frobenius_pair(*a.gens)),
+    ("frob", "general", "any Frobenius-valid generator set", [_GENS],
+     _value, lambda a: frobenius_general(GeneratorSet(a.gens))),
+    ("frob", "reduced", "general, after identity-based reduction", [_GENS],
+     _value, lambda a: reduce_brauer_shockley(GeneratorSet(a.gens))),
+    ("frob", "represent", "nonnegative combination of the generators",
+     [_ints("--target"), _GENS], _represent, None),
+    ("frob", "closed-form", "ascending distinct primes", [_PRIMES],
+     _value, lambda a: closed_form_primes(a.primes)),
+    ("bound", "gn", "largest Frobenius number of a brick system", [_BRICKS],
+     _value, lambda a: gn_bound(BrickSystem(_bricks(a.bricks)))),
+    ("bound", "corollary1", "threshold for (p x q), (r x s), (s x r)", _PQRS,
+     _value, lambda a: corollary1_threshold(a.p, a.q, a.r, a.s)),
+    ("bound", "prime-cubes", "hypercube system of ascending primes", [_PRIMES],
+     _value, lambda a: prime_cubes_bound(a.primes)),
+    ("tile", "construct", "general box from a brick system", [_BOX, _BRICKS, _OUT],
+     _tiling, lambda a: construct_box(BoxShape(a.box), BrickSystem(_bricks(a.bricks)))),
+    ("tile", "corollary1", "rectangle from (p x q), (r x s), (s x r)", [_BOX, *_PQRS, _OUT],
+     _tiling, lambda a: corollary1_construct(a.box[0], a.box[1], a.p, a.q, a.r, a.s)),
+    ("tile", "prime-cubes", "hypercube of side a from prime bricks", [_SIDE, _PRIMES, _OUT],
+     _tiling, lambda a: prime_cubes_construct(a.side, a.primes)),
+    ("tile", "squares-235p", "square from squares 2, 3 and p", [_SIDE, _P, _OUT],
+     _squares_235p, None),
+    ("decide", "single-brick", "one brick, rotations allowed",
+     [_BOX, ("--brick", {"type": _shape, "required": True}),
+      ("--witness", {"help": "write the witness tiling here when tileable"})],
+     _decision, lambda a: decide_single_brick(*a.box, *a.brick)),
+    ("decide", "two-squares", "two coprime square bricks",
+     [_BOX, _ints("--x"), _ints("--y"), _WITNESS],
+     _decision, lambda a: decide_two_squares(*a.box, a.x, a.y)),
+    ("decide", "235p", "square against squares 2, 3 and p", [_SIDE, _P, _WITNESS],
+     _decision, lambda a: tile_square_235p(a.side, a.p)),
+    ("oracle", "search", "search one box",
+     [_BOX, _BRICKS, *_SEARCH, ("--out", {"help": "write the found tiling here"}),
+      ("--stats", {"action": "store_true",
+                   "help": "print the search's counts as one JSON line on stderr"})],
+     _search, None),
+    ("oracle", "scan", "non-tileable square sides up to a limit",
+     [_BRICKS, _ints("--limit"), *_SEARCH], _scan, None),
+    ("verify", "full", "exact cell-coverage verification", [_TILING],
+     _report, lambda a: verify_full(load_tiling(a.tiling))),
+    ("verify", "sampled", "randomized cell-coverage verification",
+     [_TILING, ("--samples", {"type": int, "default": 100_000}),
+      ("--seed", {"type": int, "default": 0})],
+     _report, lambda a: verify_sampled(load_tiling(a.tiling), samples=a.samples, seed=a.seed)),
+    ("render", None, None,
+     [_TILING, ("--format", {"choices": RENDER_FORMATS, "default": "ascii"}),
+      ("--cell-size", {"type": int, "default": 10}), _OUT],
+     _render, None),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frobtile",
                      description="Frobenius numbers and brick tilings of boxes.")
     top = parser.add_subparsers(dest="command", required=True)
-
-    frob = top.add_parser("frob", help="Frobenius numbers and representations")
-    sub = frob.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("pair", help="two coprime generators, closed form")
-    s.add_argument("--gens", type=int, nargs=2, required=True)
-    s.set_defaults(func=_cmd_frob_pair)
-    s = sub.add_parser("general", help="any Frobenius-valid generator set")
-    s.add_argument("--gens", type=int, nargs="+", required=True)
-    s.set_defaults(func=_cmd_frob_general)
-    s = sub.add_parser("reduced", help="general, after identity-based reduction")
-    s.add_argument("--gens", type=int, nargs="+", required=True)
-    s.set_defaults(func=_cmd_frob_reduced)
-    s = sub.add_parser("represent", help="nonnegative combination of the generators")
-    s.add_argument("--target", type=int, required=True)
-    s.add_argument("--gens", type=int, nargs="+", required=True)
-    s.set_defaults(func=_cmd_frob_represent)
-    s = sub.add_parser("closed-form", help="ascending distinct primes")
-    s.add_argument("--primes", type=int, nargs="+", required=True)
-    s.set_defaults(func=_cmd_frob_closed_form)
-
-    bound = top.add_parser("bound", help="tileability side bounds")
-    sub = bound.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("gn", help="largest Frobenius number of a brick system")
-    s.add_argument("--bricks", type=_shape, nargs="+", required=True)
-    s.set_defaults(func=_cmd_bound_gn)
-    s = sub.add_parser("corollary1", help="threshold for (p x q), (r x s), (s x r)")
-    for flag in ("--p", "--q", "--r", "--s"):
-        s.add_argument(flag, type=int, required=True)
-    s.set_defaults(func=_cmd_bound_corollary1)
-    s = sub.add_parser("prime-cubes", help="hypercube system of ascending primes")
-    s.add_argument("--primes", type=int, nargs="+", required=True)
-    s.set_defaults(func=_cmd_bound_prime_cubes)
-
-    tile = top.add_parser("tile", help="construct tilings")
-    sub = tile.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("construct", help="general box from a brick system")
-    s.add_argument("--box", type=_shape, required=True)
-    s.add_argument("--bricks", type=_shape, nargs="+", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_tile_construct)
-    s = sub.add_parser("corollary1", help="rectangle from (p x q), (r x s), (s x r)")
-    s.add_argument("--box", type=_shape, required=True)
-    for flag in ("--p", "--q", "--r", "--s"):
-        s.add_argument(flag, type=int, required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_tile_corollary1)
-    s = sub.add_parser("prime-cubes", help="hypercube of side a from prime bricks")
-    s.add_argument("--side", type=int, required=True)
-    s.add_argument("--primes", type=int, nargs="+", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_tile_prime_cubes)
-    s = sub.add_parser("squares-235p", help="square from squares 2, 3 and p")
-    s.add_argument("--side", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=_cmd_tile_squares_235p)
-
-    decide = top.add_parser("decide", help="tileability criteria with witnesses")
-    sub = decide.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("single-brick", help="one brick, rotations allowed")
-    s.add_argument("--box", type=_shape, required=True)
-    s.add_argument("--brick", type=_shape, required=True)
-    s.add_argument("--witness", help="write the witness tiling here when tileable")
-    s.set_defaults(func=_cmd_decide_single_brick)
-    s = sub.add_parser("two-squares", help="two coprime square bricks")
-    s.add_argument("--box", type=_shape, required=True)
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--y", type=int, required=True)
-    s.add_argument("--witness")
-    s.set_defaults(func=_cmd_decide_two_squares)
-    s = sub.add_parser("235p", help="square against squares 2, 3 and p")
-    s.add_argument("--side", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--witness")
-    s.set_defaults(func=_cmd_decide_235p)
-
-    oracle = top.add_parser("oracle", help="exhaustive exact-cover search")
-    sub = oracle.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("search", help="search one box")
-    s.add_argument("--box", type=_shape, required=True)
-    s.add_argument("--bricks", type=_shape, nargs="+", required=True)
-    _add_search_flags(s)
-    s.add_argument("--out", help="write the found tiling here")
-    s.add_argument("--stats", action="store_true",
-                   help="print the search's counts as one JSON line on stderr")
-    s.set_defaults(func=_cmd_oracle_search)
-    s = sub.add_parser("scan", help="non-tileable square sides up to a limit")
-    s.add_argument("--bricks", type=_shape, nargs="+", required=True)
-    s.add_argument("--limit", type=int, required=True)
-    _add_search_flags(s)
-    s.set_defaults(func=_cmd_oracle_scan)
-
-    verify = top.add_parser("verify", help="check a serialized tiling")
-    sub = verify.add_subparsers(dest="action", required=True)
-    s = sub.add_parser("full", help="exact cell-coverage verification")
-    s.add_argument("--tiling", required=True)
-    s.set_defaults(func=_cmd_verify_full)
-    s = sub.add_parser("sampled", help="randomized cell-coverage verification")
-    s.add_argument("--tiling", required=True)
-    s.add_argument("--samples", type=int, default=100_000)
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=_cmd_verify_sampled)
-
-    render = top.add_parser("render", help="draw a 2-D tiling")
-    render.add_argument("--tiling", required=True)
-    render.add_argument("--format", choices=RENDER_FORMATS, default="ascii")
-    render.add_argument("--cell-size", type=int, default=10)
-    render.add_argument("--out")
-    render.set_defaults(func=_cmd_render)
-
+    groups = {group: top.add_parser(group, help=help) for group, help in _GROUPS.items()}
+    verbs = {}
+    for group, verb, help, specs, run, call in _VERBS:
+        sub = groups[group]
+        if verb is not None:
+            if group not in verbs:
+                verbs[group] = sub.add_subparsers(dest="action", required=True)
+            sub = verbs[group].add_parser(verb, help=help)
+        for flag, kwargs in specs:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=run, call=call)
     return parser
 
 

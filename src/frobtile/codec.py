@@ -112,9 +112,25 @@ def _decimals(values: np.ndarray, groups: int) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _placement_lines(t: Tiling):
-    """The placement lines, _LINES_CHUNK lines per string; the last line
-    ends without its comma."""
+def encode_pieces(t: Tiling):
+    """The text of encode(t) in pieces: the head, the placement lines
+    _LINES_CHUNK at a time, and the close.
+
+    The placement lines are filled into a byte matrix per _LINES_CHUNK
+    placements from the layout (_layout), every number right-aligned in
+    a field as wide as the longest of its column; the NULs that pad the
+    shorter ones are dropped, and the text is decoded once per matrix.
+    """
+    yield "\n".join(
+        [
+            "{",
+            f'  "format": {json.dumps(FORMAT_TAG)},',
+            f'  "box": {json.dumps(list(t.box.sides))},',
+            f'  "rotation_policy": {json.dumps(t.rotation_policy)},',
+            f'  "bricks": {json.dumps([list(b.sides) for b in t.bricks])},',
+            _PLACEMENTS_OPEN,
+        ]
+    )
     fixed = t.rotation_policy == ROTATION_FIXED
     layout = _layout(t.dimension, fixed)
     m = len(t.brick_index)
@@ -131,29 +147,14 @@ def _placement_lines(t: Tiling):
             lines[:, at : at + 4 * g] = _decimals(c, g)
             at += 4 * g + len(text)
         if e == m:
-            lines[-1, -2] = 0  # the comma in "]},\n"
+            lines[-1, -2] = 0  # the comma in "]},\n"; the last line ends without it
         yield lines.tobytes().translate(None, b"\0").decode("ascii")
+    yield _PLACEMENTS_CLOSE
 
 
 def encode(t: Tiling) -> str:
-    """Serialize a tiling; placements one per line for diffability.
-
-    The placement lines are filled into a byte matrix per _LINES_CHUNK
-    placements from the layout (_layout), every number right-aligned in
-    a field as wide as the longest of its column; the NULs that pad the
-    shorter ones are dropped, and the text is decoded once per matrix.
-    """
-    head = "\n".join(
-        [
-            "{",
-            f'  "format": {json.dumps(FORMAT_TAG)},',
-            f'  "box": {json.dumps(list(t.box.sides))},',
-            f'  "rotation_policy": {json.dumps(t.rotation_policy)},',
-            f'  "bricks": {json.dumps([list(b.sides) for b in t.bricks])},',
-            _PLACEMENTS_OPEN,
-        ]
-    )
-    return "".join([head, *_placement_lines(t), _PLACEMENTS_CLOSE])
+    """Serialize a tiling; placements one per line for diffability."""
+    return "".join(encode_pieces(t))
 
 
 def _is_int(v) -> bool:
@@ -368,7 +369,9 @@ def codec_roundtrip(t: Tiling) -> Tiling:
 
 
 def save_tiling(t: Tiling, path: Union[str, Path]) -> None:
-    Path(path).write_text(encode(t), encoding="utf-8")
+    """Write encode(t) to path, each piece as it is made (encode_pieces)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(encode_pieces(t))
 
 
 def load_tiling(path: Union[str, Path]) -> Tiling:

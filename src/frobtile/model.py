@@ -213,10 +213,12 @@ class Tiling:
     ) -> "Tiling":
         """A tiling from column arrays, validated like the constructor.
 
-        Arrays that already are contiguous int64 are kept, not copied,
-        and are made read-only.  Under the fixed policy the orientation
-        may be one row for all placements; once checked, it is replaced
-        by a view of the identity row.
+        The columns must have shapes (m,), (m, n) and (m, n); any other
+        shape is a PreconditionError that names the column.  Arrays that
+        already are contiguous int64 are kept, not copied, and are made
+        read-only.  Under the fixed policy the orientation may be one
+        row (n,) for all placements; once checked, it is replaced by a
+        view of the identity row.
         """
         t = object.__new__(cls)
         t._fill(box, tuple(bricks), brick_index, orientation, origin, rotation_policy, None)
@@ -234,15 +236,18 @@ class Tiling:
         brick_index = _readonly(brick_index)
         origin = _readonly(origin)
         fixed = policy == ROTATION_FIXED
-        if fixed:
+        orientation = np.asarray(orientation, dtype=np.int64) if fixed else _readonly(orientation)
+        if brick_index.ndim != 1:
+            raise PreconditionError(f"brick_index: expected shape (m,), found {brick_index.shape}")
+        m = len(brick_index)
+        given_row = fixed and orientation.shape == (n,)
+        for name, column in (("origin", origin), ("orientation", orientation)):
+            if column.shape != (m, n) and not (given_row and name == "orientation"):
+                raise PreconditionError(f"{name}: expected shape {(m, n)}, found {column.shape}")
+        if given_row:
             # one row for all is spread over a copy of its bytes, and kept
             # once checked; an (m, n) column is checked, then dropped
-            orientation = np.asarray(orientation, dtype=np.int64)
-            given_row = orientation.ndim == 1
-            if given_row:
-                orientation = _repeated(orientation, len(origin))
-        else:
-            orientation = _readonly(orientation)
+            orientation = _repeated(orientation, m)
         bad = _first_bad_placement(len(bricks), brick_index, orientation, origin, policy)
         if bad is not None:
             i, check = bad
@@ -254,7 +259,7 @@ class Tiling:
                 )
             raise PreconditionError(_PLACEMENT_ERRORS[check].format(i=i, p=p))
         if fixed and not given_row:
-            orientation = _repeated(np.arange(n, dtype=np.int64), len(origin))
+            orientation = _repeated(np.arange(n, dtype=np.int64), m)
         set_ = object.__setattr__
         set_(self, "box", box)
         set_(self, "bricks", bricks)
@@ -401,13 +406,7 @@ def _check_fits(
     """
     if len(lo) == 0:
         return None
-    if t.rotation_policy == ROTATION_FIXED:
-        # gathered per brick type, as oriented_extents gathers the sides:
-        # box - extents would run numpy's inner loop n elements at a time
-        rooms = [[a - x for a, x in zip(t.box.sides, b.sides)] for b in t.bricks]
-        room = np.array(rooms, dtype=np.int64).take(t.brick_index, axis=0)
-    else:
-        room = np.asarray(t.box.sides, dtype=np.int64) - extents
+    room = np.asarray(t.box.sides, dtype=np.int64) - extents
     if lo.min() >= 0 and (lo <= room).all():
         return None
     idx = int(np.argmax((lo < 0).any(axis=1) | (lo > room).any(axis=1)))

@@ -1,15 +1,17 @@
 """Command-line interface tests, driving main() in process."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from frobtile import cli
+from frobtile import cli, codec
 from frobtile.cli import main
-from frobtile.codec import load_tiling
-from frobtile.model import verify_full
+from frobtile.codec import encode, load_tiling
+from frobtile.constructor import BrickSystem, construct_box
+from frobtile.model import BoxShape, Brick, verify_full
 
 
 def run(capsys, *argv):
@@ -353,3 +355,32 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "23"
+
+
+def _parser_paths(parser, path=()):
+    """The argv prefix of every parser under parser, itself first."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_paths(sub, (*path, name))
+
+
+def test_every_parser_prints_its_help(capsys):
+    paths = list(_parser_paths(cli.build_parser()))
+    assert len(paths) == 27
+    for path in paths:
+        with pytest.raises(SystemExit) as info:
+            main([*path, "--help"])
+        captured = capsys.readouterr()
+        assert info.value.code == 0 and captured.err == ""
+        assert captured.out.startswith(" ".join(["usage: frobtile", *path]) + " ")
+
+
+def test_construct_stdout_is_encode_and_a_newline(capsys):
+    """Printed a piece at a time, the tiling reads as print(encode(t)) would."""
+    code, out, err = run(capsys, "tile", "construct", "--box", "15001", "--bricks", "2", "3")
+    t = construct_box(BoxShape((15001,)), BrickSystem((Brick((2,)), Brick((3,)))))
+    assert len(t.brick_index) > codec._LINES_CHUNK
+    assert (code, err) == (0, "")
+    assert out == encode(t) + "\n"

@@ -43,6 +43,16 @@ def test_file_roundtrip(tmp_path):
     assert load_tiling(path) == t
 
 
+def test_save_tiling_writes_encode_a_piece_at_a_time(tmp_path):
+    t = grid_fill(BoxShape((130, 130)), Brick((2, 2)))
+    assert len(t.brick_index) > codec._LINES_CHUNK
+    pieces = list(codec.encode_pieces(t))
+    assert len(pieces) == 4  # head, two chunks of lines, close
+    path = tmp_path / "t.json"
+    save_tiling(t, path)
+    assert path.read_bytes() == encode(t).encode("utf-8") == "".join(pieces).encode("utf-8")
+
+
 def test_encode_shape():
     text = encode(sample_tiling())
     assert text.startswith('{\n  "format": "tiling/1"')

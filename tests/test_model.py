@@ -188,6 +188,22 @@ def test_tiling_rejects_structural_garbage():
         Tiling(box, (brick,), (), rotation_policy="free-spin")
 
 
+@pytest.mark.parametrize("brick_index, orientation, origin, policy, message", [
+    # two placements named, one row of orientation and origin given
+    ([0, 0], [[0, 1]], [[0, 0]], "fixed", r"origin: expected shape \(2, 2\), found \(1, 2\)"),
+    # one orientation row for all is allowed under the fixed policy only
+    ([0, 0], [0, 1], [[0, 0], [0, 2]], "axis-permutations",
+     r"orientation: expected shape \(2, 2\), found \(2,\)"),
+    ([0], [[0, 1]], [[0, 0, 0]], "fixed", r"origin: expected shape \(1, 2\), found \(1, 3\)"),
+    ([0], [[0, 1]], [0, 0], "fixed", r"origin: expected shape \(1, 2\), found \(2,\)"),
+], ids=["short-columns", "one-row-rotating", "wide-origin", "flat-origin"])
+def test_from_arrays_checks_column_shapes(brick_index, orientation, origin, policy, message):
+    box, bricks = BoxShape((4, 4)), (Brick((2, 2)),)
+    with pytest.raises(PreconditionError, match=message):
+        Tiling.from_arrays(box, bricks, np.array(brick_index), np.array(orientation),
+                           np.array(origin), rotation_policy=policy)
+
+
 # ---------------------------------------------------------------------------
 # verify_full
 # ---------------------------------------------------------------------------
