@@ -18,22 +18,24 @@ around 2n + 1 integers, the brick index, the orientation and the
 origin, each written as its shortest decimal.  encode fills the lines
 into byte matrices from that layout; under the fixed policy the
 orientation, the identity on every line, is part of the literal text,
-so a line has n + 1 numbers to fill.  decode reads a document in that
-layout straight into columns (_canonical), a window of whole lines at a
-time.  In a window it finds the runs of digits once, and the text left
-when the digits are deleted must be the layout's literal text, once per
-line.  Then it takes one column at a time: the text before each of the
-column's runs must be as long as the layout's piece there, and each run
-a shortest decimal of at most 18 digits, so that it fits int64; the
-column's values are converted in place.  Once every gap between runs
-has its piece's length, the digit-free text being the layout's means
-that every gap is its piece, so in whatever order the checks run, they
-accept exactly the windows whose runs are shortest decimals set between
-the layout's pieces.  For any columns, encode writes exactly such a
-text, and two different texts of that form never hold the same
-numbers, so the checks say the same as writing the columns again and
-comparing.  Any other document, 19-digit numbers included, goes through
-json.loads.
+so a line has n + 1 numbers to fill.  encode_pieces yields the text a
+chunk of lines at a time, and save_tiling writes each piece as it is
+made, so that no copy of the whole text is held.  decode reads a
+document in that layout straight into columns (_canonical), a window of
+whole lines at a time.  In a window it finds the runs of digits once,
+and the text left when the digits are deleted must be the layout's
+literal text, once per line.  Then it takes one column at a time: the
+text before each of the column's runs must be as long as the layout's
+piece there, and each run a shortest decimal of at most 18 digits, so
+that it fits int64; the column's values are converted in place.  Once
+every gap between runs has its piece's length, the digit-free text
+being the layout's means that every gap is its piece, so in whatever
+order the checks run, they accept exactly the windows whose runs are
+shortest decimals set between the layout's pieces.  For any columns,
+encode writes exactly such a text, and two different texts of that form
+never hold the same numbers, so the checks say the same as writing the
+columns again and comparing.  Any other document, 19-digit numbers
+included, goes through json.loads.
 
 Decoding is strict: unknown fields are rejected by name, missing or
 mistyped fields are reported with their JSON path, and syntax errors
