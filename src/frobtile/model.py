@@ -35,8 +35,8 @@ draws seeded random cells and asserts each is covered exactly once,
 testing candidates from a bucket grid against contiguous columns of
 origins and extents, one axis at a time.
 
-Construction-time validation is structural only (dimensions, index
-ranges, permutation validity) and runs once per tiling, vectorized;
+Construction-time validation is structural only (column shapes, dimensions,
+index ranges, permutation validity) and runs once per tiling, vectorized;
 geometric soundness is always the verifier's job, so malformed geometry
 can be loaded and diagnosed.
 
@@ -164,7 +164,8 @@ def _repeated(row: np.ndarray, m: int) -> np.ndarray:
 
 
 def _readonly(a) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
+    # not ascontiguousarray, which would make a scalar a one-element row
+    a = np.asarray(a, dtype=np.int64, order="C")
     a.flags.writeable = False
     return a
 

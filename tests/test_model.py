@@ -196,7 +196,8 @@ def test_tiling_rejects_structural_garbage():
      r"orientation: expected shape \(2, 2\), found \(2,\)"),
     ([0], [[0, 1]], [[0, 0, 0]], "fixed", r"origin: expected shape \(1, 2\), found \(1, 3\)"),
     ([0], [[0, 1]], [0, 0], "fixed", r"origin: expected shape \(1, 2\), found \(2,\)"),
-], ids=["short-columns", "one-row-rotating", "wide-origin", "flat-origin"])
+    (0, [0, 1], [[0, 0]], "fixed", r"brick_index: expected shape \(m,\), found \(\)"),
+], ids=["short-columns", "one-row-rotating", "wide-origin", "flat-origin", "scalar-index"])
 def test_from_arrays_checks_column_shapes(brick_index, orientation, origin, policy, message):
     box, bricks = BoxShape((4, 4)), (Brick((2, 2)),)
     with pytest.raises(PreconditionError, match=message):
