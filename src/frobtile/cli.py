@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .codec import encode_pieces, load_tiling, save_tiling
 from .constructor import BrickSystem, construct_box, gn_bound
-from .errors import CapExceededError, FrobtileError, SearchLimitError
+from .errors import CapExceededError, FrobtileError, PreconditionError, SearchLimitError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
     ROTATION_FIXED,
@@ -37,7 +37,13 @@ from .model import (
     verify_full,
     verify_sampled,
 )
-from .oracle import EXHAUSTED, FOUND, SearchConfig, exact_cover_search, threshold_scan
+from .oracle import (
+    EXHAUSTED,
+    FOUND,
+    SearchConfig,
+    exact_cover_search,
+    threshold_scan,
+)
 from .planar import (
     corollary1_construct,
     corollary1_threshold,
@@ -74,6 +80,13 @@ def _shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected sides like 6x4, got {text!r}")
     if not sides or any(s < 1 for s in sides):
         raise argparse.ArgumentTypeError(f"sides must be positive integers, got {text!r}")
+    return sides
+
+
+def _sides2(flag: str, sides: tuple[int, ...]) -> tuple[int, ...]:
+    """The sides of a --box or --brick that must be 2-D."""
+    if len(sides) != 2:
+        raise PreconditionError(f"{flag} must have 2 sides, got {len(sides)}")
     return sides
 
 
@@ -142,7 +155,12 @@ def _squares_235p(args) -> int:
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(args.rotations, args.node_limit, args.time_limit, args.parallel)
+    return SearchConfig(
+        rotation_policy=args.rotations,
+        node_limit=args.node_limit,
+        time_limit=args.time_limit,
+        parallel=args.parallel,
+    )
 
 
 def _search(args) -> int:
@@ -150,9 +168,11 @@ def _search(args) -> int:
     print(str(result))
     if args.stats:
         print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
-    if result.status == FOUND and args.out is not None:
-        _write_tiling(result.tiling, args.out)
-    return 0 if result.status == FOUND else 3 if result.status == EXHAUSTED else 1
+    if result.status == FOUND:
+        if args.out is not None:
+            _write_tiling(result.tiling, args.out)
+        return 0
+    return 3 if result.status == EXHAUSTED else 1
 
 
 def _scan(args) -> int:
@@ -235,7 +255,7 @@ _VERBS = (
     ("tile", "construct", "general box from a brick system", [_BOX, _BRICKS, _OUT],
      _tiling, lambda a: construct_box(BoxShape(a.box), BrickSystem(_bricks(a.bricks)))),
     ("tile", "corollary1", "rectangle from (p x q), (r x s), (s x r)", [_BOX, *_PQRS, _OUT],
-     _tiling, lambda a: corollary1_construct(a.box[0], a.box[1], a.p, a.q, a.r, a.s)),
+     _tiling, lambda a: corollary1_construct(*_sides2("--box", a.box), a.p, a.q, a.r, a.s)),
     ("tile", "prime-cubes", "hypercube of side a from prime bricks", [_SIDE, _PRIMES, _OUT],
      _tiling, lambda a: prime_cubes_construct(a.side, a.primes)),
     ("tile", "squares-235p", "square from squares 2, 3 and p", [_SIDE, _P, _OUT],
@@ -243,10 +263,11 @@ _VERBS = (
     ("decide", "single-brick", "one brick, rotations allowed",
      [_BOX, ("--brick", {"type": _shape, "required": True}),
       ("--witness", {"help": "write the witness tiling here when tileable"})],
-     _decision, lambda a: decide_single_brick(*a.box, *a.brick)),
+     _decision,
+     lambda a: decide_single_brick(*_sides2("--box", a.box), *_sides2("--brick", a.brick))),
     ("decide", "two-squares", "two coprime square bricks",
      [_BOX, _ints("--x"), _ints("--y"), _WITNESS],
-     _decision, lambda a: decide_two_squares(*a.box, a.x, a.y)),
+     _decision, lambda a: decide_two_squares(*_sides2("--box", a.box), a.x, a.y)),
     ("decide", "235p", "square against squares 2, 3 and p", [_SIDE, _P, _WITNESS],
      _decision, lambda a: tile_square_235p(a.side, a.p)),
     ("oracle", "search", "search one box",

@@ -371,7 +371,7 @@ def codec_roundtrip(t: Tiling) -> Tiling:
 
 
 def save_tiling(t: Tiling, path: Union[str, Path]) -> None:
-    """Write encode(t) to path, each piece as it is made (encode_pieces)."""
+    """Write encode(t) to path piece by piece (encode_pieces); a failed save leaves it partial."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(encode_pieces(t))
 

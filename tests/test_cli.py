@@ -384,3 +384,21 @@ def test_construct_stdout_is_encode_and_a_newline(capsys):
     assert len(t.brick_index) > codec._LINES_CHUNK
     assert (code, err) == (0, "")
     assert out == encode(t) + "\n"
+
+
+@pytest.mark.parametrize("argv, flag, count", [
+    (["decide", "single-brick", "--box", "12x6x2", "--brick", "3"], "--box", 3),
+    (["decide", "single-brick", "--box", "5", "--brick", "2x3x4"], "--box", 1),
+    (["decide", "single-brick", "--box", "12x6", "--brick", "3"], "--brick", 1),
+    (["decide", "two-squares", "--box", "12x13x5", "--x", "2", "--y", "3"], "--box", 3),
+    (["tile", "corollary1", "--box", "200", "--p", "6", "--q", "4", "--r", "5", "--s", "7"],
+     "--box", 1),
+    (["tile", "corollary1", "--box", "200x201x7", "--p", "6", "--q", "4", "--r", "5", "--s", "7"],
+     "--box", 3),
+])
+def test_2d_verbs_reject_other_shapes(capsys, tmp_path, argv, flag, count):
+    """A 2-D verb answers for no box or brick of another dimension."""
+    path = tmp_path / "w.json"
+    code, out, err = run(capsys, *argv, "--witness" if argv[0] == "decide" else "--out", str(path))
+    assert (code, out) == (2, "") and not path.exists()
+    assert err == f"error: PreconditionError: {flag} must have 2 sides, got {count}\n"
