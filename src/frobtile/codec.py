@@ -18,9 +18,12 @@ around 2n + 1 integers, the brick index, the orientation and the
 origin, each written as its shortest decimal.  encode fills the lines
 into byte matrices from that layout; under the fixed policy the
 orientation, the identity on every line, is part of the literal text,
-so a line has n + 1 numbers to fill.  encode_pieces yields the text a
-chunk of lines at a time, and save_tiling writes each piece as it is
-made, so that no copy of the whole text is held.  decode reads a
+so a line has n + 1 numbers to fill.  One numpy line writer
+(_fill_lines) fills them, and render.render_svg writes its <rect> lines
+with it too.  encode_pieces yields the text a chunk of lines at a time,
+and save_tiling writes each piece as it is made, so that no copy of
+the whole text is held, to a file that replaces the target only once
+it is whole.  decode reads a
 document in that layout straight into columns (_canonical), a window of
 whole lines at a time.  In a window it finds the runs of digits once,
 and the text left when the digits are deleted must be the layout's
@@ -45,7 +48,10 @@ lossless field-for-field.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
 from pathlib import Path
 from typing import Union
 
@@ -114,15 +120,32 @@ def _decimals(values: np.ndarray, groups: int) -> np.ndarray:
     return out.view(np.uint8)
 
 
+def _fill_lines(layout: list[bytes], fields) -> str:
+    """One line of text per row of the fields: layout[0], then each field
+    followed by the next piece of the layout.
+
+    A field is an int64 column of values >= 0, written as shortest
+    decimals, or a uint8 matrix of text, a row per line, NUL-padded to a
+    fixed width.  The lines are filled into one byte matrix from a
+    template, every number right-aligned in a field as wide as the
+    longest of its column; the NULs that pad the shorter ones are
+    dropped, and the text is decoded once.
+    """
+    cells = [f if f.ndim == 2 else _decimals(f, (len(str(f.max())) + 2) // 3) for f in fields]
+    template = layout[0] + b"".join(b"\0" * c.shape[1] + text for c, text in zip(cells, layout[1:]))
+    lines = np.empty((len(cells[0]), len(template)), dtype=np.uint8)
+    lines[:] = np.frombuffer(template, dtype=np.uint8)
+    at = len(layout[0])
+    for c, text in zip(cells, layout[1:]):
+        lines[:, at : at + c.shape[1]] = c
+        at += c.shape[1] + len(text)
+    return lines.tobytes().translate(None, b"\0").decode("utf-8")
+
+
 def encode_pieces(t: Tiling):
     """The text of encode(t) in pieces: the head, the placement lines
-    _LINES_CHUNK at a time, and the close.
-
-    The placement lines are filled into a byte matrix per _LINES_CHUNK
-    placements from the layout (_layout), every number right-aligned in
-    a field as wide as the longest of its column; the NULs that pad the
-    shorter ones are dropped, and the text is decoded once per matrix.
-    """
+    _LINES_CHUNK at a time (_fill_lines over the layout, _layout), and
+    the close."""
     yield "\n".join(
         [
             "{",
@@ -139,18 +162,9 @@ def encode_pieces(t: Tiling):
     for s in range(0, m, _LINES_CHUNK):
         e = min(s + _LINES_CHUNK, m)
         orientation = [] if fixed else t.orientation[s:e].T
-        columns = [t.brick_index[s:e], *orientation, *t.origin[s:e].T]
-        groups = [(len(str(c.max())) + 2) // 3 for c in columns]
-        template = layout[0] + b"".join(b"\0" * 4 * g + text for g, text in zip(groups, layout[1:]))
-        lines = np.empty((e - s, len(template)), dtype=np.uint8)
-        lines[:] = np.frombuffer(template, dtype=np.uint8)
-        at = len(layout[0])
-        for c, g, text in zip(columns, groups, layout[1:]):
-            lines[:, at : at + 4 * g] = _decimals(c, g)
-            at += 4 * g + len(text)
-        if e == m:
-            lines[-1, -2] = 0  # the comma in "]},\n"; the last line ends without it
-        yield lines.tobytes().translate(None, b"\0").decode("ascii")
+        text = _fill_lines(layout, [t.brick_index[s:e], *orientation, *t.origin[s:e].T])
+        # the last line ends "]}\n", without the comma the others have
+        yield text if e < m else text[:-2] + "\n"
     yield _PLACEMENTS_CLOSE
 
 
@@ -371,9 +385,43 @@ def codec_roundtrip(t: Tiling) -> Tiling:
 
 
 def save_tiling(t: Tiling, path: Union[str, Path]) -> None:
-    """Write encode(t) to path piece by piece (encode_pieces); a failed save leaves it partial."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode_pieces(t))
+    """Write encode(t) to path piece by piece (encode_pieces), atomically.
+
+    The pieces go to a temporary file beside the target, which is synced
+    and then renamed over it, so a save that fails part way leaves the
+    old file untouched and no temporary file behind.  As with open(path,
+    "w"), symlinks are followed, an existing file must be writable and
+    keeps its permission bits, a new one gets 0o666 less the umask, and
+    an error names path.  A target that is not a regular file, such as
+    /dev/stdout, cannot be replaced and is written through.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(encode_pieces(t))
+        return
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.chmod(temp, mode)
+            fh.writelines(encode_pieces(t))
+            fh.flush()
+            os.fsync(fd)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def load_tiling(path: Union[str, Path]) -> Tiling:

@@ -402,15 +402,19 @@ def _check_fits(
     """The first placement not inside the box, as a report, or None.
 
     lo + extents could wrap around in int64, so the far corner is tested
-    as lo <= box - extents; once this passes, lo + extents is exact.
-    The rows are scanned only if a whole-array check finds one outside.
+    as lo <= side - extents; once this passes, lo + extents is exact.
+    The test runs one axis at a time, so that no (m, n) array is formed,
+    and the rows are scanned only if it finds one outside.
     """
     if len(lo) == 0:
         return None
-    room = np.asarray(t.box.sides, dtype=np.int64) - extents
-    if lo.min() >= 0 and (lo <= room).all():
+    box = np.asarray(t.box.sides, dtype=np.int64)
+    if lo.min() >= 0 and all((lo[:, k] <= side - extents[:, k]).all() for k, side in enumerate(box)):
         return None
-    idx = int(np.argmax((lo < 0).any(axis=1) | (lo > room).any(axis=1)))
+    outside = np.zeros(len(lo), dtype=bool)
+    for k, side in enumerate(box):
+        outside |= (lo[:, k] < 0) | (lo[:, k] > side - extents[:, k])
+    idx = int(np.argmax(outside))
     return VerifyReport(
         valid=False, mode=mode, reason="placement_out_of_bounds", placement_index=idx
     )
@@ -526,8 +530,14 @@ def _first_overlap(lo: np.ndarray, hi: np.ndarray) -> Optional[tuple[int, int]]:
     if m < 2:
         return None
     # compress each axis to the placements' breakpoints: every compressed
-    # cell is covered wholly or not at all by each placement
-    points = [np.unique(np.concatenate([lo[:, k], hi[:, k]])) for k in range(n)]
+    # cell is covered wholly or not at all by each placement.  A sort and
+    # a mask of changed neighbours give np.unique's breakpoints; numpy 2
+    # takes a hash path for np.unique of integers, about twice as slow
+    # on a witness of a few thousand placements
+    points = []
+    for k in range(n):
+        p = np.sort(np.concatenate([lo[:, k], hi[:, k]]))
+        points.append(p[np.concatenate(([True], p[1:] != p[:-1]))])
     shape = [len(p) - 1 for p in points]
     # every corner offset lies in the raster padded on each axis, so the
     # compressed corners and their offsets are int32 while it is below 2^31

@@ -11,12 +11,14 @@ placement order.
 
 from __future__ import annotations
 
+import numbers
 import string
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .codec import _LINES_CHUNK, _fill_lines
 from .errors import DimensionUnsupportedError, PreconditionError
 from .model import Tiling
 
@@ -38,6 +40,17 @@ DEFAULT_PALETTE = (
 )
 
 RENDER_FORMATS = ("ascii", "svg")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+# the literal text around a <rect> line's fields: x, y, width, height, fill
+_RECT_LAYOUT = [
+    b'<rect x="',
+    b'" y="',
+    b'" width="',
+    b'" height="',
+    b'" fill="',
+    b'" stroke="#222" stroke-width="1"/>\n',
+]
 
 
 @dataclass(frozen=True)
@@ -48,10 +61,16 @@ class RenderOptions:
     palette: Sequence[str] = DEFAULT_PALETTE
 
     def __post_init__(self):
+        if not isinstance(self.cell_size, numbers.Integral):
+            # the SVG line writer writes integers
+            raise PreconditionError(f"cell_size must be an integer, got {self.cell_size!r}")
         if self.cell_size < 1:
             raise PreconditionError(f"cell_size must be >= 1, got {self.cell_size}")
         if not self.palette:
             raise PreconditionError("palette must list at least one color")
+        if any("\0" in str(color) for color in self.palette):
+            # the SVG line writer drops NULs, and XML allows none
+            raise PreconditionError("palette colors must not contain NUL")
 
 
 def _require_2d(t: Tiling) -> None:
@@ -59,13 +78,24 @@ def _require_2d(t: Tiling) -> None:
         raise DimensionUnsupportedError(f"rendering needs a 2-D tiling, got {t.dimension}-D")
 
 
-def _cell_rects(t: Tiling) -> list[list[int]]:
-    """[row0, row1, col0, col1] half-open cell ranges per placement."""
+def _scaled_corners(t: Tiling, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Each placement's origin and oriented extents, times scale.
+
+    int64 while every far corner times scale fits it; else exact ints
+    (object dtype), so that nothing wraps around.  The far corner is
+    tested as lo <= int64 max // scale - extents, which cannot wrap: the
+    extents are from 1 to the int64 maximum.
+    """
     lo = t.origin
     extents = t.oriented_extents()
-    if (lo > np.iinfo(np.int64).max - extents).any():
-        # a far corner beyond int64 would wrap around: sum as Python ints
+    if (lo > _INT64_MAX // scale - extents).any():
         lo, extents = lo.astype(object), extents.astype(object)
+    return lo * scale, extents * scale
+
+
+def _cell_rects(t: Tiling) -> list[list[int]]:
+    """[row0, row1, col0, col1] half-open cell ranges per placement."""
+    lo, extents = _scaled_corners(t)
     hi = lo + extents
     return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).tolist()
 
@@ -114,22 +144,38 @@ def render_ascii(t: Tiling) -> str:
     return "\n".join("".join(row) for row in symbols[owners].tolist())
 
 
+def _text_rows(strings: Sequence[str]) -> np.ndarray:
+    """The strings in UTF-8 as the rows of a uint8 matrix, NUL-padded."""
+    rows = np.array([s.encode("utf-8") for s in strings], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
+
+
 def render_svg(t: Tiling, opts: RenderOptions = RenderOptions()) -> str:
-    """SVG document with one stroked rect per placement."""
+    """SVG document with one stroked rect per placement.
+
+    The <rect> lines are written _LINES_CHUNK at a time by the codec's
+    line writer (_fill_lines); the fill is the palette's UTF-8 row for
+    brick_index modulo the palette's length.
+    """
     _require_2d(t)
     cs = opts.cell_size
     rows, cols = t.box.sides
     width, height = cols * cs, rows * cs
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'viewBox="0 0 {width} {height}">\n'
     ]
-    palette = tuple(opts.palette)
-    for index, (r0, r1, c0, c1) in zip(t.brick_index.tolist(), _cell_rects(t)):
-        color = palette[index % len(palette)]
-        parts.append(
-            f'<rect x="{c0 * cs}" y="{r0 * cs}" width="{(c1 - c0) * cs}" '
-            f'height="{(r1 - r0) * cs}" fill="{color}" stroke="#222" stroke-width="1"/>'
-        )
+    colors = _text_rows([str(color) for color in opts.palette])
+    lo, extents = _scaled_corners(t, cs)
+    numbers = [lo[:, 1], lo[:, 0], extents[:, 1], extents[:, 0]]
+    m = len(t.brick_index)
+    for s in range(0, m, _LINES_CHUNK):
+        e = min(s + _LINES_CHUNK, m)
+        fields = [c[s:e] for c in numbers]
+        if lo.dtype == object:
+            # exact ints past int64 as their decimal text
+            fields = [_text_rows([str(v) for v in c.tolist()]) for c in fields]
+        fields.append(colors[t.brick_index[s:e] % len(colors)])
+        parts.append(_fill_lines(_RECT_LAYOUT, fields))
     parts.append("</svg>")
-    return "\n".join(parts)
+    return "".join(parts)

@@ -53,6 +53,45 @@ def test_save_tiling_writes_encode_a_piece_at_a_time(tmp_path):
     assert path.read_bytes() == encode(t).encode("utf-8") == "".join(pieces).encode("utf-8")
 
 
+def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    t = grid_fill(BoxShape((130, 130)), Brick((2, 2)))
+    path = tmp_path / "t.json"
+    path.write_text("old")
+    pieces = codec.encode_pieces
+
+    def failing(t):
+        it = pieces(t)
+        yield next(it)  # the head
+        yield next(it)  # the first chunk of lines
+        raise RuntimeError("failed after the first chunk")
+
+    monkeypatch.setattr(codec, "encode_pieces", failing)
+    with pytest.raises(RuntimeError, match="first chunk"):
+        save_tiling(t, path)
+    assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+
+def test_save_follows_symlinks_and_keeps_the_mode(tmp_path):
+    t = sample_tiling()
+    path = tmp_path / "t.json"
+    path.write_text("old")
+    path.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(path)
+    save_tiling(t, link)
+    assert link.is_symlink() and load_tiling(path) == t
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "t.json"]
+
+
+def test_save_errors_name_the_path(tmp_path):
+    path = tmp_path / "missing" / "t.json"
+    with pytest.raises(FileNotFoundError) as e:
+        save_tiling(sample_tiling(), path)
+    assert e.value.filename == str(path)
+
+
 def test_encode_shape():
     text = encode(sample_tiling())
     assert text.startswith('{\n  "format": "tiling/1"')

@@ -1,10 +1,15 @@
 """Tests for ASCII and SVG rendering."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from frobtile import codec
 from frobtile.errors import DimensionUnsupportedError, PreconditionError
 from frobtile.model import BoxShape, Brick, Placement, Tiling, grid_fill
 from frobtile.oracle import exact_cover_search
+from frobtile.planar import decide_single_brick, decide_two_squares, tile_square_235p
 from frobtile.render import RenderOptions, render_ascii, render_svg
 
 
@@ -131,6 +136,10 @@ class TestSvg:
             RenderOptions(cell_size=0)
         with pytest.raises(PreconditionError):
             RenderOptions(palette=())
+        with pytest.raises(PreconditionError, match="integer"):
+            RenderOptions(cell_size=2.5)
+        with pytest.raises(PreconditionError, match="NUL"):
+            RenderOptions(palette=("#aaa", "#b\0b"))
 
     def test_far_origin_keeps_exact_coordinates(self):
         # the far corner is past 2^63 - 1, where int64 would wrap around
@@ -142,3 +151,83 @@ class TestSvg:
         )
         svg = render_svg(t, RenderOptions(cell_size=1))
         assert f'<rect x="{far}" y="0" width="2" height="2"' in svg
+
+
+# SHA-256 of svg_corpus() joined by NULs, as render_svg wrote it when
+# each <rect> was formatted on its own
+SVG_CORPUS_DIGEST = "21e54ae21c19018deab2afbb7010e3283f27ba587072f2ebd92ec94a7d9ad45d"
+
+
+def svg_corpus():
+    """render_svg over pinwheel, composition, two-squares, rotated and
+    empty tilings at cell sizes 1 and 7, one of them with a non-ASCII
+    palette, and far placements whose corners times 3 leave int64."""
+    witnesses = [
+        tile_square_235p(25, 11).witness,  # pinwheel
+        tile_square_235p(43, 5).witness,  # composition
+        decide_two_squares(12, 13, 2, 3).witness,
+        decide_single_brick(6, 5, 2, 3).witness,  # strips, both orientations
+        Tiling(BoxShape((1, 1)), (Brick((1, 1)),), ()),
+    ]
+    palette = ("#aaa", "vert-\u00e9t\u00e9", "\u7d05", "#0f0")
+    for t in witnesses:
+        for cs in (1, 7):
+            yield render_svg(t, RenderOptions(cell_size=cs))
+        yield render_svg(t, RenderOptions(cell_size=7, palette=palette))
+    big = 2**63 - 1
+    far = Tiling(
+        BoxShape((5, 5)),
+        (Brick((2, 2)), Brick((1, big // 3 + 1))),
+        [
+            Placement(0, (0, 1), (0, 0)),
+            Placement(0, (0, 1), (big // 3, 2)),  # the origin times 3 fits, the far corner does not
+            Placement(1, (1, 0), (2, 0)),  # the extent times 3 leaves int64
+            Placement(0, (0, 1), (0, big - 1)),  # the far corner leaves int64
+        ],
+        rotation_policy="axis-permutations",
+    )
+    for cs in (1, 3):
+        yield render_svg(far, RenderOptions(cell_size=cs, palette=palette))
+
+
+def reference_svg(t, opts):
+    """render_svg as one f-string per <rect>, over exact ints."""
+    cs, palette = opts.cell_size, tuple(opts.palette)
+    rows, cols = t.box.sides
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * cs}" height="{rows * cs}" '
+        f'viewBox="0 0 {cols * cs} {rows * cs}">'
+    ]
+    for p in t.placements:
+        (r0, c0), (e0, e1) = p.origin, p.oriented_sides(t.bricks[p.brick_index])
+        parts.append(
+            f'<rect x="{c0 * cs}" y="{r0 * cs}" width="{e1 * cs}" height="{e0 * cs}" '
+            f'fill="{palette[p.brick_index % len(palette)]}" stroke="#222" stroke-width="1"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_svg_matches_reference(seed):
+    # placements in random places, some of them past the box, with more
+    # lines than one chunk of the line writer and numbers of 1 to 19 digits
+    rng = np.random.default_rng(seed)
+    m = codec._LINES_CHUNK + 17
+    bricks = tuple(Brick(rng.integers(1, 10**6, size=2)) for _ in range(13))
+    origin = rng.integers(0, 10 ** rng.integers(1, 19, size=(m, 1)), size=(m, 2))
+    t = Tiling.from_arrays(
+        BoxShape((50, 70)),
+        bricks,
+        rng.integers(0, len(bricks), size=m),
+        np.tile([[0, 1], [1, 0]], (m, 1))[rng.integers(0, 2, size=m)],
+        origin,
+        rotation_policy="axis-permutations",
+    )
+    for opts in (RenderOptions(cell_size=1), RenderOptions(cell_size=999, palette=("#a", "\u00e9cru", "x"))):
+        assert render_svg(t, opts) == reference_svg(t, opts)
+
+
+def test_svg_corpus_is_pinned():
+    digest = hashlib.sha256("\0".join(svg_corpus()).encode("utf-8")).hexdigest()
+    assert digest == SVG_CORPUS_DIGEST
