@@ -5,6 +5,8 @@ specs, and either a writer with the library call it writes, or a
 handler of its own.  There is one writer per kind of result: _value
 prints a value, _tiling a tiling (to --out or stdout), _decision a
 verdict (its witness to --witness) and _report a verification report.
+frob represent, tile squares-235p, oracle search and render have
+handlers.
 
 Exit codes: 0 success (including "tileable" and Valid), 1 clean
 negative (not tileable, not representable, Invalid, Infeasible),
@@ -175,12 +177,6 @@ def _search(args) -> int:
     return 3 if result.status == EXHAUSTED else 1
 
 
-def _scan(args) -> int:
-    misses = threshold_scan(_bricks(args.bricks), args.limit, _search_config(args))
-    print(" ".join(str(a) for a in misses))
-    return 0
-
-
 def _render(args) -> int:
     t = load_tiling(args.tiling)
     if args.format == "ascii":
@@ -276,7 +272,9 @@ _VERBS = (
                    "help": "print the search's counts as one JSON line on stderr"})],
      _search, None),
     ("oracle", "scan", "non-tileable square sides up to a limit",
-     [_BRICKS, _ints("--limit"), *_SEARCH], _scan, None),
+     [_BRICKS, _ints("--limit"), *_SEARCH], _value,
+     lambda a: " ".join(map(str, threshold_scan(_bricks(a.bricks), a.limit,
+                                                _search_config(a))))),
     ("verify", "full", "exact cell-coverage verification", [_TILING],
      _report, lambda a: verify_full(load_tiling(a.tiling))),
     ("verify", "sampled", "randomized cell-coverage verification",

@@ -1,12 +1,17 @@
 """Plain-text and SVG pictures of 2-D tilings.
 
 render_ascii draws one character per unit cell, row-major (axis 0 down,
-axis 1 across), '.' for uncovered cells.  Letters cycle through A-Z,
-a-z, 0-9, but never repeat between placements that share an edge, so
-connected equal-letter regions are exactly the placements and the text
-can be parsed back into the cell-ownership partition.  render_svg emits
-one stroked rectangle per placement, colored by brick index, in
-placement order.
+axis 1 across): the letter of the last placement covering the cell, '.'
+for an uncovered one; cells past the box are not drawn.  Letters cycle
+through A-Z, a-z, 0-9 and are chosen from the picture's own edges: a
+placement takes the first symbol, from its index on, that no earlier
+placement sharing an edge with it in the picture holds (the last one
+tried if they hold all 62).  So, unless a placement borders all 62
+symbols, two drawn regions never meet in one letter, and the text of an
+exact tiling parses back into its placements; there the cells beside a
+placement are its rectangle's ring, and the picture is byte-identical
+to one drawn by walking each ring.  render_svg emits one stroked
+rectangle per placement, colored by brick index, in placement order.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ def _require_2d(t: Tiling) -> None:
         raise DimensionUnsupportedError(f"rendering needs a 2-D tiling, got {t.dimension}-D")
 
 
-def _scaled_corners(t: Tiling, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_corners(t: Tiling, scale: int) -> tuple[np.ndarray, np.ndarray]:
     """Each placement's origin and oriented extents, times scale.
 
     int64 while every far corner times scale fits it; else exact ints
@@ -93,54 +98,43 @@ def _scaled_corners(t: Tiling, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return lo * scale, extents * scale
 
 
-def _cell_rects(t: Tiling) -> list[list[int]]:
-    """[row0, row1, col0, col1] half-open cell ranges per placement."""
-    lo, extents = _scaled_corners(t)
-    hi = lo + extents
-    return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).tolist()
-
-
-def _assign_letters(owners: np.ndarray, rects) -> list[str]:
-    """One symbol per placement, cycling, never matching an edge neighbor.
-
-    owners holds, per cell, the index of the last placement covering it.
-    """
-    rows, cols = owners.shape
-    grid = owners.tolist()
-    letters: list[str] = []
-    for idx, (r0, r1, c0, c1) in enumerate(rects):
-        ring = set()
-        if r0 > 0:
-            ring.update(grid[r0 - 1][c0:c1])
-        if r1 < rows:
-            ring.update(grid[r1][c0:c1])
-        if c0 > 0:
-            ring.update(grid[r][c0 - 1] for r in range(r0, r1))
-        if c1 < cols:
-            ring.update(grid[r][c1] for r in range(r0, r1))
-        taken = {letters[n] for n in ring if 0 <= n < idx}
-        for offset in range(len(_ALPHABET)):
-            symbol = _ALPHABET[(idx + offset) % len(_ALPHABET)]
-            if symbol not in taken:
-                break
-        letters.append(symbol)
-    return letters
-
-
 def render_ascii(t: Tiling) -> str:
-    """Character grid of a 2-D tiling, one letter per placement."""
+    """Character grid of a 2-D tiling, one letter per placement.
+
+    Paints the owner raster (per cell, the last placement covering it),
+    then reads each placement's earlier edge neighbours off the raster's
+    pairs of adjacent cells with two different owners.
+    """
     _require_2d(t)
     rows, cols = t.box.sides
     if rows > ASCII_SIDE_LIMIT or cols > ASCII_SIDE_LIMIT:
         raise DimensionUnsupportedError(
             f"ascii rendering caps sides at {ASCII_SIDE_LIMIT}, got {rows} x {cols}"
         )
-    rects = _cell_rects(t)
-    owners = np.full((rows, cols), -1, dtype=np.int32)
-    for idx, (r0, r1, c0, c1) in enumerate(rects):
-        owners[r0:r1, c0:c1] = idx
+    owners = np.full((rows, cols), -1, dtype=np.int64)
+    # Python ints cannot wrap, and slices stop at the box's edge
+    corners = zip(t.origin.tolist(), t.oriented_extents().tolist())
+    for idx, ((r0, c0), (e0, e1)) in enumerate(corners):
+        owners[r0 : r0 + e0, c0 : c0 + e1] = idx
+    a = np.concatenate([owners[:-1].ravel(), owners[:, :-1].ravel()])
+    b = np.concatenate([owners[1:].ravel(), owners[:, 1:].ravel()])
+    later, earlier = np.maximum(a, b), np.minimum(a, b)
+    edge = (later != earlier) & (earlier >= 0)
+    m = len(t.brick_index)
+    # sorted by the later placement, then the earlier one
+    later, earlier = np.divmod(np.unique(later[edge] * m + earlier[edge]), m)
+    starts = np.searchsorted(later, np.arange(m + 1)).tolist()
+    earlier = earlier.tolist()
+    letters: list[str] = []
+    for idx in range(m):
+        taken = {letters[n] for n in earlier[starts[idx] : starts[idx + 1]]}
+        for offset in range(len(_ALPHABET)):
+            symbol = _ALPHABET[(idx + offset) % len(_ALPHABET)]
+            if symbol not in taken:
+                break
+        letters.append(symbol)
     # index -1, an uncovered cell, picks the trailing "."
-    symbols = np.array(_assign_letters(owners, rects) + ["."])
+    symbols = np.array(letters + ["."])
     return "\n".join("".join(row) for row in symbols[owners].tolist())
 
 

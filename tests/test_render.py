@@ -1,9 +1,12 @@
 """Tests for ASCII and SVG rendering."""
 
 import hashlib
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frobtile import codec
 from frobtile.errors import DimensionUnsupportedError, PreconditionError
@@ -94,6 +97,10 @@ class TestAscii:
         t = grid_fill(BoxShape((30, 30)), Brick((2, 2)))
         text = render_ascii(t)
         assert reconstruct_partition(text) == placement_cells(t)
+
+    def test_placement_past_the_last_row_is_clipped(self):
+        t = Tiling(BoxShape((4, 4)), (Brick((2, 2)),), (Placement(0, (0, 1), (3, 1)),))
+        assert render_ascii(t) == "....\n....\n....\n.AA."
 
     def test_deterministic(self):
         t = searched_square(17, 2, 3, 7)
@@ -231,3 +238,103 @@ def test_svg_matches_reference(seed):
 def test_svg_corpus_is_pinned():
     digest = hashlib.sha256("\0".join(svg_corpus()).encode("utf-8")).hexdigest()
     assert digest == SVG_CORPUS_DIGEST
+
+
+# SHA-256 of ascii_corpus() joined by NULs, as render_ascii wrote it when
+# each placement's rectangle was walked a second time to find its neighbours
+ASCII_CORPUS_DIGEST = "78d2d37c3a07a5513c717206542da684418386b7020832a5744702b1067e9748"
+
+
+def ascii_corpus():
+    """render_ascii over pinwheel, composition, 3,794-placement, two-squares,
+    rotated and 225-placement tilings, one with uncovered cells and the
+    empty tiling."""
+    holes = Tiling(
+        BoxShape((5, 7)),
+        (Brick((2, 3)), Brick((1, 1))),
+        [
+            Placement(0, (0, 1), (0, 0)),
+            Placement(0, (1, 0), (0, 4)),
+            Placement(1, (0, 1), (2, 1)),
+            Placement(0, (0, 1), (3, 3)),
+            Placement(1, (0, 1), (4, 6)),
+        ],
+        rotation_policy="axis-permutations",
+    )
+    witnesses = [
+        tile_square_235p(25, 11).witness,  # pinwheel
+        tile_square_235p(43, 5).witness,  # composition
+        tile_square_235p(199, 11).witness,
+        decide_two_squares(12, 13, 2, 3).witness,
+        decide_single_brick(6, 5, 2, 3).witness,  # strips, both orientations
+        grid_fill(BoxShape((30, 30)), Brick((2, 2))),  # more placements than symbols
+        holes,
+        Tiling(BoxShape((3, 4)), (Brick((1, 1)),), ()),
+    ]
+    return [render_ascii(t) for t in witnesses]
+
+
+def test_ascii_corpus_is_pinned():
+    digest = hashlib.sha256("\0".join(ascii_corpus()).encode("utf-8")).hexdigest()
+    assert digest == ASCII_CORPUS_DIGEST
+
+
+SYMBOLS = string.ascii_uppercase + string.ascii_lowercase + string.digits
+
+
+def reference_ascii(t):
+    """render_ascii cell by cell: each cell shows the last placement covering
+    it, and each placement takes the first symbol, cycling from its index,
+    that no earlier placement sharing an edge with it in the picture holds."""
+    rows, cols = t.box.sides
+    owner = {}
+    for idx, p in enumerate(t.placements):
+        (r0, c0), (e0, e1) = p.origin, p.oriented_sides(t.bricks[p.brick_index])
+        for r in range(r0, min(r0 + e0, rows)):
+            for c in range(c0, min(c0 + e1, cols)):
+                owner[r, c] = idx
+    earlier = [set() for _ in range(len(t.brick_index))]
+    for (r, c), i in owner.items():
+        for j in (owner.get((r + 1, c)), owner.get((r, c + 1))):
+            if j is not None and j != i:
+                earlier[max(i, j)].add(min(i, j))
+    letters = []
+    for idx, near in enumerate(earlier):
+        taken = {letters[n] for n in near}
+        cycle = (SYMBOLS[(idx + k) % len(SYMBOLS)] for k in range(len(SYMBOLS)))
+        letters.append(next(s for s in cycle if s not in taken))
+    return "\n".join(
+        "".join(letters[owner[r, c]] if (r, c) in owner else "." for c in range(cols))
+        for r in range(rows)
+    )
+
+
+@st.composite
+def corrupted_grids(draw):
+    """A grid of one brick in shuffled order, so that placements whose
+    indices differ by a multiple of 62 often share an edge, with some
+    placements moved (up to past the box), duplicated or inserted past
+    the last row."""
+    brick = Brick((draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    rows = brick.sides[0] * draw(st.integers(1, 14))
+    cols = brick.sides[1] * draw(st.integers(1, 14))
+    placements = draw(st.permutations(grid_fill(BoxShape((rows, cols)), brick).placements))
+    anywhere = st.tuples(st.integers(0, rows + 2), st.integers(0, cols + 2))
+    # a placement from here runs past the last row
+    past = st.tuples(st.integers(rows - brick.sides[0] + 1, rows + 2), st.integers(0, cols + 2))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("move", "duplicate", "past")))
+        i = draw(st.integers(0, len(placements) - 1))
+        if kind == "move":
+            placements[i] = Placement(0, (0, 1), draw(anywhere))
+        elif kind == "duplicate":
+            placements.insert(draw(st.integers(0, len(placements))), placements[i])
+        else:
+            placements.insert(i, Placement(0, (0, 1), draw(past)))
+    return Tiling(BoxShape((rows, cols)), (brick,), placements)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corrupted_grids())
+def test_ascii_matches_reference_on_invalid_tilings(t):
+    assert render_ascii(t) == reference_ascii(t)
