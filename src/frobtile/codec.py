@@ -284,7 +284,7 @@ def _canonical(text: str):
         return None
     try:
         doc = json.loads(text[:start] + '  "placements": []\n}')
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(doc, dict) or not isinstance(doc.get("box"), list) or not doc["box"]:
         return None
@@ -328,7 +328,9 @@ def decode(text: str) -> Tiling:
     A document laid out as encode writes it has its placements read
     straight into columns (_canonical).  Any other goes through
     json.loads, and its entries are checked one by one, so that the
-    error names the first bad one by its JSON path.
+    error names the first bad one by its JSON path.  Every text that is
+    not a valid document is a TilingParseError, including JSON nested
+    past the recursion limit and integers past Python's digit limit.
     """
     canonical = _canonical(text)
     if canonical is not None:
@@ -338,6 +340,8 @@ def decode(text: str) -> Tiling:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise TilingParseError(f"line {e.lineno}: {e.msg}") from None
+        except (ValueError, RecursionError) as e:
+            raise TilingParseError(f"unreadable JSON: {e}") from None
         columns = None
     if not isinstance(doc, dict):
         raise TilingParseError("top level: expected an object")
@@ -425,8 +429,12 @@ def save_tiling(t: Tiling, path: Union[str, Path]) -> None:
 
 
 def load_tiling(path: Union[str, Path]) -> Tiling:
+    """decode the UTF-8 text of path.  A file that cannot be read, is not
+    UTF-8 or does not decode is a TilingParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise TilingParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise TilingParseError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
     return decode(text)

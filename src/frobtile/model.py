@@ -694,6 +694,9 @@ def grid_blocks(
     orientation, no orientation column is built: Tiling gets the one row.
     """
     n = len(box_sides)
+    if not blocks:
+        empty = np.empty((0, n), dtype=np.int64)
+        return Tiling.from_arrays(BoxShape(box_sides), bricks, empty[:, 0], empty, empty, policy)
     # a fixed-policy block that is not the identity gets its rows, so that
     # Tiling names its first placement
     identity = identity_orientation(n)

@@ -21,8 +21,8 @@ dist[j] - j*a, so numpy does all cycles of one generator in one
 np.minimum.accumulate.  A GeneratorSet builds the tables of all its
 prefixes on first use, as one chain of numpy arrays: int64 while the
 values its passes and readers meet fit, then object dtype (exact Python
-ints) for the passes that follow.  It keeps them for its lifetime;
-every operation reads them:
+ints) for the passes that follow, or raises CapExceededError when they
+are too large to hold.  It keeps them for its lifetime:
 
   * frobenius_general takes the table's maximum;
   * represent walks back from the largest generator, taking the largest
@@ -30,10 +30,10 @@ every operation reads them:
     generators (read from that prefix's table; the largest such
     coefficient is among the top m candidates, which numpy tests at
     once while m times the generator fits int64);
-  * reduce_brauer_shockley drops the generators representable over the
-    rest (x is redundant exactly when x - y is in <S> for a smaller
-    generator y, one table read each) and scales out common factors:
+  * reduce_brauer_shockley reads none: with gcds alone it scales out the
+    common factor d of all generators but one,
       g(d*t_1, ..., d*t_k, s) = d*g(t_1, ..., t_k, s) + (d-1)*s
+    and hands a core with no such factor to frobenius_general.
 
 The products-over-one {P/a_i} of pairwise coprime a_i, the sets the
 tiling construction represents over, need no table: their Frobenius
@@ -54,7 +54,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonCoprimeError, NotPrimeError, PreconditionError
+from .errors import CapExceededError, NonCoprimeError, NotPrimeError, PreconditionError
 
 INT64_MAX = (1 << 63) - 1
 
@@ -128,7 +128,11 @@ class GeneratorSet:
     @cached_property
     def _tables(self) -> tuple:
         """The Apery tables of generators[:2] through generators, built once."""
-        return _prefix_tables(self.generators)
+        try:
+            return _prefix_tables(self.generators)
+        except (ValueError, MemoryError):
+            message = f"the Apery tables of {self.generators} are too large to hold"
+            raise CapExceededError(message) from None
 
 
 @dataclass(frozen=True)
@@ -271,31 +275,23 @@ def _frobenius_reduced(S: GeneratorSet) -> int:
     gens = S.generators
     if gens[0] == 1:
         return -1
-    if len(gens) == 2:
-        return frobenius_pair(*gens)
-    # x is redundant exactly when x - y is in <gens> for a smaller
-    # generator y: elements below x are combinations without x.
-    # Dropping it changes neither the semigroup nor its table.
-    table = S._tables[-1]
-    kept = tuple(x for i, x in enumerate(gens) if not any(_member(table, x - y) for y in gens[:i]))
-    if len(kept) == 2:
-        return frobenius_pair(*kept)
-    # scale out a common factor of all generators but one
-    for j in range(len(kept) - 1, -1, -1):
-        rest = kept[:j] + kept[j + 1:]
+    # scale out a common factor of all generators but one; a pair is the
+    # identity's own case, with core {1, s}
+    for j in range(len(gens) - 1, -1, -1):
+        rest = gens[:j] + gens[j + 1:]
         d = math.gcd(*rest)
         if d > 1:
-            core = GeneratorSet([t // d for t in rest] + [kept[j]])
-            return _checked_g(d * _frobenius_reduced(core) + (d - 1) * kept[j], gens)
-    return _checked_g(int(table.max()) - gens[0], gens)
+            core = GeneratorSet([t // d for t in rest] + [gens[j]])
+            return _checked_g(d * _frobenius_reduced(core) + (d - 1) * gens[j], gens)
+    return frobenius_general(S)
 
 
 def reduce_brauer_shockley(S: GeneratorSet) -> int:
     """Frobenius number via identity-based reduction.
 
-    Drops the generators representable over the rest and scales out
-    common factors shared by all generators but one, falling back to the
-    Apery table on irreducible cores.  Always equals frobenius_general(S).
+    Scales out a common factor of all generators but one with gcds alone
+    and recurses on the core; only a core with no such factor builds an
+    Apery table, in frobenius_general.  Always equals frobenius_general(S).
     """
     S.require_frobenius_valid()
     return _frobenius_reduced(S)

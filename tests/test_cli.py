@@ -45,6 +45,15 @@ class TestFrob:
         code, out, _ = run(capsys, "frob", "closed-form", "--primes", "2", "3", "5", "7")
         assert code == 0 and out.strip() == "383"
 
+    @pytest.mark.parametrize("verb", [("general",), ("reduced",), ("represent", "--target", "7")])
+    def test_table_too_large_to_hold_is_exit_3(self, capsys, verb):
+        # the first table's 10^15 entries exceed the address space, so its
+        # allocation fails at once
+        gens = [str(10**15 + k) for k in (0, 1, 3)]
+        code, out, err = run(capsys, "frob", *verb, "--gens", *gens)
+        assert code == 3 and out == ""
+        assert err.startswith("error: CapExceededError: ") and err.count("\n") == 1
+
     def test_noncoprime_is_exit_2(self, capsys):
         code, out, err = run(capsys, "frob", "pair", "--gens", "4", "6")
         assert code == 2
@@ -79,10 +88,12 @@ class TestBound:
         assert code == 0 and out.strip() == "29"
 
     def test_bad_shape_is_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["bound", "gn", "--bricks", "6xfour"])
-        assert info.value.code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for argv in (["bound", "gn", "--bricks", "6xfour"],
+                     ["oracle", "search", "--box", "0x3", "--bricks", "2x2"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert capsys.readouterr().err.startswith("error: ArgumentError:")
 
 
 class TestTileAndVerify:
@@ -194,6 +205,17 @@ class TestTileAndVerify:
         code, _, err = run(capsys, "verify", "full", "--tiling", "/no/such/file.json")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("verb", [("verify", "full"), ("verify", "sampled"), ("render",)])
+    def test_unreadable_tiling_file_is_exit_2(self, capsys, tmp_path, verb):
+        # bytes that are not UTF-8, nesting past the recursion limit, and
+        # an integer past Python's digit limit
+        for data in (b'{"format": "\xff"}', b"[" * 200_000, b'{"box": [' + b"9" * 5000 + b"]}"):
+            path = tmp_path / "bad.json"
+            path.write_bytes(data)
+            code, out, err = run(capsys, *verb, "--tiling", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: TilingParseError: ") and err.count("\n") == 1
+
 
 class TestDecide:
     def test_single_brick_positive_with_witness(self, capsys, tmp_path):
@@ -258,6 +280,12 @@ class TestOracle:
             "--bricks", "2x2", "3x3", "5x5", "--node-limit", "3",
         )
         assert code == 3 and out.startswith("Exhausted(")
+        # the time limit too: 25x25 takes 134,412 nodes, about 0.5 s, unlimited
+        code, out, _ = run(
+            capsys, "oracle", "search", "--box", "25x25",
+            "--bricks", "2x2", "3x3", "17x17", "--time-limit", "0.01",
+        )
+        assert code == 3 and out.startswith("Exhausted(time_limit, ")
 
     def test_search_stats_go_to_stderr(self, capsys):
         argv = ("oracle", "search", "--box", "7x7", "--bricks", "2x2", "3x3", "5x5")

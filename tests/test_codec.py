@@ -124,6 +124,19 @@ def test_missing_and_mistyped_fields():
         decode(encode(t).replace("[4, 6]", '["four", 6]'))
     with pytest.raises(TilingParseError, match=r"placements\[0\]"):
         decode(encode(t).replace('{"brick": 0,', '{"brick": "zero",', 1))
+    head = '{"format": "tiling/1", "box": [4, 6], "rotation_policy": "fixed", "bricks": [[2, 3]]'
+    entry = '{"brick": 0, "orientation": [0, 1], "origin": [0, 0]}'
+    for text, message in [
+        ("[]", "top level: expected an object"),
+        (head.replace('"fixed"', "0") + ', "placements": []}', "rotation_policy: expected a string"),
+        (head.replace("[[2, 3]]", "{}") + ', "placements": []}', "bricks: expected a list"),
+        (head + ', "placements": {}}', "placements: expected a list"),
+        (head + ', "placements": [0]}', r"placements\[0\]: expected an object"),
+        (head + ', "placements": [{"brick": 0, "origin": [0, 0]}]}', "missing field 'orientation'"),
+        (head + ', "placements": [' + entry.replace("[0, 0]", "0") + "]}", r"origin: expected a list"),
+    ]:
+        with pytest.raises(TilingParseError, match=message):
+            decode(text)
 
 
 def test_semantic_violations_become_parse_errors():
@@ -141,6 +154,20 @@ def test_semantic_violations_become_parse_errors():
 def test_load_missing_file(tmp_path):
     with pytest.raises(TilingParseError, match="cannot read"):
         load_tiling(tmp_path / "absent.json")
+
+
+def test_unreadable_texts_are_parse_errors(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(encode(sample_tiling()).encode("utf-8").replace(b"fixed", b"fix\xe9d"))
+    with pytest.raises(TilingParseError, match="not UTF-8"):
+        load_tiling(path)
+    # nesting past the recursion limit, and integers past Python's digit
+    # limit: in the head that the layout's reader parses, and in a placement
+    text, long = encode(sample_tiling()), "9" * 5000
+    head, entry = text.replace("[4, 6]", f"[4, {long}]"), text.replace("[0, 0]", f"[0, {long}]", 1)
+    for bad in ("[" * 200_000, head, entry):
+        with pytest.raises(TilingParseError, match="unreadable JSON"):
+            decode(bad)
 
 
 def outcome(text):

@@ -296,6 +296,7 @@ def test_grid_blocks_equals_stacked_grids(drawn, data):
     assert t == want
     assert t.placements == want.placements
     assert verify_full(t).valid
+    assert grid_blocks(box, bricks, [], policy) == expanded(box, bricks, [], policy)
 
 
 def test_grid_blocks_sorts_by_lexsort_past_int64_or_outside_the_box():

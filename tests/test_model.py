@@ -307,6 +307,8 @@ def test_verify_sampled_rejects_a_negative_seed_before_any_work():
     t = Tiling(box, (Brick((2, 2)),), ps)
     with pytest.raises(PreconditionError, match="seed must be >= 0"):
         verify_sampled(t, samples=10, seed=-1)
+    with pytest.raises(PreconditionError, match="samples must be >= 1"):
+        verify_sampled(t, samples=0, seed=0)
     assert verify_sampled(t, samples=10, seed=0).reason == "volume_mismatch"
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from frobtile import oracle
 from frobtile.codec import encode
-from frobtile.errors import CapExceededError, PreconditionError
+from frobtile.errors import CapExceededError, PreconditionError, SearchLimitError
 from frobtile.model import BoxShape, Brick, Tiling, verify_full
 from frobtile.oracle import SearchConfig, exact_cover_search, threshold_scan
 from frobtile.planar import decide_two_squares
@@ -113,6 +113,9 @@ def test_threshold_scans():
     assert threshold_scan(squares(2, 3, 5), 30) == [1, 7]
     assert threshold_scan(squares(2, 3, 7), 30) == [1, 5, 11]
     assert threshold_scan(squares(2, 3), 20) == [1, 5, 7, 11, 13, 17, 19]
+    # 7 is the first side that needs a search, and one node does not settle it
+    with pytest.raises(SearchLimitError, match="inconclusive at a=7"):
+        threshold_scan(squares(2, 3, 5), 30, SearchConfig(node_limit=1))
 
 
 def test_one_or_two_square_sizes_scan_without_search():
@@ -138,6 +141,10 @@ def test_search_config_validates():
         SearchConfig(node_limit=0)
     with pytest.raises(PreconditionError, match="time_limit must be > 0, got 0"):
         SearchConfig(time_limit=0)
+    with pytest.raises(PreconditionError, match="at least one brick"):
+        exact_cover_search(BoxShape((4, 4)), [])
+    with pytest.raises(PreconditionError, match="has dimension 3, box has 2"):
+        exact_cover_search(BoxShape((4, 4)), [Brick((2, 2, 2))])
     with pytest.raises(PreconditionError):
         SearchConfig(rotation_policy="mirror")
 
@@ -191,10 +198,13 @@ def test_node_limit_holds_for_the_whole_search(limit, parallel):
 
 
 def test_parallel_time_limit_is_one_deadline():
-    cfg = SearchConfig(time_limit=0.05, parallel=True)
-    r = exact_cover_search(BoxShape((25, 25)), squares(2, 3, 17), cfg)
-    assert r.status == "exhausted" and r.reason == "time_limit"
-    assert r.stats.elapsed_s < 5
+    # 134,412 nodes, about 0.5 s, to Infeasible unlimited; the sequential
+    # search checks the same deadline every 4096 nodes
+    for parallel, limit in ((True, 0.05), (False, 0.01)):
+        cfg = SearchConfig(time_limit=limit, parallel=parallel)
+        r = exact_cover_search(BoxShape((25, 25)), squares(2, 3, 17), cfg)
+        assert r.status == "exhausted" and r.reason == "time_limit"
+        assert r.stats.elapsed_s < 5
 
 
 def test_deep_search_needs_no_recursion_limit():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from frobtile import semigroup
-from frobtile.errors import NonCoprimeError, NotPrimeError, PreconditionError
+from frobtile.errors import CapExceededError, NonCoprimeError, NotPrimeError, PreconditionError
 from frobtile.semigroup import (
     INT64_MAX,
     GeneratorSet,
@@ -133,6 +133,29 @@ def test_reduction_agrees_with_general_at_the_int64_edge():
     S = GeneratorSet([3, 2**62 + 1, 2**62 + 4])
     assert frobenius_general(S) == INT64_MAX
     assert reduce_brauer_shockley(S) == INT64_MAX
+
+
+def test_reduction_tabulates_only_the_core():
+    # 1000 scales out of {1001000, 1003000}; the core {1001, 1003, 2000003}
+    # has no factor, so only its table of 1001 classes is built, not S's
+    S = GeneratorSet([1001000, 1003000, 2000003])
+    assert reduce_brauer_shockley(S) == 3000001997
+    assert "_tables" not in S.__dict__
+
+
+def test_reduction_matches_general_and_brute_on_random_sets():
+    rng = random.Random(2424)
+    for _ in range(300):
+        gens = random_valid_set(rng, max_size=3, max_value=20)
+        d = rng.randint(2, 4)
+        scaled = [d * t for t in gens[:-1]] + [gens[-1]]
+        redundant = list(gens) + [sum(rng.randint(0, 2) * t for t in gens) + gens[0]]
+        pair = [gens[0], gens[0] * rng.randint(1, 3) + 1]
+        for case in (scaled, redundant, pair):
+            if math.gcd(*case) != 1:
+                continue
+            S = GeneratorSet(case)
+            assert reduce_brauer_shockley(S) == frobenius_general(S) == brute_frobenius(case), case
 
 
 def test_scaling_identity():
@@ -362,6 +385,15 @@ def test_a_set_builds_its_tables_once(monkeypatch):
     # a pair never builds a table
     represent(10**6, GeneratorSet((1000, 1013)))
     assert (1000, 1013) not in builds
+
+
+def test_a_table_too_large_to_hold_is_a_cap():
+    # the first table of 10^15 int64 entries is larger than the address
+    # space, so its allocation fails at once without touching memory
+    S = GeneratorSet([10**15, 10**15 + 1, 10**15 + 3])
+    for call in (frobenius_general, reduce_brauer_shockley, lambda S: represent(10**16, S)):
+        with pytest.raises(CapExceededError, match="too large to hold"):
+            call(S)
 
 
 def test_a_numpy_table_is_freed_with_its_set():
