@@ -52,6 +52,7 @@ import errno
 import json
 import os
 import stat
+import sys
 from pathlib import Path
 from typing import Union
 
@@ -340,7 +341,11 @@ def decode(text: str) -> Tiling:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise TilingParseError(f"line {e.lineno}: {e.msg}") from None
-        except (ValueError, RecursionError) as e:
+        except ValueError:
+            # the int digit limit, said without Python's advice to raise it
+            limit = sys.get_int_max_str_digits()
+            raise TilingParseError(f"unreadable JSON: an integer has more than {limit} digits") from None
+        except RecursionError as e:
             raise TilingParseError(f"unreadable JSON: {e}") from None
         columns = None
     if not isinstance(doc, dict):

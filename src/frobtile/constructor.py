@@ -103,11 +103,16 @@ def check_admissible(sys: BrickSystem) -> AdmissibilityReport:
 
 
 def gn_bound(sys: BrickSystem) -> int:
-    """Largest Frobenius number over every axis's products-over-one sets,
-    each in closed form since admissible sides are pairwise coprime."""
+    """Largest Frobenius number over every axis's products-over-one sets."""
     report = check_admissible(sys)
     if not report.valid:
         raise NotAdmissibleError(str(report))
+    return _largest_frobenius(sys)
+
+
+def _largest_frobenius(sys: BrickSystem) -> int:
+    """gn_bound of an admissible system, each Frobenius number in closed
+    form since admissible sides are pairwise coprime."""
     return max(
         quotient_frobenius([b.sides[k - 1] for b in bricks])
         for k in range(1, sys.n + 1)
@@ -160,7 +165,7 @@ def construct_box(box: BoxShape, sys: BrickSystem) -> Tiling:
         raise DimensionMismatchError(
             f"box dimension {box.dimension} != system dimension {sys.n}"
         )
-    bound = gn_bound(sys)
+    bound = _largest_frobenius(sys)
     for axis, side in enumerate(box.sides):
         if side <= bound:
             raise BoundNotMetError(axis=axis, required=bound + 1, got=side)

@@ -70,8 +70,8 @@ _ROTATION_POLICIES = (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS)
 
 # cells of the verify_full raster held in memory at once (int32 counts)
 RASTER_SLAB_CELLS = 1 << 22
-# verify_sampled probes this many cells at a time
-_SAMPLE_CHUNK = 1 << 14
+# verify_sampled probes about this many (cell, candidate) pairs at a time
+_SAMPLE_PAIRS = 1 << 18
 
 
 def identity_orientation(n: int) -> tuple[int, ...]:
@@ -595,8 +595,11 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     the largest oriented side: a cell probes eight buckets, read as four
     runs of the placements sorted by bucket.  A candidate passes an axis
     if (cell - origin) as unsigned is below its extent, and is dropped
-    before the next axis if not.  A failure names the first sampled cell
-    not covered exactly once and its cover count.
+    before the next axis if not.  Cells are probed in chunks of about
+    _SAMPLE_PAIRS (cell, candidate) pairs, so memory is bounded and time
+    proportional to the pairs: one large brick widens every bucket, and
+    a cell near many small ones has them all for candidates.  A failure
+    names the first sampled cell not covered exactly once and its count.
     """
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
@@ -647,10 +650,18 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
     # grid axis, is the cell's own or the one just below it; along the
     # last grid axis those two are adjacent keys, so each pair is one run
     shifts = [sum(c) for c in product(*[(0, stride) for stride in strides[:-1]])]
+    pairs = np.zeros(samples, dtype=np.int64)  # candidates per cell
+    for shift in shifts:
+        pairs += bucket_start.take(cell_key - shift + 1) - bucket_start.take(cell_key - shift - 1)
+    ends = np.cumsum(pairs)
     counts = np.zeros(samples, dtype=np.int64)  # in probe order, like cells
-    for s0 in range(0, samples, _SAMPLE_CHUNK):
-        keys = cell_key[s0:s0 + _SAMPLE_CHUNK]
-        chunk = slice(s0, s0 + len(keys))
+    s0 = 0
+    while s0 < samples:
+        # the cells whose pairs fit the budget, or one cell on its own
+        budget = ends[s0] - pairs[s0] + _SAMPLE_PAIRS
+        s1 = max(s0 + 1, int(np.searchsorted(ends, budget, "right")))
+        keys = cell_key[s0:s1]
+        chunk = slice(s0, s1)
         for shift in shifts:
             starts = bucket_start.take(keys - shift - 1)
             runs = bucket_start.take(keys - shift + 1) - starts
@@ -663,6 +674,7 @@ def verify_sampled(t: Tiling, samples: int, seed: int) -> VerifyReport:
                 hit = np.flatnonzero(gap.view(np.uint64) < sizes[k].take(cand))
                 sample, cand = sample.take(hit), cand.take(hit)
             counts[chunk] += np.bincount(sample, minlength=len(keys))
+        s0 = s1
     bad = np.flatnonzero(counts != 1)
     if len(bad):
         first = bad[np.argmin(probe_order.take(bad))]

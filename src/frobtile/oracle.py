@@ -69,12 +69,12 @@ order, and the first solution is the same with or without them.
 
 The DFS runs on an explicit frame stack, so depth costs no recursion.
 Infeasible is reported only after a complete search; hitting a node or
-time limit yields Exhausted instead.  Parallel mode expands the root,
-then finishes each surviving branch in a worker process, starting from
-its height vector and the weight the root carried down to it, all under
-one deadline and with the node limit split across the branches; it
-keeps the branch-order-first solution, so a Found result matches the
-sequential search whenever no limit truncates an earlier branch.
+time limit yields Exhausted instead.  Every search starts from the empty
+box.  Parallel mode runs that same search once per root shape, each in
+a worker process whose root frame tries that shape alone, all under one
+deadline and with the node limit divided evenly over the shapes; it
+keeps the first solution in shape order, so a Found result matches the
+sequential search whenever no limit truncates an earlier shape.
 """
 
 from __future__ import annotations
@@ -127,12 +127,15 @@ class SearchStats:
     """What one search cost.
 
     nodes counts states entered (in parallel mode summed over the
-    workers; the root expansion in the calling process is not counted).
-    The prune counts and memo_hits count children cut before they were
+    workers, each of which enters the root without counting it).  The
+    prune counts and memo_hits count children cut before they were
     entered; volume_prunes is 1 when the volume precheck settled the
     box, weight_prunes 1 when the root weight test did.  memo_size is
-    the number of failed states stored, max_depth the deepest frame
-    stack, elapsed_s the wall time of the call.
+    the number of failed states stored; a parallel worker that fails
+    stores the root as well, so a parallel search without a solution
+    reports up to one more per root shape.  max_depth is the deepest
+    frame stack (the largest worker's in parallel mode), elapsed_s the
+    wall time of the call.
     """
 
     nodes: int = 0
@@ -292,7 +295,9 @@ class _Problem:
     cross-section of a 1-D box is a single column of width 1.  With
     weight points, dw[j][m * columns + x] is the packed weight of shape
     j placed at (m, column x).  When weights.root_cut is set the box is
-    settled and nothing past the shapes is prepared.
+    settled and nothing past the shapes is prepared.  Otherwise start is
+    the empty box's height vector, where every search starts, and weight
+    the biased packed weight of the whole box.
     """
 
     def __init__(self, box_sides, brick_sides, policy):
@@ -337,6 +342,8 @@ class _Problem:
         self.weights = weights = _Weights(box_sides, extents)
         if weights.root_cut:
             return
+        self.start = chr(0) * math.prod(cross)
+        self.weight = weights.bias + weights.region(box_sides)
         self.dw = None
         if weights.points:
             self.wmask, self.wwant = weights.masks(H)
@@ -401,29 +408,26 @@ class _Problem:
         return tables
 
 
-def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
-    """Depth-first search from the height vector start.
+def _skyline_dfs(prob, node_limit, deadline, root=None):
+    """Depth-first search from the empty box, prob.start.
 
-    weight is the biased packed weight of the region above start (unused
-    without weight points).  Returns (status, payload, counts).  payload
-    is the list of (brick_index, perm, origin) placements below start
-    when FOUND, the limit's name when EXHAUSTED, and None when
-    INFEASIBLE.  With split, start is expanded but not descended into:
-    the result is (None, [(shape index, child heights, child weight),
-    ...], counts) in branch order.  counts = [nodes, column, row-width,
-    weight, memo hits, memo size, depth].
+    Returns (status, payload, counts).  payload is the list of
+    (brick_index, perm, origin) placements when FOUND, the limit's name
+    when EXHAUSTED, and None when INFEASIBLE.  With root = j the root
+    frame tries shape j alone: one parallel worker's search.  counts =
+    [nodes, column, row-width, weight, memo hits, memo size, depth].
     """
     H, row, shapes = prob.height, prob.row, prob.shapes
     colok, widthok = prob.colok, prob.widthok
     dw = prob.dw
     if dw:
         wmask, wwant = prob.wmask, prob.wwant
-        columns = len(start)
+        columns = len(prob.start)
     nshapes = len(shapes)
+    root_end = nshapes if root is None else root + 1
     failed = {}     # insertion-ordered, so the oldest states go first
     nodes = col = wid = wgt = hits = dmax = 0
     stack = []      # parent frames: (heights, min char, min, column, run, next shape, key, weight)
-    branches = []
 
     def done(status, payload):
         return status, payload, [nodes, col, wid, wgt, hits, len(failed), dmax]
@@ -432,24 +436,16 @@ def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
         frames = [(f[5] - 1, f[2], f[3]) for f in stack] + [(j, m, x)]
         return [prob.placed[j] + (prob.origin(m, x),) for j, m, x in frames]
 
-    s = start
-    mc = min(s)
-    m = ord(mc)
-    if m == H:
-        return done(FOUND, [])
-    x = s.index(mc)
-    t = s[x:x - x % row + row]
-    L = len(t) - len(t.lstrip(mc))
-    key = min(s, s[::-1])
-    w = weight
-    if node_limit < 1:
-        return done(EXHAUSTED, "node_limit")
+    # the empty box: every column at height 0, the first row one run
+    s = key = prob.start
+    mc, m, x, L = s[0], 0, 0, row
+    w = prob.weight
     nodes = 1
-    j0 = 0
+    j0 = root or 0
     while True:
         hm = H - m
         wok = widthok[m]
-        for j in range(j0, nshapes):
+        for j in range(j0, nshapes if stack else root_end):
             e0, el, extra, fits = shapes[j]
             if el > L or e0 > hm:
                 continue
@@ -473,10 +469,7 @@ def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
                 cmc = min(child)
                 cm = ord(cmc)
                 if cm == H:
-                    if not split:
-                        return done(FOUND, path(j, m, x))
-                    branches.append((j, child, w - dw[j][m * columns + x] if dw else w))
-                    continue
+                    return done(FOUND, path(j, m, x))
                 cx = child.index(cmc)
                 t = child[cx:cx - cx % row + row]
                 cL = len(t) - len(t.lstrip(cmc))
@@ -494,9 +487,6 @@ def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
             if ckey in failed:
                 hits += 1
                 continue
-            if split:
-                branches.append((j, child, w - dw[j][m * columns + x] if dw else w))
-                continue
             if nodes >= node_limit:
                 return done(EXHAUSTED, "node_limit")
             nodes += 1
@@ -511,8 +501,6 @@ def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
             j0 = 0
             break
         else:
-            if split:
-                return done(None, branches)
             failed[key] = None
             if len(failed) > _MEMO_CAP:
                 for old in list(islice(failed, len(failed) // 2)):
@@ -523,10 +511,16 @@ def _skyline_dfs(prob, start, weight, node_limit, deadline, split=False):
 
 
 def _search_branch(args):
-    """Worker for parallel mode: finish the search below one root branch."""
-    box_sides, brick_sides, policy, start, weight, node_limit, deadline = args
+    """Worker for parallel mode: the search whose root tries one shape.
+
+    The root is entered but not counted, so it gets one node past the
+    worker's share of the limit, and one node less is reported.
+    """
+    box_sides, brick_sides, policy, root, node_limit, deadline = args
     prob = _Problem(box_sides, brick_sides, policy)
-    return _skyline_dfs(prob, start, weight, node_limit, deadline)
+    status, payload, counts = _skyline_dfs(prob, node_limit + 1, deadline, root)
+    counts[0] -= 1
+    return status, payload, counts
 
 
 def _build_tiling(box, bricks, policy, triples):
@@ -573,33 +567,24 @@ def exact_cover_search(
         return finish(INFEASIBLE)
     if prob.weights.root_cut:
         return finish(INFEASIBLE, counts=(0, 0, 0, 1, 0, 0, 0))
-    start = chr(0) * math.prod(prob.cross)
-    weight = prob.weights.bias + prob.weights.region(box.sides)
     if not cfg.parallel:
-        return finish(*_skyline_dfs(prob, start, weight, cfg.node_limit, deadline))
+        return finish(*_skyline_dfs(prob, cfg.node_limit, deadline))
 
-    # parallel: one worker per surviving root branch, joined in branch order;
-    # the coordinator's expansion of the root is not counted as a node
-    _, branches, counts = _skyline_dfs(prob, start, weight, cfg.node_limit, deadline, split=True)
-    counts[0] = 0
-    if not branches:
-        return finish(INFEASIBLE, None, counts)
-    share, extra = divmod(cfg.node_limit, len(branches))
+    # parallel: one worker per root shape, joined in shape order
+    share, extra = divmod(cfg.node_limit, len(prob.shapes))
     args = [
-        (box.sides, brick_sides, cfg.rotation_policy, child, w, share + (k < extra), deadline)
-        for k, (_, child, w) in enumerate(branches)
+        (box.sides, brick_sides, cfg.rotation_policy, j, share + (j < extra), deadline)
+        for j in range(len(prob.shapes))
     ]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
         results = list(pool.map(_search_branch, args))
-    for r in results:
-        counts = [a + b for a, b in zip(counts, r[2])]
-    counts[6] = 1 + max(r[2][6] for r in results)
-    for (j, _, _), (status, payload, _) in zip(branches, results):
+    counts = [sum(c) for c in zip(*(r[2] for r in results))]
+    counts[6] = max(r[2][6] for r in results)
+    for status, payload, _ in results:
         if status == FOUND:
-            first = prob.placed[j] + (prob.origin(0, 0),)
-            return finish(FOUND, [first] + payload, counts)
+            return finish(FOUND, payload, counts)
     exhausted = [r[1] for r in results if r[0] == EXHAUSTED]
     if exhausted:
         return finish(EXHAUSTED, exhausted[0], counts)

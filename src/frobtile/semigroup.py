@@ -266,6 +266,8 @@ def frobenius_general(S: GeneratorSet) -> int:
     gens = S.generators
     if len(gens) == 2:
         return frobenius_pair(*gens)
+    # g(S) >= min(S) - 1, a gap, so no table is needed to see an overflow
+    _checked_g(gens[0] - 1, gens)
     return _checked_g(int(S._tables[-1].max()) - gens[0], gens)
 
 

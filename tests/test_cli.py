@@ -54,6 +54,13 @@ class TestFrob:
         assert code == 3 and out == ""
         assert err.startswith("error: CapExceededError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_smallest_generator_past_int64_is_exit_2(self, capsys, count):
+        gens = [str(2**63 + k) for k in (1, 2, 3)][:count]
+        code, out, err = run(capsys, "frob", "general", "--gens", *gens)
+        assert code == 2 and out == ""
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
     def test_noncoprime_is_exit_2(self, capsys):
         code, out, err = run(capsys, "frob", "pair", "--gens", "4", "6")
         assert code == 2

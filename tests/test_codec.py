@@ -1,5 +1,6 @@
 """Serialization round-trips and strict parsing."""
 
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -168,6 +169,12 @@ def test_unreadable_texts_are_parse_errors(tmp_path):
     for bad in ("[" * 200_000, head, entry):
         with pytest.raises(TilingParseError, match="unreadable JSON"):
             decode(bad)
+    # the digit limit in the library's words, without Python's advice
+    limit = sys.get_int_max_str_digits()
+    for bad in (head, entry):
+        with pytest.raises(TilingParseError) as info:
+            decode(bad)
+        assert str(info.value) == f"unreadable JSON: an integer has more than {limit} digits"
 
 
 def outcome(text):

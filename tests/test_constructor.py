@@ -219,7 +219,7 @@ def test_construct_dimension_mismatch():
 
 def test_construct_checks_dimension_before_the_bound():
     # a box of the wrong dimension is rejected before g_n is computed
-    with mock.patch.object(constructor, "gn_bound", side_effect=AssertionError):
+    with mock.patch.object(constructor, "_largest_frobenius", side_effect=AssertionError):
         with pytest.raises(DimensionMismatchError):
             construct_box(BoxShape((30, 30, 30)), squares_system([2, 3, 5]))
 

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from frobtile.model import (
     verify_full,
     verify_sampled,
 )
-from frobtile import codec
+from frobtile import codec, model
 from frobtile.codec import decode, encode
 from frobtile.oracle import exact_cover_search
 from frobtile.planar import (
@@ -318,6 +319,39 @@ def test_verify_sampled_too_many_samples_is_cap_exceeded():
     for samples in (2**62, 2**70):
         with pytest.raises(CapExceededError, match=f"{samples} samples"):
             verify_sampled(t, samples=samples, seed=0)
+
+
+def _crowded(layer):
+    """One 16 x 32 x 32 brick and 16,384 unit cubes in a 32^3 box, the
+    cubes' first layer at axis-0 coordinate layer: a tiling at 16, and
+    at 15 a layer over the brick and one left empty."""
+    blocks = [(0, (0, 1, 2), (0, 0, 0), (16, 32, 32)), (1, (0, 1, 2), (layer, 0, 0), (1, 32, 32)),
+              (1, (0, 1, 2), (17, 0, 0), (15, 32, 32))]
+    return grid_blocks((32, 32, 32), (Brick((16, 32, 32)), Brick((1, 1, 1))), blocks)
+
+
+def test_verify_sampled_memory_is_bounded_when_one_brick_widens_the_buckets():
+    # the large brick makes every bucket 16 x 32 x 32 cells, so the unit
+    # cubes share one bucket and a cell beside them has all of them for
+    # candidates: 8,192 a cell on average, 134 million pairs in 16,384 cells
+    t = _crowded(16)
+    tracemalloc.start()
+    try:
+        report = verify_sampled(t, samples=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and peak < 64 << 20
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_verify_sampled_reports_do_not_depend_on_the_pair_budget(monkeypatch, budget):
+    # below a cell's candidate count, each such cell is probed on its own
+    cases = [(_crowded(16), 300, 0), (_crowded(15), 300, 1), (_crowded(15), 300, 2)]
+    want = [str(verify_sampled(*case)) for case in cases]
+    assert not any(w.startswith("Valid") for w in want[1:])
+    monkeypatch.setattr(model, "_SAMPLE_PAIRS", budget)
+    assert [str(verify_sampled(*case)) for case in cases] == want
 
 
 def test_verify_sampled_agrees_with_full_on_random_grids():

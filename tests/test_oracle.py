@@ -107,6 +107,11 @@ def test_parallel_matches_sequential():
     assert encode(par.tiling) == encode(seq.tiling)
     bad = exact_cover_search(BoxShape((7, 7)), squares(2, 3, 5), cfg)
     assert bad.status == "infeasible"
+    # one root shape fills the box: the root's first child is the full box
+    whole = [exact_cover_search(BoxShape((2, 3)), [Brick((2, 3))], SearchConfig(parallel=parallel))
+             for parallel in (False, True)]
+    assert [len(r.tiling.placements) for r in whole] == [1, 1]
+    assert encode(whole[0].tiling) == encode(whole[1].tiling)
 
 
 def test_threshold_scans():
@@ -331,25 +336,26 @@ def test_weight_fields_are_bounded():
     assert sum(p[4] for p in weights.points) <= oracle._WEIGHT_FIELDS
 
 
+def _region(weights, lo, hi):
+    """Packed weight, without the bias, of the box lo <= cell < hi: at
+    each point a product of per-axis sums."""
+    total = 0
+    for z, _, strides, offset, _ in weights.points:
+        w = 1 << (weights.width * offset)
+        for a, b, q, st in zip(lo, hi, z, strides):
+            w *= oracle._axis_weights(b - a, q, st, a + 1)[a]
+        total += w
+    return total
+
+
 def _remaining_weight(prob, heights):
     """Biased packed weight of the region above the height vector: the
-    whole box less each filled column, each a box of per-axis sums."""
-    weights = prob.weights
-
-    def region(lo, hi):
-        total = 0
-        for z, _, strides, offset, _ in weights.points:
-            w = 1 << (weights.width * offset)
-            for a, b, q, st in zip(lo, hi, z, strides):
-                w *= oracle._axis_weights(b - a, q, st, a + 1)[a]
-            total += w
-        return total
-
-    w = weights.bias + region((0,) * prob.dimension, prob.box_sides)
+    whole box less each filled column."""
+    w = prob.weights.bias + _region(prob.weights, (0,) * prob.dimension, prob.box_sides)
     for x, h in enumerate(heights):
         if h:
             c = prob.origin(0, x)[1:]
-            w -= region((0, *c), (h, *(k + 1 for k in c)))
+            w -= _region(prob.weights, (0, *c), (h, *(k + 1 for k in c)))
     return w
 
 
@@ -360,24 +366,31 @@ def _remaining_weight(prob, heights):
     ((6, 5, 7), ((2, 3, 1), (3, 2, 2)), "axis-permutations"),
 ])
 def test_split_branches_carry_the_remaining_region_weight(box, sides, policy):
-    """Each branch of a split carries the weight of the region above its
-    heights, two levels down from the root."""
+    """Every branch below the root, and so every parallel worker's,
+    carries the weight of the region left to fill.  The search starts
+    from the empty box's weight and subtracts each placed shape's table
+    entry, so it is enough that the start is the empty box's remaining
+    weight and every entry, where its shape fits, is the weight of the
+    cells the shape covers."""
     prob = oracle._Problem(box, sides, policy)
     assert prob.dw
-    start = chr(0) * math.prod(prob.cross)
-    root = prob.weights.bias + prob.weights.region(box)
-    assert root == _remaining_weight(prob, [0] * len(start))
-    deadline = time.monotonic() + 60
-    level = [(start, root)]
-    for _ in range(2):
-        below = []
-        for heights, w in level:
-            _, branches, _ = oracle._skyline_dfs(prob, heights, w, 1000, deadline, split=True)
-            below += [(child, cw) for _, child, cw in branches]
-        assert below
-        for child, cw in below:
-            assert cw == _remaining_weight(prob, [ord(c) for c in child])
-        level = below
+    columns = math.prod(prob.cross)
+    assert prob.weight == _remaining_weight(prob, [0] * columns)
+    for j, (bi, perm) in enumerate(prob.placed):
+        ext = tuple(sides[bi][a] for a in perm)
+        for m in range(box[0] - ext[0] + 1):
+            for x in range(columns):
+                c = prob.origin(m, x)
+                if not all(o + e <= s for o, e, s in zip(c, ext, box)):
+                    continue
+                hi = tuple(o + e for o, e in zip(c, ext))
+                assert prob.dw[j][m * columns + x] == _region(prob.weights, c, hi), (ext, c)
+                if m == 0:
+                    # one step down from the root, as the search takes it
+                    under = [all(a <= b < h for a, b, h in zip(c[1:], prob.origin(0, y)[1:], hi[1:]))
+                             for y in range(columns)]
+                    left = _remaining_weight(prob, [ext[0] * u for u in under])
+                    assert prob.weight - prob.dw[j][x] == left, (ext, c)
 
 
 @st.composite

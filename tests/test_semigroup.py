@@ -396,6 +396,15 @@ def test_a_table_too_large_to_hold_is_a_cap():
             call(S)
 
 
+def test_a_smallest_generator_past_int64_is_an_overflow_before_any_table():
+    # g(S) >= min(S) - 1, so a pair and a larger set past 2^63 fail alike
+    gens = [2**63 + k for k in (1, 2, 3)]
+    for S in (GeneratorSet(gens[:2]), GeneratorSet(gens)):
+        for call in (frobenius_general, reduce_brauer_shockley):
+            with pytest.raises(OverflowError, match="64-bit contract"):
+                call(S)
+
+
 def test_a_numpy_table_is_freed_with_its_set():
     S = GeneratorSet((1000, 1013, 1500))
     frobenius_general(S)
