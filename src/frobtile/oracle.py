@@ -43,7 +43,9 @@ Prunes, each cutting only subtrees without a solution:
     has weight 0.  Weights are exact: integer vectors in
     Z[x0..]/(Phi_p(xk)), Phi_p = 1 + x + ... + x^(p-1), one vector per
     point, all of them packed into one biased int (_Weights).  Testing
-    the ring element for 0 tests every conjugate point at once.
+    the ring element for 0 tests every conjugate point at once.  The
+    per-placement tables skip each point where the shape vanishes, since
+    that term is exactly 0.
     - root: if every shape vanishes at some z and the box's weight there
       is not 0, the box is Infeasible before any node.
     - per node: the points kept have shapes that vanish and shapes that
@@ -73,8 +75,9 @@ time limit yields Exhausted instead.  Every search starts from the empty
 box.  Parallel mode runs that same search once per root shape, each in
 a worker process whose root frame tries that shape alone, all under one
 deadline and with the node limit divided evenly over the shapes; it
-keeps the first solution in shape order, so a Found result matches the
-sequential search whenever no limit truncates an earlier shape.
+builds the tiling once, from the first solution in shape order, so a
+Found result matches the sequential search whenever no limit truncates
+an earlier shape.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice, permutations, product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import CapExceededError, PreconditionError, SearchLimitError
 from .model import (
@@ -306,7 +311,7 @@ class _Problem:
         self.height = H = box_sides[0]
         self.cross = cross = tuple(box_sides[1:]) or (1,)
         self.row = cross[-1]
-        self.strides = strides = [1] * len(cross)
+        strides = [1] * len(cross)
         for k in range(len(cross) - 2, -1, -1):
             strides[k] = strides[k + 1] * cross[k + 1]
         perms = (
@@ -333,8 +338,8 @@ class _Problem:
                 fits = None
                 if extra:
                     fits = bytes(
-                        all(c + e <= s for c, e, s in zip(self.coords(x), foot, cross))
-                        for x in range(math.prod(cross))
+                        all(c + e <= s for c, e, s in zip(cs, foot, cross))
+                        for cs in product(*(range(s) for s in cross))
                     )
                 shapes.append((ext[0], foot[-1], extra, fits))
                 placed.append((bi, perm))
@@ -362,17 +367,6 @@ class _Problem:
                 tables[usable] = [bool(reach >> w & 1) for w in range(self.row + 1)]
             self.widthok.append(tables[usable])
 
-    def coords(self, x):
-        """Cross-section coordinates of flattened column x."""
-        out = []
-        for st in self.strides:
-            out.append(x // st)
-            x %= st
-        return out
-
-    def origin(self, m, x):
-        return (m, *self.coords(x)) if self.dimension > 1 else (m,)
-
     def _weight_tables(self, extents):
         # a weight at z depends on each coordinate mod z[k] only, so one
         # entry per residue class of the origin serves every placement;
@@ -389,6 +383,8 @@ class _Problem:
         for ext in extents:
             entries = [0] * (len(reps[0]) * len(index))
             for z, _, strides, offset, _ in weights.points:
+                if any(q > 1 and e % q == 0 for e, q in zip(ext, z)):
+                    continue        # the shape vanishes at z: every term is 0
                 axes = [
                     _axis_weights(e, q, st, len(rep))
                     for rep, e, q, st in zip(reps, ext, z, strides)
@@ -411,8 +407,10 @@ class _Problem:
 def _skyline_dfs(prob, node_limit, deadline, root=None):
     """Depth-first search from the empty box, prob.start.
 
-    Returns (status, payload, counts).  payload is the list of
-    (brick_index, perm, origin) placements when FOUND, the limit's name
+    Returns (status, payload, counts).  payload is the solution as three
+    int lists when FOUND, one entry per placement in the order placed:
+    the shape index j, the height m and the column x of its origin, read
+    off the frame stack (see _build_tiling).  It is the limit's name
     when EXHAUSTED, and None when INFEASIBLE.  With root = j the root
     frame tries shape j alone: one parallel worker's search.  counts =
     [nodes, column, row-width, weight, memo hits, memo size, depth].
@@ -433,8 +431,8 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
         return status, payload, [nodes, col, wid, wgt, hits, len(failed), dmax]
 
     def path(j, m, x):
-        frames = [(f[5] - 1, f[2], f[3]) for f in stack] + [(j, m, x)]
-        return [prob.placed[j] + (prob.origin(m, x),) for j, m, x in frames]
+        return ([f[5] - 1 for f in stack] + [j], [f[2] for f in stack] + [m],
+                [f[3] for f in stack] + [x])
 
     # the empty box: every column at height 0, the first row one run
     s = key = prob.start
@@ -523,9 +521,19 @@ def _search_branch(args):
     return status, payload, counts
 
 
-def _build_tiling(box, bricks, policy, triples):
-    index, perms, origins = zip(*triples)
-    return Tiling.from_arrays(box, bricks, index, perms, origins, rotation_policy=policy)
+def _build_tiling(box, bricks, policy, prob, found):
+    """The Tiling of a FOUND payload (shape, height, column lists), built
+    as columns: each shape's brick index and orientation are looked up in
+    arrays over prob.placed, and a column x is unravelled over the
+    cross-section into the origin's coordinates on axes 1..n-1."""
+    j, m, x = (np.array(a, dtype=np.int64) for a in found)
+    index = np.array([bi for bi, _ in prob.placed], dtype=np.int64)
+    perms = np.array([perm for _, perm in prob.placed], dtype=np.int64)
+    if prob.dimension > 1:
+        origin = np.column_stack((m, *np.unravel_index(x, prob.cross)))
+    else:
+        origin = m[:, None]
+    return Tiling.from_arrays(box, bricks, index[j], perms[j], origin, rotation_policy=policy)
 
 
 def exact_cover_search(
@@ -553,7 +561,7 @@ def exact_cover_search(
         stats = SearchStats(nodes, volume_prunes, col, wid, wgt, hits, size, depth,
                             time.monotonic() - t0)
         if status == FOUND:
-            tiling = _build_tiling(box, bricks, cfg.rotation_policy, payload)
+            tiling = _build_tiling(box, bricks, cfg.rotation_policy, prob, payload)
             return SearchResult(FOUND, tiling=tiling, stats=stats)
         if status == EXHAUSTED:
             return SearchResult(EXHAUSTED, reason=payload, stats=stats)
@@ -653,7 +661,7 @@ def threshold_scan(
     sides = sorted({b.sides[0] for b in bricks})
     squares = tuple(Brick((s, s)) for s in sides)
     # bigger bricks first speeds up the cases that reach the full search
-    search_order = tuple(sorted(bricks, key=lambda b: -b.sides[0]))
+    search_order = squares[::-1]
     pair = ((0, (0, 1)), (1, (0, 1)))
     memo: dict = {}
     out = []

@@ -8,6 +8,7 @@ import time
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from brute import bitmask_search
 from hypothesis import HealthCheck, given, settings
@@ -123,6 +124,19 @@ def test_threshold_scans():
         threshold_scan(squares(2, 3, 5), 30, SearchConfig(node_limit=1))
 
 
+def test_threshold_scan_searches_distinct_squares():
+    searched = []
+
+    def record(box, bricks, cfg):
+        searched.append([b.sides for b in bricks])
+        return exact_cover_search(box, bricks, cfg)
+
+    with mock.patch.object(oracle, "exact_cover_search", side_effect=record):
+        assert threshold_scan(squares(2, 2, 3, 3, 7, 7), 30) == [1, 5, 11]
+    assert searched
+    assert all(sides == [(7, 7), (3, 3), (2, 2)] for sides in searched)
+
+
 def test_one_or_two_square_sizes_scan_without_search():
     # grids and the two-brick criterion decide these sides both ways
     want = [a for a in range(1, 65) if not decide_two_squares(a, a, 2, 3).tileable]
@@ -219,6 +233,21 @@ def test_deep_search_needs_no_recursion_limit():
     assert r.stats.max_depth == 4095 > before == sys.getrecursionlimit()
 
 
+def test_witness_is_built_as_columns():
+    runs = [exact_cover_search(BoxShape((64, 64)), [Brick((1, 1))], SearchConfig(parallel=parallel))
+            for parallel in (False, True)]
+    # a parallel worker does not count the root it enters
+    assert [str(r) for r in runs] == ["Found(4096 placements, 4096 nodes)",
+                                      "Found(4096 placements, 4095 nodes)"]
+    i = np.arange(4096)
+    for t in (r.tiling for r in runs):
+        assert np.array_equal(t.origin, np.column_stack((i // 64, i % 64)))
+        assert np.array_equal(t.brick_index, np.zeros(4096))
+        assert np.array_equal(t.orientation, np.tile((0, 1), (4096, 1)))
+        assert str(verify_full(t)) == "Valid(full)"
+    assert encode(runs[0].tiling) == encode(runs[1].tiling)
+
+
 def test_stats_record_counts_prunes():
     r = exact_cover_search(BoxShape((23, 23)), squares(2, 3, 7))
     st = r.stats
@@ -276,6 +305,11 @@ def test_weight_settles_odd_boxes_over_two_and_three_at_the_root():
         assert not decide_two_squares(a, b, 2, 3).tileable
 
 
+def _origin(prob, m, x):
+    """Origin of a placement at height m in flattened column x."""
+    return (m, *map(int, np.unravel_index(x, prob.cross))) if prob.dimension > 1 else (m,)
+
+
 def _coefficients(packed, width, count):
     """Signed coefficients of an unbiased packed weight."""
     packed += sum(1 << (width * f + width - 1) for f in range(count))
@@ -299,6 +333,8 @@ def _value(weights, point, coeffs):
     ((7, 6, 6), ((2, 2, 2), (3, 3, 3)), "fixed"),
     ((33, 33), ((6, 4), (5, 7), (7, 5)), "axis-permutations"),
     ((12,), ((3,), (5,)), "fixed"),
+    # 2x2 vanishes at all five kept points and 3x3 at two: skipped terms
+    ((19, 19), ((2, 2), (3, 3), (17, 17)), "axis-permutations"),
 ])
 def test_weight_tables_hold_each_placements_weight(box, sides, policy):
     """Each packed entry is the placed shape's weight at every kept point,
@@ -314,7 +350,7 @@ def test_weight_tables_hold_each_placements_weight(box, sides, policy):
     for j, ext in enumerate(extents):
         for m in range(0, box[0] - ext[0] + 1, 2):
             for x in range(0, columns, 3):
-                c = prob.origin(m, x)
+                c = _origin(prob, m, x)
                 if any(o + e > s for o, e, s in zip(c, ext, box)):
                     continue
                 coeffs = _coefficients(prob.dw[j][m * columns + x], weights.width, fields)
@@ -354,7 +390,7 @@ def _remaining_weight(prob, heights):
     w = prob.weights.bias + _region(prob.weights, (0,) * prob.dimension, prob.box_sides)
     for x, h in enumerate(heights):
         if h:
-            c = prob.origin(0, x)[1:]
+            c = _origin(prob, 0, x)[1:]
             w -= _region(prob.weights, (0, *c), (h, *(k + 1 for k in c)))
     return w
 
@@ -380,14 +416,14 @@ def test_split_branches_carry_the_remaining_region_weight(box, sides, policy):
         ext = tuple(sides[bi][a] for a in perm)
         for m in range(box[0] - ext[0] + 1):
             for x in range(columns):
-                c = prob.origin(m, x)
+                c = _origin(prob, m, x)
                 if not all(o + e <= s for o, e, s in zip(c, ext, box)):
                     continue
                 hi = tuple(o + e for o, e in zip(c, ext))
                 assert prob.dw[j][m * columns + x] == _region(prob.weights, c, hi), (ext, c)
                 if m == 0:
                     # one step down from the root, as the search takes it
-                    under = [all(a <= b < h for a, b, h in zip(c[1:], prob.origin(0, y)[1:], hi[1:]))
+                    under = [all(a <= b < h for a, b, h in zip(c[1:], _origin(prob, 0, y)[1:], hi[1:]))
                              for y in range(columns)]
                     left = _remaining_weight(prob, [ext[0] * u for u in under])
                     assert prob.weight - prob.dw[j][x] == left, (ext, c)
