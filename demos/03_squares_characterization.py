@@ -2,14 +2,22 @@
 
 For p = 5 and p = 7 the answer is exact: every side works except 1
 and 7, respectively 1, 5 and 11.  The decider reproduces this in
-closed form, without any search, and the exhaustive oracle confirms
-both the misses and the decider's verdicts up to side 30.
+closed form, without any search.  The oracle's scan agrees up to side
+30: dissection (guillotine cuts and pinwheels over two-brick pieces)
+settles every tileable side, and complete exact-cover search proves
+each side it leaves impossible.
 """
 
 from frobtile import Brick, render_ascii, threshold_scan, tile_square_235p
+from frobtile.planar import dissection_blocks
 
 for p in (5, 7):
     bricks = (Brick((2, 2)), Brick((3, 3)), Brick((p, p)))
+    memo: dict = {}
+    settled = [a for a in range(1, 31) if dissection_blocks((a, a), bricks, memo=memo) is not None]
+    searched = [a for a in range(1, 31) if a not in settled]
+    print(f"p = {p}: dissection settles sides {settled}")
+    print(f"p = {p}: the search decides sides {searched}")
     misses = threshold_scan(bricks, 30)
     print(f"p = {p}: oracle misses up to 30 are {misses}")
 

@@ -86,7 +86,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice, permutations, product
+from itertools import islice, permutations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,7 +100,7 @@ from .model import (
     Tiling,
     identity_orientation,
 )
-from .planar import two_brick_blocks
+from .planar import dissection_blocks, two_brick_blocks
 
 DEFAULT_CELL_CAP = 4096          # max box volume in unit cells (64x64 in 2-D)
 _MEMO_CAP = 2_000_000            # max failed states remembered per search
@@ -602,40 +602,6 @@ def exact_cover_search(
 # square-box threshold scanning
 # ---------------------------------------------------------------------------
 
-def _guillotine_positive(w, h, squares, memo):
-    """Sound-but-incomplete fast path: can w x h be cut into rectangles
-    that two_brick_blocks over two of the squares settles?  A grid of one
-    square is that criterion's one-block case, found with any partner.
-    True means tileable.  squares is ascending, at least two of them."""
-    if w > h:
-        w, h = h, w
-    key = (w, h)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    ok = any(
-        two_brick_blocks((0, 0), (w, h), squares, ((i, (0, 1)), (j, (0, 1)))) is not None
-        for i, j in combinations(range(len(squares)), 2)
-    )
-    if not ok:
-        smallest = squares[0].sides[0]
-        for cut in range(smallest, w // 2 + 1):
-            if _guillotine_positive(cut, h, squares, memo) and _guillotine_positive(
-                w - cut, h, squares, memo
-            ):
-                ok = True
-                break
-        if not ok:
-            for cut in range(smallest, h // 2 + 1):
-                if _guillotine_positive(w, cut, squares, memo) and _guillotine_positive(
-                    w, h - cut, squares, memo
-                ):
-                    ok = True
-                    break
-    memo[key] = ok
-    return ok
-
-
 def threshold_scan(
     bricks: Sequence[Brick], limit: int, cfg: SearchConfig = SearchConfig()
 ) -> list[int]:
@@ -643,10 +609,11 @@ def threshold_scan(
 
     Exact: with one or two square sizes, grids and the two-brick
     criterion decide every side both ways, with no search.  With more,
-    positive cases are settled by the two-brick criterion over pairs of
-    squares, whose one-block case is a grid, and guillotine composition
-    when possible (cheap and sound), everything else by complete
-    exact-cover search.
+    a side is tileable when planar.dissection_blocks settles it: the
+    two-brick criterion over a pair of squares (a grid is its one-block
+    case), guillotine cuts and pinwheels, all sharing one memo over the
+    scan.  Only the sides dissection leaves go to complete exact-cover
+    search, which judges them both ways.
     """
     bricks = tuple(bricks)
     if limit < 1:
@@ -673,7 +640,7 @@ def threshold_scan(
             if len(squares) == 1 or two_brick_blocks((0, 0), (a, a), squares, pair) is None:
                 out.append(a)
             continue
-        if a >= min(sides) and _guillotine_positive(a, a, squares, memo):
+        if dissection_blocks((a, a), squares, ROTATION_FIXED, memo) is not None:
             continue
         result = exact_cover_search(BoxShape((a, a)), search_order, cfg)
         if result.status == EXHAUSTED:

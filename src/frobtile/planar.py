@@ -8,7 +8,8 @@ split as a nonnegative combination of brick sides, block compositions
 for large squares, and pinwheels (a square ringed by four rectangles)
 for the squares between them.  Each construction is a list of grid
 blocks, (brick index, orientation, corner, sides), and a witness is
-one model.grid_blocks call over its list.  Nothing here searches.
+one model.grid_blocks call over its list.  Nothing here runs the
+exact-cover search.
 
 Two bricks, each in a fixed orientation, tile a box exactly when one
 cut across one axis leaves a plain grid of each, either grid possibly
@@ -18,12 +19,25 @@ is that test, in any dimension; one brick with rotations is the pair of
 it unrotated and rotated.  The popular one-line phrasing ("each brick
 side divides some box side, and ...") admits false positives such as a
 (2 x 3) box against a (2 x 2) brick.
+
+dissection_blocks builds tilings of 2-D boxes the way the paper's
+proofs do, from those pieces: a box is settled when two_brick_blocks
+tiles it over some pair of oriented bricks, when a guillotine cut
+leaves two settled boxes, or when one brick placed inside it leaves
+four settled ring rectangles (the pinwheel, whose layout _pinwheel
+gives and tile_square_235p uses too).  It is sound but not complete:
+it settles 13 x 13 over squares {2, 3, 5} (a 6-row strip, then a
+3-square ringed), but not 32 x 32 over {3, 5, 7}, which tiles.  A memo
+records how each box was settled, and blocks are built from it only
+for the box asked for.  oracle.threshold_scan searches only the sides
+it leaves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .constructor import BrickSystem, construct_box, gn_bound
@@ -279,34 +293,170 @@ def compose_squares(a: int, b: int, c: int, r: int, L: int, k: int) -> tuple[Til
     return first, second
 
 
-def _ring_part(corner: tuple[int, int], h: int, w: int, bricks: tuple[Brick, ...]) -> list:
-    """Grid blocks of a pinwheel's ring rectangle (h x w) at corner:
-    the 2- and 3-squares' two_brick_blocks, or a grid of the third
-    square when those two cannot tile it."""
-    tiles = ((0, (0, 1)), (1, (0, 1)))
-    return two_brick_blocks(corner, (h, w), bricks, tiles) or [(2, (0, 1), corner, (h, w))]
-
-
 def _pinwheel(
-    corner: tuple[int, int], H: int, W: int, y: int, x: int, c: int, bricks: tuple[Brick, ...]
+    corner: tuple[int, int], box: tuple[int, int], at: tuple[int, int], centre: tuple[int, int]
 ) -> list:
-    """Grid blocks of an (H x W) box at corner: a c-square at (y, x)
-    ringed by four rectangles.
+    """The four ring rectangles, each (corner, sides), of a pinwheel: the
+    box at corner with a centre brick of these sides at `at` within it.
 
-    Relative to corner, the rectangles are top [0, y) x [0, x+c), right
-    [0, y+c) x [x+c, W), bottom [y+c, H) x [x, W) and left [y, H) x [0, x);
-    each must be tileable by _ring_part.  bricks lists the 2-, 3- and
-    p-squares.
+    Relative to corner, with the centre c0 x c1 at (y, x) in the H x W
+    box, they are top [0, y) x [0, x+c1), right [0, y+c0) x [x+c1, W),
+    bottom [y+c0, H) x [x, W) and left [y, H) x [0, x).
     """
-    index = [b.sides[0] for b in bricks].index(c)
-    i, j = corner
+    (i, j), (H, W), (y, x), (c0, c1) = corner, box, at, centre
     return [
-        (index, (0, 1), (i + y, j + x), (c, c)),
-        *_ring_part((i, j), y, x + c, bricks),
-        *_ring_part((i, j + x + c), y + c, W - x - c, bricks),
-        *_ring_part((i + y + c, j + x), H - y - c, W - x, bricks),
-        *_ring_part((i + y, j), H - y, x, bricks),
+        ((i, j), (y, x + c1)),
+        ((i, j + x + c1), (y + c0, W - x - c1)),
+        ((i + y + c0, j + x), (H - y - c0, W - x)),
+        ((i + y, j), (H - y, x)),
     ]
+
+
+def _ringed_square(
+    corner: tuple[int, int],
+    box: tuple[int, int],
+    at: tuple[int, int],
+    index: int,
+    bricks: tuple[Brick, ...],
+) -> list:
+    """Grid blocks of a 2/3/p pinwheel: brick index's square at `at`,
+    each ring rectangle the 2- and 3-squares' two_brick_blocks, or a grid
+    of the third square when those two cannot tile it."""
+    tiles = ((0, (0, 1)), (1, (0, 1)))
+    centre = bricks[index].sides
+    blocks = [(index, (0, 1), (corner[0] + at[0], corner[1] + at[1]), centre)]
+    for ring, sides in _pinwheel(corner, box, at, centre):
+        blocks += two_brick_blocks(ring, sides, bricks, tiles) or [(2, (0, 1), ring, sides)]
+    return blocks
+
+
+class _Dissection:
+    """Dissection over one brick list and policy, with its memo: each box
+    tried, keyed by its sides, maps to how it was settled or to False.
+    A tile is an oriented brick, (brick index, orientation), the first
+    with its extents."""
+
+    def __init__(self, bricks: tuple[Brick, ...], policy: str, memo: dict):
+        orientations = [(0, 1), (1, 0)] if policy == ROTATION_AXIS_PERMUTATIONS else [(0, 1)]
+        first: dict = {}
+        for i, b in enumerate(bricks):
+            for o in orientations:
+                first.setdefault((b.sides[o[0]], b.sides[o[1]]), (i, o))
+        self.bricks, self.memo = bricks, memo
+        self.tiles = [(tile, extents) for extents, tile in first.items()]
+        shapes = list(first.values())
+        self.pairs = list(combinations(shapes, 2)) or [(shapes[0], shapes[0])]
+        self.least = tuple(min(extents[k] for extents in first) for k in (0, 1))
+
+    def dissections(self, box: tuple[int, int]):
+        """Each guillotine cut and pinwheel of the box, as (how, parts):
+        cuts on axis 0 then axis 1, nearest the low edge first, then each
+        tile as the centre at each (y, x) in row-major order.  No part is
+        narrower than the least extent on its axis, which no tiling has;
+        a pinwheel with an empty ring is a guillotine cut.  Turning the
+        box by 180 degrees maps the pinwheel at (y, x) to one with the
+        same rings at (h - c0 - y, w - c1 - x), so y stops at the middle.
+        """
+        (h, w), least = box, self.least
+        for at in range(least[0], h // 2 + 1):
+            yield ("cut", 0, at), ((at, w), (h - at, w))
+        for at in range(least[1], w // 2 + 1):
+            yield ("cut", 1, at), ((h, at), (h, w - at))
+        for tile, extents in self.tiles:
+            for y in range(least[0], (h - extents[0]) // 2 + 1):
+                for x in range(least[1], w - extents[1] - least[1] + 1):
+                    rings = _pinwheel((0, 0), box, (y, x), extents)
+                    yield ("pinwheel", tile, y, x), [sides for _, sides in rings]
+
+    def settle(self, box: tuple[int, int]):
+        """A generator settling the box: it yields each part it needs that
+        the memo lacks, is sent back how that part was settled, and
+        returns how the box was, or False."""
+        for pair in self.pairs:
+            if two_brick_blocks((0, 0), box, self.bricks, pair) is not None:
+                return ("tiles", pair)
+        for how, parts in self.dissections(box):
+            for part in parts:
+                settled = self.memo.get(part)
+                if settled is None:
+                    settled = yield part
+                if not settled:
+                    break
+            else:
+                return how
+        return False
+
+    def settled(self, box: tuple[int, int]):
+        """How the box is settled, or False; the recursion over its parts
+        runs on an explicit stack of settle generators."""
+        memo = self.memo
+        if box not in memo:
+            stack, settled = [(box, self.settle(box))], None
+            while stack:
+                key, settling = stack[-1]
+                try:
+                    part = settling.send(settled)
+                except StopIteration as done:
+                    memo[key] = settled = done.value
+                    stack.pop()
+                else:
+                    stack.append((part, self.settle(part)))
+                    settled = None
+        return memo[box]
+
+    def blocks(self, box: tuple[int, int]) -> list:
+        """Grid blocks of a settled box, from the memo's records."""
+        blocks, todo = [], [((0, 0), box)]
+        while todo:
+            corner, sides = todo.pop()
+            kind, *how = self.memo[sides]
+            if kind == "tiles":
+                blocks += two_brick_blocks(corner, sides, self.bricks, how[0])
+            elif kind == "cut":
+                axis, at = how
+                near, far, beyond = list(sides), list(sides), list(corner)
+                near[axis], far[axis] = at, sides[axis] - at
+                beyond[axis] += at
+                todo += [(corner, tuple(near)), (tuple(beyond), tuple(far))]
+            else:
+                (index, orientation), y, x = how
+                extents = tuple(self.bricks[index].sides[a] for a in orientation)
+                blocks.append((index, orientation, (corner[0] + y, corner[1] + x), extents))
+                todo += _pinwheel(corner, sides, (y, x), extents)
+        return blocks
+
+
+def dissection_blocks(
+    box: Sequence[int],
+    bricks: Sequence[Brick],
+    policy: str = ROTATION_FIXED,
+    memo: Optional[dict] = None,
+) -> Optional[list]:
+    """Grid blocks tiling the 2-D box by dissection, for grid_blocks; or
+    None when dissection finds no tiling.
+
+    A box is settled, in this order of trial, when two_brick_blocks tiles
+    it over some pair of oriented bricks (a lone shape pairs with
+    itself), when a guillotine cut on either axis leaves two settled
+    boxes, or when an oriented brick at some (y, x) leaves four settled
+    ring rectangles (a pinwheel, _pinwheel).  Under axis-permutations
+    every brick counts in both orientations.  Each part is smaller than
+    its box, so the recursion ends, and it runs on an explicit stack, so
+    depth costs no recursion.  None is no proof: some tileable boxes
+    have no such dissection, and the exact-cover search judges them.
+
+    memo maps each box tried to how it was settled, False when it was
+    not; pass one dict to calls over the same bricks and policy to share
+    that work.  Blocks are built from it for the asked box alone.
+    """
+    box, bricks = tuple(box), tuple(bricks)
+    if len(box) != 2 or not bricks or any(b.dimension != 2 for b in bricks):
+        raise PreconditionError("dissection needs a 2-D box and 2-D bricks")
+    if policy not in (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS):
+        raise PreconditionError(f"unknown rotation policy {policy!r}")
+    _require_positive(h=box[0], w=box[1])
+    dissection = _Dissection(bricks, policy, {} if memo is None else memo)
+    return dissection.blocks(box) if dissection.settled(box) else None
 
 
 def tile_square_235p(a: int, p: int) -> Decision:
@@ -374,10 +524,11 @@ def tile_square_235p(a: int, p: int) -> Decision:
         # up and left, so that each ring rectangle keeps a side 6 divides
         u = (a - p) // 2
         y = u if u % 2 else u - 3
-        witness = grid_blocks(box, bricks, _pinwheel((0, 0), a, a, y, y, p, bricks), ROTATION_FIXED)
-        return Decision(True, witness, "pinwheel")
+        blocks = _ringed_square((0, 0), box, (y, y), 2, bricks)
+        return Decision(True, grid_blocks(box, bricks, blocks, ROTATION_FIXED), "pinwheel")
     if (a, p) == (13, 5):
         # a >= 2p here, so two p-squares fit and the weight argument does not apply
-        blocks = _ring_part((0, 0), 6, 13, bricks) + _pinwheel((6, 0), 7, 13, 2, 5, 3, bricks)
+        blocks = two_brick_blocks((0, 0), (6, 13), bricks, ((0, (0, 1)), (1, (0, 1))))
+        blocks += _ringed_square((6, 0), (7, 13), (2, 5), 1, bricks)
         return Decision(True, grid_blocks(box, bricks, blocks, ROTATION_FIXED), "pinwheel")
     return Decision(False, None, "weight-invariant")

@@ -137,6 +137,34 @@ def test_threshold_scan_searches_distinct_squares():
     assert all(sides == [(7, 7), (3, 3), (2, 2)] for sides in searched)
 
 
+@pytest.mark.parametrize("sides, limit, misses", [
+    ((2, 3, 5), 30, [1, 7]),
+    ((2, 3, 7), 30, [1, 5, 11]),
+    ((2, 5, 11), 64, [1, 3, 7, 9, 13, 17, 19, 23]),
+    ((2, 5, 9), 64, [1, 3, 7, 11, 13, 17, 21]),
+])
+def test_threshold_scan_searches_only_what_dissection_leaves(sides, limit, misses):
+    # dissection settles every tileable side here, 13 of {2,3,5} and 17
+    # of {2,3,7} by a pinwheel, so the search sees exactly the misses
+    searched = []
+
+    def record(box, bricks, cfg):
+        searched.append(box.sides[0])
+        return exact_cover_search(box, bricks, cfg)
+
+    with mock.patch.object(oracle, "exact_cover_search", side_effect=record):
+        assert threshold_scan(squares(*sides), limit) == misses
+    assert searched == misses
+
+
+def test_threshold_scans_to_64_are_quick():
+    # {2,5,11} stalled at side 49 when these sides were searched
+    start = time.perf_counter()
+    assert threshold_scan(squares(2, 5, 11), 64) == [1, 3, 7, 9, 13, 17, 19, 23]
+    assert threshold_scan(squares(2, 5, 9), 64) == [1, 3, 7, 11, 13, 17, 21]
+    assert time.perf_counter() - start < 5
+
+
 def test_one_or_two_square_sizes_scan_without_search():
     # grids and the two-brick criterion decide these sides both ways
     want = [a for a in range(1, 65) if not decide_two_squares(a, a, 2, 3).tileable]

@@ -7,6 +7,9 @@ import warnings
 from unittest import mock
 
 import pytest
+from brute import bitmask_search
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobtile.codec import encode
 from frobtile.constructor import BrickSystem, gn_bound
@@ -17,7 +20,15 @@ from frobtile.errors import (
     NotPrimeError,
     PreconditionError,
 )
-from frobtile.model import ROTATION_FIXED, BoxShape, Brick, Tiling, grid_blocks, verify_full
+from frobtile.model import (
+    ROTATION_AXIS_PERMUTATIONS,
+    ROTATION_FIXED,
+    BoxShape,
+    Brick,
+    Tiling,
+    grid_blocks,
+    verify_full,
+)
 from frobtile.oracle import FOUND, INFEASIBLE, SearchConfig, exact_cover_search
 from frobtile.planar import (
     Decision,
@@ -26,6 +37,7 @@ from frobtile.planar import (
     corollary1_threshold,
     decide_single_brick,
     decide_two_squares,
+    dissection_blocks,
     prime_cubes_bound,
     prime_cubes_construct,
     tile_square_235p,
@@ -512,3 +524,62 @@ def test_each_composed_square_is_one_tiling():
     with mock.patch.object(Tiling, "_fill", autospec=True, side_effect=Tiling._fill) as init:
         compose_squares(2, 3, 5, 9, 1, 1)
     assert init.call_count == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3),
+    st.sampled_from([ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS]),
+)
+def test_dissection_is_sound(box, sides, policy):
+    """Every box dissection settles has a tiling by the earlier engine,
+    and the dissection's blocks are one."""
+    bricks = [Brick(s) for s in sides]
+    blocks = dissection_blocks(box, bricks, policy)
+    if blocks is not None:
+        assert bitmask_search(box, sides, policy)[0] != INFEASIBLE
+        assert_valid(grid_blocks(box, bricks, blocks, policy))
+
+
+@pytest.mark.parametrize("a, p, ringed", [(13, 5, (7, 13)), (17, 7, (11, 17))])
+def test_dissection_settles_gap_squares_by_pinwheel(a, p, ringed):
+    # guillotine cuts alone leave these squares: a 6-row strip is cut
+    # off, and the rest is a 3-square ringed by four rectangles
+    bricks = [Brick((s, s)) for s in (2, 3, p)]
+    memo: dict = {}
+    blocks = dissection_blocks((a, a), bricks, ROTATION_FIXED, memo)
+    assert memo[(a, a)] == ("cut", 0, 6)
+    assert memo[ringed][:2] == ("pinwheel", (1, (0, 1)))
+    assert_valid(grid_blocks((a, a), bricks, blocks))
+
+
+def test_dissection_witnesses_verify_for_every_record_kind():
+    # every box to 19 x 19 over {2,3,5}, whose records hold grids, strips,
+    # cuts on both axes and pinwheels, with the memo shared
+    bricks = [Brick((s, s)) for s in (2, 3, 5)]
+    memo: dict = {}
+    for box in itertools.product(range(1, 20), repeat=2):
+        blocks = dissection_blocks(box, bricks, ROTATION_FIXED, memo)
+        if blocks is not None:
+            assert_valid(grid_blocks(box, bricks, blocks))
+    kinds = {how[:2] if how[0] == "cut" else how[0] for how in memo.values() if how}
+    assert kinds == {"tiles", ("cut", 0), ("cut", 1), "pinwheel"}
+
+
+def test_dissection_follows_the_rotation_policy():
+    # one 2 x 3 brick fixed does not tile 9 x 4; turned, it does
+    bricks = [Brick((2, 3))]
+    assert dissection_blocks((4, 9), bricks) is not None
+    assert dissection_blocks((9, 4), bricks) is None
+    blocks = dissection_blocks((9, 4), bricks, ROTATION_AXIS_PERMUTATIONS)
+    assert_valid(grid_blocks((9, 4), bricks, blocks, ROTATION_AXIS_PERMUTATIONS))
+
+
+def test_dissection_validates():
+    with pytest.raises(PreconditionError):
+        dissection_blocks((2, 2, 2), [Brick((1, 1, 1))])
+    with pytest.raises(PreconditionError):
+        dissection_blocks((0, 2), [Brick((1, 1))])
+    with pytest.raises(PreconditionError):
+        dissection_blocks((2, 2), [Brick((1, 1))], "mirrored")
