@@ -9,12 +9,12 @@ each side it leaves impossible.
 """
 
 from frobtile import Brick, render_ascii, threshold_scan, tile_square_235p
-from frobtile.planar import dissection_blocks
+from frobtile.planar import Dissection
 
 for p in (5, 7):
     bricks = (Brick((2, 2)), Brick((3, 3)), Brick((p, p)))
-    memo: dict = {}
-    settled = [a for a in range(1, 31) if dissection_blocks((a, a), bricks, memo=memo) is not None]
+    dissection = Dissection(bricks)
+    settled = [a for a in range(1, 31) if dissection.settled((a, a))]
     searched = [a for a in range(1, 31) if a not in settled]
     print(f"p = {p}: dissection settles sides {settled}")
     print(f"p = {p}: the search decides sides {searched}")

@@ -100,7 +100,8 @@ from .model import (
     Tiling,
     identity_orientation,
 )
-from .planar import dissection_blocks, two_brick_blocks
+from .planar import Dissection
+from .semigroup import sums_mask
 
 DEFAULT_CELL_CAP = 4096          # max box volume in unit cells (64x64 in 2-D)
 _MEMO_CAP = 2_000_000            # max failed states remembered per search
@@ -171,18 +172,6 @@ class SearchResult:
         if self.status == INFEASIBLE:
             return f"Infeasible({self.nodes} nodes)"
         return f"Exhausted({self.reason}, {self.nodes} nodes)"
-
-
-def _reachable(gens, bound):
-    """Bitmask over 0..bound: bit i set iff i is a sum of gens (with repeats)."""
-    reach = 1
-    mask = (1 << (bound + 1)) - 1
-    for g in sorted(set(gens)):
-        shift = g
-        while shift <= bound:
-            reach |= (reach << shift) & mask
-            shift <<= 1
-    return reach
 
 
 def _prime_factors(n):
@@ -354,7 +343,7 @@ class _Problem:
             self.wmask, self.wwant = weights.masks(H)
             self.dw = self._weight_tables(extents)
         # column prune: colok[h] iff H - h is a sum of axis-0 extents
-        reach = _reachable([s[0] for s in shapes], H)
+        reach = sums_mask([s[0] for s in shapes], H)
         self.colok = colok = [bool(reach >> (H - h) & 1) for h in range(H + 1)]
         # row-width prune: widthok[m][w] iff a run of w cells at height m
         # is a sum of last-axis extents of shapes that fit above m
@@ -363,7 +352,7 @@ class _Problem:
         for m in range(H):
             usable = frozenset(el for e0, el, _, _ in shapes if e0 <= H - m and colok[m + e0])
             if usable not in tables:
-                reach = _reachable(usable, self.row)
+                reach = sums_mask(usable, self.row)
                 tables[usable] = [bool(reach >> w & 1) for w in range(self.row + 1)]
             self.widthok.append(tables[usable])
 
@@ -567,7 +556,7 @@ def exact_cover_search(
             return SearchResult(EXHAUSTED, reason=payload, stats=stats)
         return SearchResult(INFEASIBLE, stats=stats)
 
-    if not _reachable([b.volume for b in bricks], volume) >> volume & 1:
+    if not sums_mask([b.volume for b in bricks], volume) >> volume & 1:
         return finish(INFEASIBLE, volume_prunes=1)
     brick_sides = [b.sides for b in bricks]
     prob = _Problem(box.sides, brick_sides, cfg.rotation_policy)
@@ -607,13 +596,13 @@ def threshold_scan(
 ) -> list[int]:
     """All side lengths a <= limit whose a x a square is NOT tileable.
 
-    Exact: with one or two square sizes, grids and the two-brick
-    criterion decide every side both ways, with no search.  With more,
-    a side is tileable when planar.dissection_blocks settles it: the
-    two-brick criterion over a pair of squares (a grid is its one-block
-    case), guillotine cuts and pinwheels, all sharing one memo over the
-    scan.  Only the sides dissection leaves go to complete exact-cover
-    search, which judges them both ways.
+    Exact.  One planar.Dissection over the distinct squares judges each
+    side first; it settles a side by the two-brick criterion over a
+    pair of squares (a grid is its one-block case), guillotine cuts and
+    pinwheels, and it refuses a side that is no sum of the square sides.
+    With one or two sizes its answer is exact both ways, so nothing
+    searches.  With more, complete exact-cover search judges each side
+    dissection leaves, both ways.
     """
     bricks = tuple(bricks)
     if limit < 1:
@@ -625,28 +614,21 @@ def threshold_scan(
         raise CapExceededError(
             f"limit {limit} needs {limit * limit} cells, cap is {DEFAULT_CELL_CAP}"
         )
-    sides = sorted({b.sides[0] for b in bricks})
-    squares = tuple(Brick((s, s)) for s in sides)
+    squares = tuple(Brick((s, s)) for s in sorted({b.sides[0] for b in bricks}))
+    dissection = Dissection(squares)
     # bigger bricks first speeds up the cases that reach the full search
     search_order = squares[::-1]
-    pair = ((0, (0, 1)), (1, (0, 1)))
-    memo: dict = {}
     out = []
     for a in range(1, limit + 1):
-        if any(a % s == 0 for s in sides):
+        if dissection.settled((a, a)):
             continue
-        if len(squares) <= 2:
-            # for one or two sizes, the grids and the two-brick criterion are exact
-            if len(squares) == 1 or two_brick_blocks((0, 0), (a, a), squares, pair) is None:
-                out.append(a)
-            continue
-        if dissection_blocks((a, a), squares, ROTATION_FIXED, memo) is not None:
-            continue
-        result = exact_cover_search(BoxShape((a, a)), search_order, cfg)
-        if result.status == EXHAUSTED:
-            raise SearchLimitError(
-                f"scan inconclusive at a={a}: {result.reason} after {result.nodes} nodes"
-            )
-        if result.status == INFEASIBLE:
-            out.append(a)
+        if len(squares) >= 3:
+            result = exact_cover_search(BoxShape((a, a)), search_order, cfg)
+            if result.status == EXHAUSTED:
+                raise SearchLimitError(
+                    f"scan inconclusive at a={a}: {result.reason} after {result.nodes} nodes"
+                )
+            if result.status == FOUND:
+                continue
+        out.append(a)
     return out

@@ -20,17 +20,15 @@ it unrotated and rotated.  The popular one-line phrasing ("each brick
 side divides some box side, and ...") admits false positives such as a
 (2 x 3) box against a (2 x 2) brick.
 
-dissection_blocks builds tilings of 2-D boxes the way the paper's
-proofs do, from those pieces: a box is settled when two_brick_blocks
-tiles it over some pair of oriented bricks, when a guillotine cut
-leaves two settled boxes, or when one brick placed inside it leaves
-four settled ring rectangles (the pinwheel, whose layout _pinwheel
-gives and tile_square_235p uses too).  It is sound but not complete:
+Dissection builds tilings of 2-D boxes the way the paper's proofs do,
+from those pieces: guillotine cuts and pinwheels (one brick ringed by
+four rectangles, whose layout _pinwheel gives and tile_square_235p uses
+too) down to boxes that two_brick_blocks tiles.  One object serves one
+brick list and policy, owns its memo, and refuses at once the boxes
+that provably have no tiling; oracle.threshold_scan keeps one per scan
+and searches only the sides it leaves.  It is sound but not complete:
 it settles 13 x 13 over squares {2, 3, 5} (a 6-row strip, then a
-3-square ringed), but not 32 x 32 over {3, 5, 7}, which tiles.  A memo
-records how each box was settled, and blocks are built from it only
-for the box asked for.  oracle.threshold_scan searches only the sides
-it leaves.
+3-square ringed), but not 32 x 32 over {3, 5, 7}, which tiles.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from .semigroup import (
     checked_prod,
     closed_form_primes,
     pair_representation,
+    sums_mask,
 )
 
 
@@ -330,23 +329,46 @@ def _ringed_square(
     return blocks
 
 
-class _Dissection:
-    """Dissection over one brick list and policy, with its memo: each box
-    tried, keyed by its sides, maps to how it was settled or to False.
-    A tile is an oriented brick, (brick index, orientation), the first
-    with its extents."""
+class Dissection:
+    """Tilings of 2-D boxes by dissection, over one brick list and policy.
 
-    def __init__(self, bricks: tuple[Brick, ...], policy: str, memo: dict):
+    A tile is an oriented brick, (brick index, orientation); under
+    axis-permutations each brick counts in both orientations.  A box is
+    settled, in this order of trial, when two_brick_blocks tiles it over
+    some pair of tiles (a lone tile pairs with itself), when a guillotine
+    cut leaves two settled boxes, or when a tile at some (y, x) leaves
+    four settled ring rectangles (a pinwheel).  Each part is smaller than
+    its box, and the recursion runs on an explicit stack.
+
+    Two refusals are proofs and cost no dissection: a side that is no
+    sum of the tiles' extents along its axis (every line across a tiled
+    box crosses whole tiles), and, with at most two tiles, a box the pair
+    does not tile (Bower and Michael).  Any other False is no proof: some
+    tileable boxes have no dissection, and the exact-cover search judges
+    them.
+
+    memo maps each box tried to how it was settled, or False, for the
+    object's lifetime; blocks are built from it for the asked box alone.
+    """
+
+    def __init__(self, bricks: Sequence[Brick], policy: str = ROTATION_FIXED):
+        bricks = tuple(bricks)
+        if not bricks or any(b.dimension != 2 for b in bricks):
+            raise PreconditionError("dissection needs 2-D bricks")
+        if policy not in (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS):
+            raise PreconditionError(f"unknown rotation policy {policy!r}")
         orientations = [(0, 1), (1, 0)] if policy == ROTATION_AXIS_PERMUTATIONS else [(0, 1)]
         first: dict = {}
         for i, b in enumerate(bricks):
             for o in orientations:
                 first.setdefault((b.sides[o[0]], b.sides[o[1]]), (i, o))
-        self.bricks, self.memo = bricks, memo
+        self.bricks, self.memo = bricks, {}
         self.tiles = [(tile, extents) for extents, tile in first.items()]
         shapes = list(first.values())
         self.pairs = list(combinations(shapes, 2)) or [(shapes[0], shapes[0])]
-        self.least = tuple(min(extents[k] for extents in first) for k in (0, 1))
+        self.axis_extents = [sorted({extents[k] for extents in first}) for k in (0, 1)]
+        self.least = tuple(extents[0] for extents in self.axis_extents)
+        self.bound, self.sums = 0, [0, 0]
 
     def dissections(self, box: tuple[int, int]):
         """Each guillotine cut and pinwheel of the box, as (how, parts):
@@ -372,9 +394,13 @@ class _Dissection:
         """A generator settling the box: it yields each part it needs that
         the memo lacks, is sent back how that part was settled, and
         returns how the box was, or False."""
+        if not (self.sums[0] >> box[0] & 1 and self.sums[1] >> box[1] & 1):
+            return False
         for pair in self.pairs:
             if two_brick_blocks((0, 0), box, self.bricks, pair) is not None:
                 return ("tiles", pair)
+        if len(self.tiles) <= 2:
+            return False
         for how, parts in self.dissections(box):
             for part in parts:
                 settled = self.memo.get(part)
@@ -386,11 +412,17 @@ class _Dissection:
                 return how
         return False
 
-    def settled(self, box: tuple[int, int]):
-        """How the box is settled, or False; the recursion over its parts
-        runs on an explicit stack of settle generators."""
+    def settled(self, box: Sequence[int]):
+        """How the 2-D box is settled, or False, with no blocks built: a
+        record ("tiles", pair), ("cut", axis, at) or ("pinwheel", tile, y, x)."""
+        box = tuple(box)
+        if len(box) != 2 or min(box) < 1:
+            raise PreconditionError(f"dissection needs a 2-D box of positive sides, got {box}")
         memo = self.memo
         if box not in memo:
+            if max(box) > self.bound:
+                self.bound = max(box)
+                self.sums = [sums_mask(extents, self.bound) for extents in self.axis_extents]
             stack, settled = [(box, self.settle(box))], None
             while stack:
                 key, settling = stack[-1]
@@ -404,8 +436,12 @@ class _Dissection:
                     settled = None
         return memo[box]
 
-    def blocks(self, box: tuple[int, int]) -> list:
-        """Grid blocks of a settled box, from the memo's records."""
+    def blocks(self, box: Sequence[int]) -> Optional[list]:
+        """Grid blocks tiling the 2-D box, for grid_blocks; or None when
+        dissection settles no tiling."""
+        box = tuple(box)
+        if not self.settled(box):
+            return None
         blocks, todo = [], [((0, 0), box)]
         while todo:
             corner, sides = todo.pop()
@@ -424,39 +460,6 @@ class _Dissection:
                 blocks.append((index, orientation, (corner[0] + y, corner[1] + x), extents))
                 todo += _pinwheel(corner, sides, (y, x), extents)
         return blocks
-
-
-def dissection_blocks(
-    box: Sequence[int],
-    bricks: Sequence[Brick],
-    policy: str = ROTATION_FIXED,
-    memo: Optional[dict] = None,
-) -> Optional[list]:
-    """Grid blocks tiling the 2-D box by dissection, for grid_blocks; or
-    None when dissection finds no tiling.
-
-    A box is settled, in this order of trial, when two_brick_blocks tiles
-    it over some pair of oriented bricks (a lone shape pairs with
-    itself), when a guillotine cut on either axis leaves two settled
-    boxes, or when an oriented brick at some (y, x) leaves four settled
-    ring rectangles (a pinwheel, _pinwheel).  Under axis-permutations
-    every brick counts in both orientations.  Each part is smaller than
-    its box, so the recursion ends, and it runs on an explicit stack, so
-    depth costs no recursion.  None is no proof: some tileable boxes
-    have no such dissection, and the exact-cover search judges them.
-
-    memo maps each box tried to how it was settled, False when it was
-    not; pass one dict to calls over the same bricks and policy to share
-    that work.  Blocks are built from it for the asked box alone.
-    """
-    box, bricks = tuple(box), tuple(bricks)
-    if len(box) != 2 or not bricks or any(b.dimension != 2 for b in bricks):
-        raise PreconditionError("dissection needs a 2-D box and 2-D bricks")
-    if policy not in (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS):
-        raise PreconditionError(f"unknown rotation policy {policy!r}")
-    _require_positive(h=box[0], w=box[1])
-    dissection = _Dissection(bricks, policy, {} if memo is None else memo)
-    return dissection.blocks(box) if dissection.settled(box) else None
 
 
 def tile_square_235p(a: int, p: int) -> Decision:

@@ -349,6 +349,19 @@ def pair_representation(target: int, x: int, y: int) -> Optional[tuple[int, int]
     return ((target - v * y) // x, v)
 
 
+def sums_mask(gens: Iterable[int], bound: int) -> int:
+    """Bitmask over 0..bound: bit i set iff i is a sum of gens, with
+    repeats (0, the empty sum, included).  The gens need not be coprime."""
+    reach = 1
+    mask = (1 << (bound + 1)) - 1
+    for g in sorted(set(gens)):
+        shift = g
+        while shift <= bound:
+            reach |= (reach << shift) & mask
+            shift <<= 1
+    return reach
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers."""
     if n < 2:

@@ -142,10 +142,13 @@ def test_threshold_scan_searches_distinct_squares():
     ((2, 3, 7), 30, [1, 5, 11]),
     ((2, 5, 11), 64, [1, 3, 7, 9, 13, 17, 19, 23]),
     ((2, 5, 9), 64, [1, 3, 7, 11, 13, 17, 21]),
+    ((4, 6, 10), 64, [1, 2, 3, 5, 7, 9, 11, 13, 14, *range(15, 64, 2)]),
 ])
 def test_threshold_scan_searches_only_what_dissection_leaves(sides, limit, misses):
     # dissection settles every tileable side here, 13 of {2,3,5} and 17
-    # of {2,3,7} by a pinwheel, so the search sees exactly the misses
+    # of {2,3,7} by a pinwheel, so the search sees exactly the misses;
+    # it refuses the odd sides of {4,6,10} at once, trying no cut or
+    # pinwheel on them, which the time bound checks
     searched = []
 
     def record(box, bricks, cfg):
@@ -153,7 +156,9 @@ def test_threshold_scan_searches_only_what_dissection_leaves(sides, limit, misse
         return exact_cover_search(box, bricks, cfg)
 
     with mock.patch.object(oracle, "exact_cover_search", side_effect=record):
+        start = time.perf_counter()
         assert threshold_scan(squares(*sides), limit) == misses
+        assert time.perf_counter() - start < 0.5
     assert searched == misses
 
 

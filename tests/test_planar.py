@@ -36,8 +36,8 @@ from frobtile.planar import (
     corollary1_construct,
     corollary1_threshold,
     decide_single_brick,
+    Dissection,
     decide_two_squares,
-    dissection_blocks,
     prime_cubes_bound,
     prime_cubes_construct,
     tile_square_235p,
@@ -536,10 +536,36 @@ def test_dissection_is_sound(box, sides, policy):
     """Every box dissection settles has a tiling by the earlier engine,
     and the dissection's blocks are one."""
     bricks = [Brick(s) for s in sides]
-    blocks = dissection_blocks(box, bricks, policy)
+    blocks = Dissection(bricks, policy).blocks(box)
     if blocks is not None:
         assert bitmask_search(box, sides, policy)[0] != INFEASIBLE
         assert_valid(grid_blocks(box, bricks, blocks, policy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=2),
+    st.sampled_from([ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS]),
+)
+def test_dissection_is_exact_over_two_tiles(box, sides, policy):
+    """Over one brick turning, or one or two bricks fixed, dissection
+    settles exactly the boxes that have a tiling."""
+    if policy == ROTATION_AXIS_PERMUTATIONS:
+        sides = sides[:1]
+    dissection = Dissection([Brick(s) for s in sides], policy)
+    assert len(dissection.tiles) <= 2
+    tileable = bitmask_search(box, sides, policy)[0] != INFEASIBLE
+    assert bool(dissection.settled(box)) == tileable
+
+
+@pytest.mark.parametrize("sides", [[2], [4, 6, 10]])
+def test_dissection_refuses_unreachable_sides_at_once(sides):
+    # 63 is no sum of even sides, so no cut or pinwheel is tried
+    dissection = Dissection([Brick((s, s)) for s in sides])
+    assert dissection.settled((63, 63)) is False
+    assert dissection.blocks((63, 63)) is None
+    assert dissection.memo == {(63, 63): False}
 
 
 @pytest.mark.parametrize("a, p, ringed", [(13, 5, (7, 13)), (17, 7, (11, 17))])
@@ -547,39 +573,42 @@ def test_dissection_settles_gap_squares_by_pinwheel(a, p, ringed):
     # guillotine cuts alone leave these squares: a 6-row strip is cut
     # off, and the rest is a 3-square ringed by four rectangles
     bricks = [Brick((s, s)) for s in (2, 3, p)]
-    memo: dict = {}
-    blocks = dissection_blocks((a, a), bricks, ROTATION_FIXED, memo)
-    assert memo[(a, a)] == ("cut", 0, 6)
-    assert memo[ringed][:2] == ("pinwheel", (1, (0, 1)))
-    assert_valid(grid_blocks((a, a), bricks, blocks))
+    dissection = Dissection(bricks)
+    assert dissection.settled((a, a)) == ("cut", 0, 6)
+    assert dissection.memo[ringed][:2] == ("pinwheel", (1, (0, 1)))
+    assert_valid(grid_blocks((a, a), bricks, dissection.blocks((a, a))))
 
 
 def test_dissection_witnesses_verify_for_every_record_kind():
     # every box to 19 x 19 over {2,3,5}, whose records hold grids, strips,
-    # cuts on both axes and pinwheels, with the memo shared
+    # cuts on both axes and pinwheels, all in one memo
     bricks = [Brick((s, s)) for s in (2, 3, 5)]
-    memo: dict = {}
+    dissection = Dissection(bricks)
     for box in itertools.product(range(1, 20), repeat=2):
-        blocks = dissection_blocks(box, bricks, ROTATION_FIXED, memo)
+        blocks = dissection.blocks(box)
         if blocks is not None:
             assert_valid(grid_blocks(box, bricks, blocks))
-    kinds = {how[:2] if how[0] == "cut" else how[0] for how in memo.values() if how}
+    kinds = {how[:2] if how[0] == "cut" else how[0] for how in dissection.memo.values() if how}
     assert kinds == {"tiles", ("cut", 0), ("cut", 1), "pinwheel"}
 
 
 def test_dissection_follows_the_rotation_policy():
     # one 2 x 3 brick fixed does not tile 9 x 4; turned, it does
     bricks = [Brick((2, 3))]
-    assert dissection_blocks((4, 9), bricks) is not None
-    assert dissection_blocks((9, 4), bricks) is None
-    blocks = dissection_blocks((9, 4), bricks, ROTATION_AXIS_PERMUTATIONS)
+    assert Dissection(bricks).blocks((4, 9)) is not None
+    assert Dissection(bricks).blocks((9, 4)) is None
+    blocks = Dissection(bricks, ROTATION_AXIS_PERMUTATIONS).blocks((9, 4))
     assert_valid(grid_blocks((9, 4), bricks, blocks, ROTATION_AXIS_PERMUTATIONS))
 
 
 def test_dissection_validates():
     with pytest.raises(PreconditionError):
-        dissection_blocks((2, 2, 2), [Brick((1, 1, 1))])
+        Dissection([Brick((1, 1, 1))])
     with pytest.raises(PreconditionError):
-        dissection_blocks((0, 2), [Brick((1, 1))])
+        Dissection([])
     with pytest.raises(PreconditionError):
-        dissection_blocks((2, 2), [Brick((1, 1))], "mirrored")
+        Dissection([Brick((1, 1))], "mirrored")
+    with pytest.raises(PreconditionError):
+        Dissection([Brick((1, 1))]).settled((2, 2, 2))
+    with pytest.raises(PreconditionError):
+        Dissection([Brick((1, 1))]).blocks((0, 2))
