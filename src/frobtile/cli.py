@@ -32,7 +32,7 @@ from .constructor import BrickSystem, construct_box, gn_bound
 from .errors import CapExceededError, FrobtileError, PreconditionError, SearchLimitError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
-    ROTATION_FIXED,
+    ROTATION_POLICIES,
     BoxShape,
     Brick,
     Tiling,
@@ -210,7 +210,7 @@ _SIDE = _ints("--side")
 _P = _ints("--p")
 _PQRS = [_ints(flag) for flag in ("--p", "--q", "--r", "--s")]
 _SEARCH = [
-    ("--rotations", {"choices": (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS),
+    ("--rotations", {"choices": ROTATION_POLICIES,
                      "default": ROTATION_AXIS_PERMUTATIONS, "help": "brick rotation policy"}),
     ("--node-limit", {"type": int, "default": 100_000_000}),
     ("--time-limit", {"type": float, "default": 600.0}),

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, permutations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -66,7 +66,7 @@ from .semigroup import checked_add
 
 ROTATION_FIXED = "fixed"
 ROTATION_AXIS_PERMUTATIONS = "axis-permutations"
-_ROTATION_POLICIES = (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS)
+ROTATION_POLICIES = (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS)
 
 # cells of the verify_full raster held in memory at once (int32 counts)
 RASTER_SLAB_CELLS = 1 << 22
@@ -76,6 +76,21 @@ _SAMPLE_PAIRS = 1 << 18
 
 def identity_orientation(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def oriented_shapes(brick_sides: Sequence[Sequence[int]], policy: str) -> list:
+    """Each distinct oriented brick as (brick index, orientation, extents),
+    in trial order: bricks as given, then axis permutations, identity
+    first (and alone under the fixed policy).  A repeated extent vector
+    is dropped, so the first brick and orientation giving it keep it."""
+    if policy not in ROTATION_POLICIES:
+        raise PreconditionError(f"unknown rotation policy {policy!r}")
+    keep = 1 if policy == ROTATION_FIXED else None      # the identity comes first
+    first: dict = {}
+    for index, sides in enumerate(brick_sides):
+        for perm in islice(permutations(range(len(sides))), keep):
+            first.setdefault(tuple(sides[a] for a in perm), (index, perm))
+    return [(index, perm, extents) for extents, (index, perm) in first.items()]
 
 
 @dataclass(frozen=True)
@@ -226,7 +241,7 @@ class Tiling:
         return t
 
     def _fill(self, box, bricks, brick_index, orientation, origin, policy, rows):
-        if policy not in _ROTATION_POLICIES:
+        if policy not in ROTATION_POLICIES:
             raise PreconditionError(f"unknown rotation policy {policy!r}")
         n = box.dimension
         for b in bricks:

@@ -5,7 +5,8 @@ any covering of that cell must be a brick whose origin IS that cell (an
 origin strictly before it would cover an earlier, already-filled cell),
 so trying every brick shape anchored there is complete.  Bricks are
 tried in declared order, orientations in permutation order, which makes
-the first solution found deterministic.
+the first solution found deterministic.  Each distinct oriented shape
+is tried once (model.oriented_shapes), so a turned copy adds none.
 
 State.  Call the cells that share their coordinates on axes 1..n-1 a
 column, and flatten the cross-section of those axes lexicographically.
@@ -72,12 +73,12 @@ order, and the first solution is the same with or without them.
 The DFS runs on an explicit frame stack, so depth costs no recursion.
 Infeasible is reported only after a complete search; hitting a node or
 time limit yields Exhausted instead.  Every search starts from the empty
-box.  Parallel mode runs that same search once per root shape, each in
-a worker process whose root frame tries that shape alone, all under one
-deadline and with the node limit divided evenly over the shapes; it
-builds the tiling once, from the first solution in shape order, so a
-Found result matches the sequential search whenever no limit truncates
-an earlier shape.
+box.  Parallel mode runs that same search once per distinct shape that
+fits the box, each in a worker process whose root frame tries that
+shape alone, all under one deadline and with the node limit divided
+evenly over the shapes; it builds the tiling once, from the first
+solution in shape order, so a Found result matches the sequential
+search whenever no limit truncates an earlier shape.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice, permutations, product
+from itertools import islice, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,11 +95,11 @@ import numpy as np
 from .errors import CapExceededError, PreconditionError, SearchLimitError
 from .model import (
     ROTATION_AXIS_PERMUTATIONS,
-    ROTATION_FIXED,
+    ROTATION_POLICIES,
     BoxShape,
     Brick,
     Tiling,
-    identity_orientation,
+    oriented_shapes,
 )
 from .planar import Dissection
 from .semigroup import sums_mask
@@ -120,7 +121,7 @@ class SearchConfig:
     parallel: bool = False
 
     def __post_init__(self):
-        if self.rotation_policy not in (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS):
+        if self.rotation_policy not in ROTATION_POLICIES:
             raise PreconditionError(f"unknown rotation policy {self.rotation_policy!r}")
         if self.node_limit < 1:
             raise PreconditionError(f"node_limit must be >= 1, got {self.node_limit}")
@@ -132,16 +133,16 @@ class SearchConfig:
 class SearchStats:
     """What one search cost.
 
-    nodes counts states entered (in parallel mode summed over the
-    workers, each of which enters the root without counting it).  The
-    prune counts and memo_hits count children cut before they were
-    entered; volume_prunes is 1 when the volume precheck settled the
-    box, weight_prunes 1 when the root weight test did.  memo_size is
-    the number of failed states stored; a parallel worker that fails
-    stores the root as well, so a parallel search without a solution
-    reports up to one more per root shape.  max_depth is the deepest
-    frame stack (the largest worker's in parallel mode), elapsed_s the
-    wall time of the call.
+    nodes counts states entered.  Parallel mode runs one worker per
+    distinct shape that fits the box and sums their counts; each worker
+    enters the root without counting it.  The prune counts and memo_hits
+    count children cut before they were entered; volume_prunes is 1 when
+    the volume precheck settled the box, weight_prunes 1 when the root
+    weight test did.  memo_size is the number of failed states stored; a
+    parallel worker that fails stores the root as well, so a parallel
+    search without a solution reports up to one more per root shape.
+    max_depth is the deepest frame stack (the largest worker's in
+    parallel mode), elapsed_s the wall time of the call.
     """
 
     nodes: int = 0
@@ -284,8 +285,8 @@ class _Problem:
     shapes[j] = (axis-0 extent, last-axis extent, offsets of the
     footprint's other cross-section rows, bytes marking the columns
     where the footprint stays inside the cross-section or None), with
-    placed[j] = (brick_index, perm): declared brick order, then
-    permutation order, duplicate extents of a brick dropped.  The
+    placed[j] = (brick_index, perm): model.oriented_shapes' entries that
+    fit the box, in its order, each distinct extent vector once.  The
     cross-section of a 1-D box is a single column of width 1.  With
     weight points, dw[j][m * columns + x] is the packed weight of shape
     j placed at (m, column x).  When weights.root_cut is set the box is
@@ -296,43 +297,30 @@ class _Problem:
 
     def __init__(self, box_sides, brick_sides, policy):
         self.box_sides = box_sides
-        self.dimension = n = len(box_sides)
+        self.dimension = len(box_sides)
         self.height = H = box_sides[0]
         self.cross = cross = tuple(box_sides[1:]) or (1,)
         self.row = cross[-1]
         strides = [1] * len(cross)
         for k in range(len(cross) - 2, -1, -1):
             strides[k] = strides[k + 1] * cross[k + 1]
-        perms = (
-            (identity_orientation(n),)
-            if policy == ROTATION_FIXED
-            else tuple(permutations(range(n)))
-        )
         self.shapes, self.placed = shapes, placed = [], []
         extents = []
-        for bi, sides in enumerate(brick_sides):
-            seen = set()
-            for perm in perms:
-                ext = tuple(sides[a] for a in perm)
-                if ext in seen:
-                    continue
-                seen.add(ext)
-                if any(e > s for e, s in zip(ext, box_sides)):
-                    continue
-                foot = ext[1:] or (1,)
-                extra = tuple(
-                    sum(k * st for k, st in zip(ks, strides))
-                    for ks in product(*(range(e) for e in foot[:-1]))
-                )[1:]
-                fits = None
-                if extra:
-                    fits = bytes(
-                        all(c + e <= s for c, e, s in zip(cs, foot, cross))
-                        for cs in product(*(range(s) for s in cross))
-                    )
-                shapes.append((ext[0], foot[-1], extra, fits))
-                placed.append((bi, perm))
-                extents.append(ext)
+        for bi, perm, ext in oriented_shapes(brick_sides, policy):
+            if any(e > s for e, s in zip(ext, box_sides)):
+                continue
+            foot = ext[1:] or (1,)
+            extra = tuple(
+                sum(k * st for k, st in zip(ks, strides))
+                for ks in product(*(range(e) for e in foot[:-1]))
+            )[1:]
+            fits = bytes(
+                all(c + e <= s for c, e, s in zip(cs, foot, cross))
+                for cs in product(*(range(s) for s in cross))
+            ) if extra else None
+            shapes.append((ext[0], foot[-1], extra, fits))
+            placed.append((bi, perm))
+            extents.append(ext)
         self.weights = weights = _Weights(box_sides, extents)
         if weights.root_cut:
             return

@@ -47,6 +47,7 @@ from .model import (
     Brick,
     Tiling,
     grid_blocks,
+    oriented_shapes,
 )
 from .semigroup import (
     checked_add,
@@ -332,13 +333,14 @@ def _ringed_square(
 class Dissection:
     """Tilings of 2-D boxes by dissection, over one brick list and policy.
 
-    A tile is an oriented brick, (brick index, orientation); under
-    axis-permutations each brick counts in both orientations.  A box is
-    settled, in this order of trial, when two_brick_blocks tiles it over
-    some pair of tiles (a lone tile pairs with itself), when a guillotine
-    cut leaves two settled boxes, or when a tile at some (y, x) leaves
-    four settled ring rectangles (a pinwheel).  Each part is smaller than
-    its box, and the recursion runs on an explicit stack.
+    tiles is model.oriented_shapes' list, which the exact-cover search
+    reads too: each distinct oriented brick once, as (brick index,
+    orientation, extents).  A box is settled, in this order of trial,
+    when two_brick_blocks tiles it over some pair of tiles (a lone tile
+    pairs with itself), when a guillotine cut leaves two settled boxes,
+    or when a tile at some (y, x) leaves four settled ring rectangles (a
+    pinwheel).  Each part is smaller than its box, and the recursion
+    runs on an explicit stack.
 
     Two refusals are proofs and cost no dissection: a side that is no
     sum of the tiles' extents along its axis (every line across a tiled
@@ -355,18 +357,11 @@ class Dissection:
         bricks = tuple(bricks)
         if not bricks or any(b.dimension != 2 for b in bricks):
             raise PreconditionError("dissection needs 2-D bricks")
-        if policy not in (ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS):
-            raise PreconditionError(f"unknown rotation policy {policy!r}")
-        orientations = [(0, 1), (1, 0)] if policy == ROTATION_AXIS_PERMUTATIONS else [(0, 1)]
-        first: dict = {}
-        for i, b in enumerate(bricks):
-            for o in orientations:
-                first.setdefault((b.sides[o[0]], b.sides[o[1]]), (i, o))
         self.bricks, self.memo = bricks, {}
-        self.tiles = [(tile, extents) for extents, tile in first.items()]
-        shapes = list(first.values())
+        self.tiles = oriented_shapes([b.sides for b in bricks], policy)
+        shapes = [tile[:2] for tile in self.tiles]
         self.pairs = list(combinations(shapes, 2)) or [(shapes[0], shapes[0])]
-        self.axis_extents = [sorted({extents[k] for extents in first}) for k in (0, 1)]
+        self.axis_extents = [sorted({tile[2][k] for tile in self.tiles}) for k in (0, 1)]
         self.least = tuple(extents[0] for extents in self.axis_extents)
         self.bound, self.sums = 0, [0, 0]
 
@@ -384,11 +379,11 @@ class Dissection:
             yield ("cut", 0, at), ((at, w), (h - at, w))
         for at in range(least[1], w // 2 + 1):
             yield ("cut", 1, at), ((h, at), (h, w - at))
-        for tile, extents in self.tiles:
+        for index, orientation, extents in self.tiles:
             for y in range(least[0], (h - extents[0]) // 2 + 1):
                 for x in range(least[1], w - extents[1] - least[1] + 1):
                     rings = _pinwheel((0, 0), box, (y, x), extents)
-                    yield ("pinwheel", tile, y, x), [sides for _, sides in rings]
+                    yield ("pinwheel", (index, orientation), y, x), [sides for _, sides in rings]
 
     def settle(self, box: tuple[int, int]):
         """A generator settling the box: it yields each part it needs that

@@ -26,6 +26,7 @@ import numpy as np
 from .codec import _LINES_CHUNK, _fill_lines
 from .errors import DimensionUnsupportedError, PreconditionError
 from .model import Tiling
+from .semigroup import INT64_MAX
 
 ASCII_SIDE_LIMIT = 200
 _ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits
@@ -45,7 +46,6 @@ DEFAULT_PALETTE = (
 )
 
 RENDER_FORMATS = ("ascii", "svg")
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # the literal text around a <rect> line's fields: x, y, width, height, fill
 _RECT_LAYOUT = [
@@ -93,7 +93,7 @@ def _scaled_corners(t: Tiling, scale: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lo = t.origin
     extents = t.oriented_extents()
-    if (lo > _INT64_MAX // scale - extents).any():
+    if (lo > INT64_MAX // scale - extents).any():
         lo, extents = lo.astype(object), extents.astype(object)
     return lo * scale, extents * scale
 

@@ -26,6 +26,7 @@ from frobtile.model import (
     grid_blocks,
     grid_fill,
     identity_orientation,
+    oriented_shapes,
     verify_full,
     verify_sampled,
 )
@@ -435,6 +436,26 @@ def test_combinators_emit_sorted_placements():
     origins = [p.origin for p in t2.placements]
     assert origins == sorted(origins)
     assert identity_orientation(2) == (0, 1)
+
+
+def test_oriented_shapes_keep_the_first_brick_and_orientation_of_each_shape():
+    sides = [(3, 5), (2, 2), (5, 3), (7, 2)]
+    # bricks as given, identity first; 2 x 2 turned and all of 5 x 3 repeat
+    assert oriented_shapes(sides, "axis-permutations") == [
+        (0, (0, 1), (3, 5)), (0, (1, 0), (5, 3)),
+        (1, (0, 1), (2, 2)),
+        (3, (0, 1), (7, 2)), (3, (1, 0), (2, 7)),
+    ]
+    assert oriented_shapes(sides, "fixed") == [
+        (0, (0, 1), (3, 5)), (1, (0, 1), (2, 2)), (2, (0, 1), (5, 3)), (3, (0, 1), (7, 2)),
+    ]
+    assert oriented_shapes([(1, 2, 3), (3, 1, 2), (2, 2, 2)], "axis-permutations") == [
+        (0, (0, 1, 2), (1, 2, 3)), (0, (0, 2, 1), (1, 3, 2)), (0, (1, 0, 2), (2, 1, 3)),
+        (0, (1, 2, 0), (2, 3, 1)), (0, (2, 0, 1), (3, 1, 2)), (0, (2, 1, 0), (3, 2, 1)),
+        (2, (0, 1, 2), (2, 2, 2)),
+    ]
+    with pytest.raises(PreconditionError, match="^unknown rotation policy 'mirrored'$"):
+        oriented_shapes([(1, 2)], "mirrored")
 
 
 # ---------------------------------------------------------------------------

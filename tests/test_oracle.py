@@ -1,6 +1,7 @@
 """Exact-cover search: verdicts, determinism, limits, stats, scans."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 import sys
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 from frobtile import oracle
 from frobtile.codec import encode
 from frobtile.errors import CapExceededError, PreconditionError, SearchLimitError
-from frobtile.model import BoxShape, Brick, Tiling, verify_full
+from frobtile.model import BoxShape, Brick, Tiling, oriented_shapes, verify_full
 from frobtile.oracle import SearchConfig, exact_cover_search, threshold_scan
-from frobtile.planar import decide_two_squares
+from frobtile.planar import Dissection, decide_two_squares
 
 
 def squares(*sides):
@@ -311,6 +312,43 @@ def test_stats_are_pinned(side, sides, parallel, counts):
     assert r.nodes == st.nodes
     assert (st.nodes, st.column_prunes, st.row_width_prunes, st.weight_prunes,
             st.memo_hits, st.max_depth) == counts
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("box,sides,turned,status", [
+    ((5, 23), ((7, 2), (3, 5)), (5, 3), "infeasible"),
+    ((11, 13), ((7, 2), (3, 5)), (5, 3), "infeasible"),
+    ((17, 13), ((7, 2), (3, 5)), (5, 3), "infeasible"),
+    ((15, 13), ((7, 2), (3, 5)), (5, 3), "found"),
+    ((2, 5, 7), ((1, 2, 3), (2, 2, 2)), (3, 1, 2), "found"),
+])
+def test_a_turned_duplicate_brick_changes_nothing(box, sides, turned, status, parallel):
+    """A brick whose every orientation repeats an earlier brick's adds no
+    shape, so the result, every count and the witness's columns are
+    those of the list without it.  Were its shapes tried again, 17 x 13
+    would read 1,554 memo hits instead of 124."""
+    cfg = SearchConfig(parallel=parallel)
+    runs = [exact_cover_search(BoxShape(box), [Brick(s) for s in bricks], cfg)
+            for bricks in (sides, sides + (turned,))]
+    assert [r.status for r in runs] == [status, status]
+    assert str(runs[0]) == str(runs[1])
+    assert dataclasses.replace(runs[0].stats, elapsed_s=0) == dataclasses.replace(
+        runs[1].stats, elapsed_s=0)
+    if status == "found":
+        for column in ("brick_index", "orientation", "origin"):
+            assert np.array_equal(getattr(runs[0].tiling, column), getattr(runs[1].tiling, column))
+
+
+@pytest.mark.parametrize("policy", ["fixed", "axis-permutations"])
+def test_search_and_dissection_read_one_shape_list(policy):
+    # rotating, 5 x 3 and 2 x 7 repeat earlier shapes; 9 x 1 never fits
+    # the box, 1 x 9 does
+    sides = ((7, 2), (3, 5), (5, 3), (2, 7), (9, 1))
+    shapes = oriented_shapes(sides, policy)
+    assert Dissection([Brick(s) for s in sides], policy).tiles == shapes
+    prob = oracle._Problem((8, 9), sides, policy)
+    fitting = [(i, o) for i, o, (e0, e1) in shapes if e0 <= 8 and e1 <= 9]
+    assert prob.placed == fitting and len(prob.shapes) == len(fitting)
 
 
 # sha256 over encode() of the first solutions of 13x13 {2,3,5}, 17x17
