@@ -50,14 +50,28 @@ Prunes, each cutting only subtrees without a solution:
     - root: if every shape vanishes at some z and the box's weight there
       is not 0, the box is Infeasible before any node.
     - per node: the points kept have shapes that vanish and shapes that
-      do not, every one of the latter taller along axis 0 than every
-      vanishing one; t is the least axis-0 extent of a non-vanishing
-      shape.  Placements sit at the minimum height, which never falls,
-      so once H - m < t only vanishing shapes can still be placed and
-      the remaining region's weight must be 0.  The weight is carried
-      down the DFS, child = parent - the placed shape's weight, and is
-      tested when a placement closes its run, the only way the minimum
-      height can rise;
+      do not, the latter either all taller along axis 0 than every
+      vanishing one or single-copy (below); t is the least axis-0 extent
+      of a non-vanishing shape.  Placements sit at the minimum height,
+      which never falls, so once H - m < t only vanishing shapes can
+      still be placed and the remaining region's weight must be 0.  The
+      weight is carried down the DFS, child = parent - the placed
+      shape's weight, and is tested when a placement closes its run, the
+      only way the minimum height can rise;
+    - single-copy (de Bruijn's argument for one large square): group the
+      kept points by the list L of shapes that do not vanish there, and
+      use a group when no two L-shapes, one shape twice included, fit
+      disjointly in the box (e + e' > side on every axis).  A tiling of
+      the remaining region R then holds at most one L-placement, so on
+      the group's fields W(R) is 0 or the weight of one L-shape at an
+      origin open in R (its footprint's columns no higher than the
+      origin).  Vanishing shapes leave those fields alone, so until an
+      L-shape is placed W(R) is the box's weight, and the candidates are
+      the origins whose L-shape has it, found once per residue class
+      modulo the points' periods.  Any two L-placements meet on every
+      axis, so once one is placed no candidate is open and W(R) must be
+      0.  A child is cut when its weight leaves it no open candidate.
+      The test reads the weight and the heights, both functions of R;
   * failed-state memo: height vectors proven unfillable are cached
     under min(heights, reversed heights).  Reversing the flattened
     cross-section reflects every trailing axis, a symmetry of the box
@@ -136,11 +150,13 @@ class SearchStats:
     nodes counts states entered.  Parallel mode runs one worker per
     distinct shape that fits the box and sums their counts; each worker
     enters the root without counting it.  The prune counts and memo_hits
-    count children cut before they were entered; volume_prunes is 1 when
-    the volume precheck settled the box, weight_prunes 1 when the root
-    weight test did.  memo_size is the number of failed states stored; a
-    parallel worker that fails stores the root as well, so a parallel
-    search without a solution reports up to one more per root shape.
+    count children cut before they were entered, each under the first
+    test that cut it (single_copy_prunes under the single-copy weight
+    test); volume_prunes is 1 when the volume precheck settled the box,
+    weight_prunes 1 when the root weight test did.  memo_size is the
+    number of failed states stored; a parallel worker that fails stores
+    the root as well, so a parallel search without a solution reports up
+    to one more per root shape.
     max_depth is the deepest frame stack (the largest worker's in
     parallel mode), elapsed_s the wall time of the call.
     """
@@ -150,6 +166,7 @@ class SearchStats:
     column_prunes: int = 0
     row_width_prunes: int = 0
     weight_prunes: int = 0
+    single_copy_prunes: int = 0
     memo_hits: int = 0
     memo_size: int = 0
     max_depth: int = 0
@@ -216,13 +233,19 @@ class _Weights:
     bases flattened by strides (in bits).  Every coefficient of a region
     weight is a sum of at most volume terms in {-1, 0, 1}, so with
     bias = 2^(width-1) > volume each field of bias + weight stays in
-    [0, 2^width) and a field is 0 exactly when it reads bias.  Points
-    are kept by ascending field count up to _WEIGHT_FIELDS fields, which
-    bounds the int; dropping a point only weakens the prune.  root_cut
-    is set when a point where every shape vanishes gives the box a
-    nonzero weight; no points are kept then.  region gives the whole
-    box's weight, where the search starts; every other region's weight
-    is carried down from it, one placed shape at a time.
+    [0, 2^width) and a field is 0 exactly when it reads bias.  A point
+    qualifies when the shapes that do not vanish there are all taller
+    than those that do, or are single-copy: no two of them, one shape
+    twice included, fit disjointly in the box, that is e + e' > side on
+    every axis.  Qualifying points are kept by ascending field count up
+    to _WEIGHT_FIELDS fields, which bounds the int; dropping a point
+    only weakens the prunes.  groups[i] = (L, mask): a single-copy list
+    L of shape indices and the mask of the fields of the kept points
+    where exactly the shapes in L do not vanish.  root_cut is set when
+    a point where every shape vanishes gives the box a nonzero weight;
+    no points are kept then.  region gives the whole box's weight, where
+    the search starts; every other region's weight is carried down from
+    it, one placed shape at a time.
     """
 
     def __init__(self, box_sides, extents):
@@ -241,11 +264,19 @@ class _Weights:
                 if all(s % q for s, q in zip(box_sides, z) if q > 1):
                     self.root_cut = True
                     return
-            elif min(tall_n) > max(tall_v):
-                kept.append((math.prod(q - 1 for q in z if q > 1), z, min(tall_n)))
+                continue
+            t, single = min(tall_n), None
+            if 2 * t > box_sides[0]:    # else the shortest such shape fits twice
+                live = tuple(j for j, v in enumerate(vanishing) if not v)
+                if all(a + b > s for i in live for j in live
+                       for a, b, s in zip(extents[i], extents[j], box_sides)):
+                    single = live
+            if single or t > max(tall_v):
+                kept.append((math.prod(q - 1 for q in z if q > 1), z, t, single))
         self.width = width = math.prod(box_sides).bit_length() + 1
         offset = 0
-        for fields, z, t in sorted(kept):
+        groups = {}
+        for fields, z, t, single in sorted(kept):
             if offset + fields > _WEIGHT_FIELDS:
                 break
             strides, stride = [], width
@@ -254,7 +285,11 @@ class _Weights:
                 if q > 1:
                     stride *= q - 1
             self.points.append((z, t, strides, offset, fields))
+            if single:
+                groups[single] = groups.get(single, 0) | (
+                    ((1 << (width * fields)) - 1) << (width * offset))
             offset += fields
+        self.groups = list(groups.items())
         self.bias = sum(1 << (width * f + width - 1) for f in range(offset))
 
     def region(self, sides):
@@ -288,11 +323,16 @@ class _Problem:
     placed[j] = (brick_index, perm): model.oriented_shapes' entries that
     fit the box, in its order, each distinct extent vector once.  The
     cross-section of a 1-D box is a single column of width 1.  With
-    weight points, dw[j][m * columns + x] is the packed weight of shape
-    j placed at (m, column x).  When weights.root_cut is set the box is
-    settled and nothing past the shapes is prepared.  Otherwise start is
-    the empty box's height vector, where every search starts, and weight
-    the biased packed weight of the whole box.
+    weight points, periods[k] is the lcm of the points' z[k], and
+    dw[j][m * columns + x] the packed weight of shape j placed at (m,
+    column x).  single[g] = (bytes marking the shapes of
+    single-copy group g, its field mask, the mask's reading at weight
+    0), open[g] the group's state at the root (see _single_copy), and
+    hull[j] the flattened columns from the first of shape j's footprint
+    to past its last.  When weights.root_cut is set the box is settled
+    and nothing past the shapes is prepared.  Otherwise start is the
+    empty box's height vector, where every search starts, and weight the
+    biased packed weight of the whole box.
     """
 
     def __init__(self, box_sides, brick_sides, policy):
@@ -327,9 +367,14 @@ class _Problem:
         self.start = chr(0) * math.prod(cross)
         self.weight = weights.bias + weights.region(box_sides)
         self.dw = None
+        self.single = self.open = ()
         if weights.points:
             self.wmask, self.wwant = weights.masks(H)
+            # a weight at z depends on each coordinate mod z[k] only
+            self.periods = [math.lcm(*(p[0][k] for p in weights.points))
+                            for k in range(self.dimension)]
             self.dw = self._weight_tables(extents)
+            self._single_copy_tables(extents, strides)
         # column prune: colok[h] iff H - h is a sum of axis-0 extents
         reach = sums_mask([s[0] for s in shapes], H)
         self.colok = colok = [bool(reach >> (H - h) & 1) for h in range(H + 1)]
@@ -345,11 +390,10 @@ class _Problem:
             self.widthok.append(tables[usable])
 
     def _weight_tables(self, extents):
-        # a weight at z depends on each coordinate mod z[k] only, so one
-        # entry per residue class of the origin serves every placement;
-        # an entry is a sum over points of products of per-axis weights
-        weights, H = self.weights, self.height
-        lcm = [math.lcm(*(p[0][k] for p in weights.points)) for k in range(self.dimension)]
+        # one entry per residue class of the origin modulo the periods
+        # serves every placement; an entry is a sum over points of
+        # products of per-axis weights
+        weights, H, lcm = self.weights, self.height, self.periods
         reps = [range(min(s, period)) for s, period in zip(self.box_sides, lcm)]
         index = {rc: i for i, rc in enumerate(product(*reps[1:]))}
         xclass = [
@@ -380,6 +424,71 @@ class _Problem:
             tables.append(table)
         return tables
 
+    def _single_copy_tables(self, extents, strides):
+        # an L-shape at an origin has the box's weight on the group's
+        # fields exactly when its whole residue class modulo the periods
+        # has; those origins are the candidates, as (height, chr(height),
+        # first and past-last flattened column, column spans of the
+        # footprint), lowest first
+        weights, columns, periods = self.weights, len(self.start), self.periods
+        self.single, start = [], []
+        for live, mask in weights.groups:
+            zero = weights.bias & mask
+            self.single.append((bytes(j in live for j in range(len(extents))), mask, zero))
+            key = self.weight & mask
+            if key == zero:
+                start.append(None)
+                continue
+            origins = []
+            for j in live:
+                _, el, extra, _ = self.shapes[j]
+                table = self.dw[j]
+                counts = [s - e + 1 for s, e in zip(self.box_sides, extents[j])]
+                cross = [(r, sum(c * st for c, st in zip(r, strides))) for r in product(
+                    *(range(min(q, n)) for q, n in zip(periods[1:], counts[1:])))]
+                for r0 in range(min(periods[0], counts[0])):
+                    for r, x in cross:
+                        if (weights.bias + table[r0 * columns + x]) & mask != key:
+                            continue
+                        for c in product(range(r0, counts[0], periods[0]), *(
+                                range(a, n, q) for a, n, q in zip(r, counts[1:], periods[1:]))):
+                            x = sum(k * st for k, st in zip(c[1:], strides))
+                            spans = tuple((x + o, x + o + el) for o in (0, *extra))
+                            origins.append((c[0], chr(c[0]), x, spans[-1][1], spans))
+            start.append(tuple(sorted(origins)))
+        self.open = tuple(start)
+        self.hull = [el + (extra[-1] if extra else 0) for _, el, extra, _ in self.shapes]
+
+
+def _single_copy(single, states, j, h, x, hull, child, w, entry):
+    """The single-copy states of a child, or None when it is cut.
+
+    A group's state is None once the remaining weight on its fields is
+    0, else its candidate origins that are open, lowest first.  A shape
+    outside L keeps the weight, and can close only a candidate below
+    its top h that its flattened columns x to x + hull meet; heights
+    only rise along a path, so a closed candidate stays closed.  After
+    an L-shape the weight must be 0: every other L-placement meets it on
+    every axis, so none is open.  w - entry is the child's weight.
+    """
+    out = []
+    for (live, mask, zero), g in zip(single, states):
+        if live[j]:
+            if (w - entry) & mask != zero:
+                return None
+            g = None
+        elif g is not None:
+            for m, _, lo, hi, _ in g:
+                if m >= h:
+                    break
+                if x < hi and lo < x + hull:
+                    g = tuple(c for c in g if all(max(child[a:b]) <= c[1] for a, b in c[4]))
+                    break
+            if not g:
+                return None
+        out.append(g)
+    return out
+
 
 def _skyline_dfs(prob, node_limit, deadline, root=None):
     """Depth-first search from the empty box, prob.start.
@@ -390,22 +499,26 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
     off the frame stack (see _build_tiling).  It is the limit's name
     when EXHAUSTED, and None when INFEASIBLE.  With root = j the root
     frame tries shape j alone: one parallel worker's search.  counts =
-    [nodes, column, row-width, weight, memo hits, memo size, depth].
+    [nodes, column, row-width, weight, single-copy, memo hits, memo
+    size, depth].
     """
     H, row, shapes = prob.height, prob.row, prob.shapes
     colok, widthok = prob.colok, prob.widthok
-    dw = prob.dw
+    dw, single = prob.dw, prob.single
+    if single:
+        hull = prob.hull
     if dw:
         wmask, wwant = prob.wmask, prob.wwant
         columns = len(prob.start)
     nshapes = len(shapes)
     root_end = nshapes if root is None else root + 1
     failed = {}     # insertion-ordered, so the oldest states go first
-    nodes = col = wid = wgt = hits = dmax = 0
-    stack = []      # parent frames: (heights, min char, min, column, run, next shape, key, weight)
+    nodes = col = wid = wgt = one = hits = dmax = 0
+    stack = []      # parent frames: (heights, min char, min, column, run, next shape,
+                    # key, weight, single-copy states)
 
     def done(status, payload):
-        return status, payload, [nodes, col, wid, wgt, hits, len(failed), dmax]
+        return status, payload, [nodes, col, wid, wgt, one, hits, len(failed), dmax]
 
     def path(j, m, x):
         return ([f[5] - 1 for f in stack] + [j], [f[2] for f in stack] + [m],
@@ -414,7 +527,7 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
     # the empty box: every column at height 0, the first row one run
     s = key = prob.start
     mc, m, x, L = s[0], 0, 0, row
-    w = prob.weight
+    w, cand = prob.weight, prob.open
     nodes = 1
     j0 = root or 0
     while True:
@@ -457,6 +570,12 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
                 if dw and wmask[cm] and (w - dw[j][m * columns + x]) & wmask[cm] != wwant[cm]:
                     wgt += 1
                     continue
+            if single:
+                ccand = _single_copy(single, cand, j, h, x, hull[j], child,
+                                     w, dw[j][m * columns + x])
+                if ccand is None:
+                    one += 1
+                    continue
             r = child[::-1]
             ckey = child if child <= r else r
             if ckey in failed:
@@ -467,11 +586,13 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
             nodes += 1
             if not nodes & 4095 and time.monotonic() > deadline:
                 return done(EXHAUSTED, "time_limit")
-            stack.append((s, mc, m, x, L, j + 1, key, w))
+            stack.append((s, mc, m, x, L, j + 1, key, w, cand))
             if len(stack) > dmax:
                 dmax = len(stack)
             if dw:
                 w -= dw[j][m * columns + x]
+            if single:
+                cand = ccand
             s, mc, m, x, L, key = child, cmc, cm, cx, cL, ckey
             j0 = 0
             break
@@ -482,7 +603,7 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
                     del failed[old]
             if not stack:
                 return done(INFEASIBLE, None)
-            s, mc, m, x, L, j0, key, w = stack.pop()
+            s, mc, m, x, L, j0, key, w, cand = stack.pop()
 
 
 def _search_branch(args):
@@ -533,9 +654,9 @@ def exact_cover_search(
             f"box volume {volume} exceeds the search cell cap {DEFAULT_CELL_CAP}"
         )
 
-    def finish(status, payload=None, counts=(0,) * 7, volume_prunes=0):
-        nodes, col, wid, wgt, hits, size, depth = counts
-        stats = SearchStats(nodes, volume_prunes, col, wid, wgt, hits, size, depth,
+    def finish(status, payload=None, counts=(0,) * 8, volume_prunes=0):
+        nodes, col, wid, wgt, one, hits, size, depth = counts
+        stats = SearchStats(nodes, volume_prunes, col, wid, wgt, one, hits, size, depth,
                             time.monotonic() - t0)
         if status == FOUND:
             tiling = _build_tiling(box, bricks, cfg.rotation_policy, prob, payload)
@@ -551,7 +672,7 @@ def exact_cover_search(
     if not prob.shapes:
         return finish(INFEASIBLE)
     if prob.weights.root_cut:
-        return finish(INFEASIBLE, counts=(0, 0, 0, 1, 0, 0, 0))
+        return finish(INFEASIBLE, counts=(0, 0, 0, 1, 0, 0, 0, 0))
     if not cfg.parallel:
         return finish(*_skyline_dfs(prob, cfg.node_limit, deadline))
 
@@ -566,7 +687,7 @@ def exact_cover_search(
     with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
         results = list(pool.map(_search_branch, args))
     counts = [sum(c) for c in zip(*(r[2] for r in results))]
-    counts[6] = max(r[2][6] for r in results)
+    counts[7] = max(r[2][7] for r in results)
     for status, payload, _ in results:
         if status == FOUND:
             return finish(FOUND, payload, counts)

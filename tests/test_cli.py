@@ -287,7 +287,7 @@ class TestOracle:
             "--bricks", "2x2", "3x3", "5x5", "--node-limit", "3",
         )
         assert code == 3 and out.startswith("Exhausted(")
-        # the time limit too: 25x25 takes 134,412 nodes, about 0.5 s, unlimited
+        # the time limit too: 25x25 takes 43,891 nodes, about 0.2 s, unlimited
         code, out, _ = run(
             capsys, "oracle", "search", "--box", "25x25",
             "--bricks", "2x2", "3x3", "17x17", "--time-limit", "0.01",
@@ -304,7 +304,8 @@ class TestOracle:
         stats = json.loads(line)
         assert set(stats) == {
             "nodes", "volume_prunes", "column_prunes", "row_width_prunes",
-            "weight_prunes", "memo_hits", "memo_size", "max_depth", "elapsed_s",
+            "weight_prunes", "single_copy_prunes", "memo_hits", "memo_size", "max_depth",
+            "elapsed_s",
         }
         assert f"Infeasible({stats['nodes']} nodes)" == out.strip()
 

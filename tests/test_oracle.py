@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import random
 import sys
 import time
 from itertools import product
@@ -12,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from brute import bitmask_search
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
 from frobtile import oracle
@@ -120,9 +121,13 @@ def test_threshold_scans():
     assert threshold_scan(squares(2, 3, 5), 30) == [1, 7]
     assert threshold_scan(squares(2, 3, 7), 30) == [1, 5, 11]
     assert threshold_scan(squares(2, 3), 20) == [1, 5, 7, 11, 13, 17, 19]
-    # 7 is the first side that needs a search, and one node does not settle it
-    with pytest.raises(SearchLimitError, match="inconclusive at a=7"):
-        threshold_scan(squares(2, 3, 5), 30, SearchConfig(node_limit=1))
+    # 7 is the first side {2,3,5} searches, and the single-copy cut
+    # settles it in one node; 10 is the first side {3,4,7} searches, and
+    # one node does not settle it
+    assert threshold_scan(squares(2, 3, 5), 30, SearchConfig(node_limit=1)) == [1, 7]
+    assert threshold_scan(squares(3, 4, 7), 22) == [1, 2, 5, 10, 11, 13, 17]
+    with pytest.raises(SearchLimitError, match="inconclusive at a=10"):
+        threshold_scan(squares(3, 4, 7), 22, SearchConfig(node_limit=1))
 
 
 def test_threshold_scan_searches_distinct_squares():
@@ -222,11 +227,9 @@ DIFFERENTIAL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-@pytest.mark.parametrize("policy", ["fixed", "axis-permutations"])
-@pytest.mark.parametrize("box,sides", DIFFERENTIAL_CASES)
-def test_matches_bitmask_reference(box, sides, policy, parallel):
-    """Same status and first solution as the earlier engine, never more nodes."""
+def _matches_reference(box, sides, policy, parallel):
+    """Search box against the earlier engine: the same status and first
+    solution, never more nodes.  Returns the search's result."""
     bricks = [Brick(s) for s in sides]
     cfg = SearchConfig(rotation_policy=policy, parallel=parallel)
     got = exact_cover_search(BoxShape(box), bricks, cfg)
@@ -238,12 +241,21 @@ def test_matches_bitmask_reference(box, sides, policy, parallel):
         want = Tiling.from_arrays(BoxShape(box), bricks, index, perms, origins,
                                   rotation_policy=policy)
         assert encode(got.tiling) == encode(want)
+    return got
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("policy", ["fixed", "axis-permutations"])
+@pytest.mark.parametrize("box,sides", DIFFERENTIAL_CASES)
+def test_matches_bitmask_reference(box, sides, policy, parallel):
+    """Same status and first solution as the earlier engine, never more nodes."""
+    _matches_reference(box, sides, policy, parallel)
 
 
 @pytest.mark.parametrize("parallel", [False, True])
 @pytest.mark.parametrize("limit", [1, 2, 3, 100, 1000])
 def test_node_limit_holds_for_the_whole_search(limit, parallel):
-    # 134,412 nodes to Infeasible unlimited
+    # 43,891 nodes to Infeasible unlimited
     cfg = SearchConfig(node_limit=limit, parallel=parallel)
     r = exact_cover_search(BoxShape((25, 25)), squares(2, 3, 17), cfg)
     assert r.status == "exhausted" and r.reason == "node_limit"
@@ -251,7 +263,8 @@ def test_node_limit_holds_for_the_whole_search(limit, parallel):
 
 
 def test_parallel_time_limit_is_one_deadline():
-    # 134,412 nodes, about 0.5 s, to Infeasible unlimited; the sequential
+    # 43,891 nodes, about 0.2 s, to Infeasible unlimited (the parallel
+    # workers of 2 x 2 and 3 x 3 take 40,246 and 30,502); the sequential
     # search checks the same deadline every 4096 nodes
     for parallel, limit in ((True, 0.05), (False, 0.01)):
         cfg = SearchConfig(time_limit=limit, parallel=parallel)
@@ -298,20 +311,21 @@ def test_stats_record_counts_prunes():
 
 
 @pytest.mark.parametrize("side,sides,parallel,counts", [
-    (23, (2, 3, 7), False, (5814, 2, 2331, 1373, 184, 100)),
-    (23, (2, 3, 7), True, (11731, 8, 4666, 2749, 368, 100)),
-    (19, (2, 3, 17), False, (737, 0, 243, 183, 42, 16)),
-    (19, (2, 3, 17), True, (953, 0, 315, 266, 20, 16)),
+    (23, (2, 3, 7), False, (5814, 2, 2331, 1373, 0, 184, 100)),
+    (23, (2, 3, 7), True, (11731, 8, 4666, 2749, 0, 368, 100)),
+    # the single-copy cut ends the search at its root: every child is cut
+    (19, (2, 3, 17), False, (1, 0, 0, 0, 3, 0, 0)),
+    (19, (2, 3, 17), True, (0, 0, 0, 0, 3, 0, 0)),
 ])
 def test_stats_are_pinned(side, sides, parallel, counts):
-    """Counts (nodes, column, row-width, weight, memo hits, depth).  In
-    parallel every branch runs to completion in its own worker, so the
-    sums do not depend on the number of CPUs."""
+    """Counts (nodes, column, row-width, weight, single-copy, memo hits,
+    depth).  In parallel every branch runs to completion in its own
+    worker, so the sums do not depend on the number of CPUs."""
     r = exact_cover_search(BoxShape((side, side)), squares(*sides), SearchConfig(parallel=parallel))
     st = r.stats
     assert r.nodes == st.nodes
     assert (st.nodes, st.column_prunes, st.row_width_prunes, st.weight_prunes,
-            st.memo_hits, st.max_depth) == counts
+            st.single_copy_prunes, st.memo_hits, st.max_depth) == counts
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -437,9 +451,11 @@ def test_weight_tables_hold_each_placements_weight(box, sides, policy):
 
 
 def test_weight_fields_are_bounded():
-    # (61, 64) at (59, 61): 58 * 60 fields, about 6 KB an int if kept
+    # (61, 64) at (59, 61): 58 * 60 fields, about 6 KB an int if kept;
+    # (1, 2) is kept because 59 x 61 fits only once, though 61 x 2,
+    # which vanishes there, is taller
     weights = oracle._Problem((61, 64), ((59, 61), (61, 2)), "fixed").weights
-    assert [p[0] for p in weights.points] == [(59, 1)]
+    assert [p[0] for p in weights.points] == [(1, 2), (59, 1)]
     assert sum(p[4] for p in weights.points) <= oracle._WEIGHT_FIELDS
 
 
@@ -520,25 +536,139 @@ def weighted_instances(draw):
 def test_weight_prunes_keep_status_and_first_solution(instance, policy, parallel):
     """Random 2-D and 3-D boxes against the earlier engine: the same status
     and first solution, never more nodes, sequential and parallel."""
-    box, sides = instance
-    bricks = [Brick(s) for s in sides]
-    cfg = SearchConfig(rotation_policy=policy, parallel=parallel)
-    got = exact_cover_search(BoxShape(box), bricks, cfg)
-    status, placed, nodes = bitmask_search(box, sides, policy, per_branch=parallel)
-    assert got.status == status
-    assert got.nodes <= nodes
-    if status == "found":
-        index, perms, origins = zip(*placed)
-        want = Tiling.from_arrays(BoxShape(box), bricks, index, perms, origins,
-                                  rotation_policy=policy)
-        assert encode(got.tiling) == encode(want)
+    _matches_reference(*instance, policy, parallel)
+
+
+@st.composite
+def single_copy_instances(draw):
+    """Boxes where one brick is over half of every side, so it fits at
+    most once: 2-D boxes to 12 x 12 and 3-D boxes of at most 64 cells,
+    with two smaller bricks, in any declared order."""
+    if draw(st.booleans()):
+        box = (draw(st.integers(3, 12)), draw(st.integers(3, 12)))
+        sides = [(2, 2), draw(st.sampled_from([(3, 3), (2, 3), (3, 2), (3, 4)]))]
+    else:
+        # the reference engine slows sharply past 64 cells in 3-D
+        box = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=3)))
+        sides = [(2, 2, 2), draw(st.sampled_from([(3, 3, 3), (1, 3, 2), (1, 2, 3), (2, 1, 3)]))]
+    sides.append(tuple(draw(st.integers(s // 2 + 1, s)) for s in box))
+    return box, tuple(draw(st.permutations(sides)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(single_copy_instances(), st.sampled_from(["fixed", "axis-permutations"]), st.booleans())
+def test_single_copy_cut_keeps_status_and_first_solution(instance, policy, parallel):
+    """Random boxes with a brick that fits once, against the earlier
+    engine: the same status and first solution, never more nodes,
+    sequential and parallel; the draws are steered to boxes where the
+    cut fires often."""
+    got = _matches_reference(*instance, policy, parallel)
+    target(float(got.stats.single_copy_prunes))
+
+
+@pytest.mark.parametrize("box,sides,fires", [
+    # below 2p one p-square fits, and no origin both carries the box's
+    # weight at (-1, w) and (w, -1) and stays open past the root
+    ((19, 19), ((2, 2), (3, 3), (17, 17)), True),
+    ((11, 11), ((2, 2), (3, 3), (7, 7)), True),
+    ((7, 7), ((2, 2), (3, 3), (5, 5)), True),
+    # two copies of every brick fit side by side
+    ((64, 64), ((1, 1),), False),
+    ((17, 17), ((2, 2), (3, 3), (7, 7)), False),
+    ((17, 13), ((7, 2), (3, 5)), False),
+])
+def test_single_copy_cut_fires_only_where_a_brick_fits_once(box, sides, fires):
+    r = exact_cover_search(BoxShape(box), [Brick(s) for s in sides])
+    assert (r.stats.single_copy_prunes > 0) == fires
+    if fires:
+        assert str(r) == "Infeasible(1 nodes)"
+    else:
+        assert not oracle._Problem(box, sides, "axis-permutations").single
+
+
+def _children(prob, heights):
+    """The DFS's children of a height vector: (shape, height, column,
+    child heights) for each shape that fits at the first free cell."""
+    H, row = prob.height, prob.row
+    m = min(heights)
+    x = heights.index(m)
+    out = []
+    for j, (e0, el, extra, fits) in enumerate(prob.shapes):
+        inside = fits[x] if fits else x % row + el <= row
+        cols = [x + o + i for o in (0, *extra) for i in range(el)]
+        if e0 <= H - m and inside and all(heights[c] == m for c in cols):
+            child = list(heights)
+            for c in cols:
+                child[c] = m + e0
+            out.append((j, m, x, child))
+    return out
+
+
+@pytest.mark.parametrize("box,sides,policy", [
+    ((9,), ((2,), (5,)), "fixed"),
+    ((25, 25), ((2, 2), (3, 3), (17, 17)), "axis-permutations"),
+    ((13, 11), ((2, 2), (3, 3), (7, 7)), "axis-permutations"),
+    ((9, 7, 6), ((2, 2, 2), (3, 3, 3), (5, 4, 6)), "fixed"),
+    ((8, 7, 7), ((2, 2, 2), (1, 1, 3), (8, 5, 4)), "fixed"),
+])
+def test_single_copy_states_follow_their_definition(box, sides, policy):
+    """The candidates are every origin of an L-shape whose weight on the
+    group's fields is the box's.  Along random paths from the root, each
+    child's state is None once the remaining weight there is 0, else the
+    candidates whose footprint's columns are no higher than the origin;
+    the child is cut when an L-shape leaves weight, or no candidate is
+    open."""
+    prob = oracle._Problem(box, sides, policy)
+    H, columns, bias = prob.height, len(prob.start), prob.weights.bias
+    assert prob.single and None not in prob.open
+    for (live, mask, _), start in zip(prob.single, prob.open):
+        want = []
+        for j, (e0, el, extra, fits) in enumerate(prob.shapes):
+            if not live[j]:
+                continue
+            for m, x in product(range(H - e0 + 1), range(columns)):
+                inside = fits[x] if fits else x % prob.row + el <= prob.row
+                if inside and (bias + prob.dw[j][m * columns + x]) & mask == prob.weight & mask:
+                    want.append((m, tuple((x + o, x + o + el) for o in (0, *extra))))
+        assert sorted(want) == [(c[0], c[4]) for c in start]
+    rng = random.Random(0)
+    for _ in range(40):
+        heights, w, states = [0] * columns, prob.weight, prob.open
+        while min(heights) < H:
+            survivors = []
+            for j, m, x, child in _children(prob, heights):
+                entry = prob.dw[j][m * columns + x]
+                text = "".join(map(chr, child))
+                got = oracle._single_copy(prob.single, states, j, m + prob.shapes[j][0], x,
+                                          prob.hull[j], text, w, entry)
+                want = []
+                for (live, mask, zero), start in zip(prob.single, prob.open):
+                    if (w - entry) & mask == zero:
+                        want.append(None)
+                    elif live[j]:
+                        want = None
+                        break
+                    else:
+                        assert (w - entry) & mask == prob.weight & mask
+                        still = tuple(c for c in start if all(
+                            child[k] <= c[0] for a, b in c[4] for k in range(a, b)))
+                        if not still:
+                            want = None
+                            break
+                        want.append(still)
+                assert got == want, (heights, j)
+                if got is not None:
+                    survivors.append((child, w - entry, got))
+            if not survivors:
+                break
+            heights, w, states = rng.choice(survivors)
 
 
 @pytest.mark.parametrize("box,sides", [
-    ((19, 19), (2, 3, 17)),
+    ((13, 13), (2, 3, 5)),
     ((23, 23), (2, 3, 7)),
     ((17, 17), (2, 3, 7)),
-    ((11, 11), (2, 3, 7)),
+    ((17, 17), (3, 4, 7)),
 ])
 def test_memo_evicts_its_oldest_half_at_the_cap(box, sides):
     full = exact_cover_search(BoxShape(box), squares(*sides))
