@@ -215,7 +215,7 @@ _SEARCH = [
     ("--node-limit", {"type": int, "default": 100_000_000}),
     ("--time-limit", {"type": float, "default": 600.0}),
     ("--parallel", {"action": "store_true",
-                    "help": "search each root shape in its own worker process"}),
+                    "help": "accepted for compatibility; the search runs in one process"}),
 ]
 
 # group: help text, in the order the groups are listed

@@ -591,7 +591,8 @@ def verify_full(t: Tiling) -> VerifyReport:
     report = _check_fits(t, lo, extents, "full")
     if report:
         return report
-    hi = lo + extents
+    # oriented_extents() returns a fresh array, so hi can take its place
+    hi = np.add(lo, extents, out=extents)
     pair = _first_overlap(lo, hi)
     if pair is not None:
         return VerifyReport(valid=False, mode="full", reason="overlap", overlap_pair=pair)

@@ -87,18 +87,13 @@ order, and the first solution is the same with or without them.
 The DFS runs on an explicit frame stack, so depth costs no recursion.
 Infeasible is reported only after a complete search; hitting a node or
 time limit yields Exhausted instead.  Every search starts from the empty
-box.  Parallel mode runs that same search once per distinct shape that
-fits the box, each in a worker process whose root frame tries that
-shape alone, all under one deadline and with the node limit divided
-evenly over the shapes; it builds the tiling once, from the first
-solution in shape order, so a Found result matches the sequential
-search whenever no limit truncates an earlier shape.
+box and runs in the calling process, so both limits hold for the whole
+search.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import islice, product
@@ -129,6 +124,9 @@ EXHAUSTED = "exhausted"
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How one search runs.  parallel is accepted for compatibility and
+    has no effect: every search runs in the calling process."""
+
     rotation_policy: str = ROTATION_AXIS_PERMUTATIONS
     node_limit: int = 100_000_000
     time_limit: float = 600.0
@@ -147,18 +145,13 @@ class SearchConfig:
 class SearchStats:
     """What one search cost.
 
-    nodes counts states entered.  Parallel mode runs one worker per
-    distinct shape that fits the box and sums their counts; each worker
-    enters the root without counting it.  The prune counts and memo_hits
-    count children cut before they were entered, each under the first
-    test that cut it (single_copy_prunes under the single-copy weight
-    test); volume_prunes is 1 when the volume precheck settled the box,
+    nodes counts states entered.  The prune counts and memo_hits count
+    children cut before they were entered, each under the first test
+    that cut it (single_copy_prunes under the single-copy weight test);
+    volume_prunes is 1 when the volume precheck settled the box,
     weight_prunes 1 when the root weight test did.  memo_size is the
-    number of failed states stored; a parallel worker that fails stores
-    the root as well, so a parallel search without a solution reports up
-    to one more per root shape.
-    max_depth is the deepest frame stack (the largest worker's in
-    parallel mode), elapsed_s the wall time of the call.
+    number of failed states stored, max_depth the deepest frame stack,
+    elapsed_s the wall time of the call.
     """
 
     nodes: int = 0
@@ -490,17 +483,15 @@ def _single_copy(single, states, j, h, x, hull, child, w, entry):
     return out
 
 
-def _skyline_dfs(prob, node_limit, deadline, root=None):
+def _skyline_dfs(prob, node_limit, deadline):
     """Depth-first search from the empty box, prob.start.
 
     Returns (status, payload, counts).  payload is the solution as three
     int lists when FOUND, one entry per placement in the order placed:
     the shape index j, the height m and the column x of its origin, read
     off the frame stack (see _build_tiling).  It is the limit's name
-    when EXHAUSTED, and None when INFEASIBLE.  With root = j the root
-    frame tries shape j alone: one parallel worker's search.  counts =
-    [nodes, column, row-width, weight, single-copy, memo hits, memo
-    size, depth].
+    when EXHAUSTED, and None when INFEASIBLE.  counts = [nodes, column,
+    row-width, weight, single-copy, memo hits, memo size, depth].
     """
     H, row, shapes = prob.height, prob.row, prob.shapes
     colok, widthok = prob.colok, prob.widthok
@@ -511,7 +502,6 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
         wmask, wwant = prob.wmask, prob.wwant
         columns = len(prob.start)
     nshapes = len(shapes)
-    root_end = nshapes if root is None else root + 1
     failed = {}     # insertion-ordered, so the oldest states go first
     nodes = col = wid = wgt = one = hits = dmax = 0
     stack = []      # parent frames: (heights, min char, min, column, run, next shape,
@@ -529,11 +519,11 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
     mc, m, x, L = s[0], 0, 0, row
     w, cand = prob.weight, prob.open
     nodes = 1
-    j0 = root or 0
+    j0 = 0
     while True:
         hm = H - m
         wok = widthok[m]
-        for j in range(j0, nshapes if stack else root_end):
+        for j in range(j0, nshapes):
             e0, el, extra, fits = shapes[j]
             if el > L or e0 > hm:
                 continue
@@ -606,19 +596,6 @@ def _skyline_dfs(prob, node_limit, deadline, root=None):
             s, mc, m, x, L, j0, key, w, cand = stack.pop()
 
 
-def _search_branch(args):
-    """Worker for parallel mode: the search whose root tries one shape.
-
-    The root is entered but not counted, so it gets one node past the
-    worker's share of the limit, and one node less is reported.
-    """
-    box_sides, brick_sides, policy, root, node_limit, deadline = args
-    prob = _Problem(box_sides, brick_sides, policy)
-    status, payload, counts = _skyline_dfs(prob, node_limit + 1, deadline, root)
-    counts[0] -= 1
-    return status, payload, counts
-
-
 def _build_tiling(box, bricks, policy, prob, found):
     """The Tiling of a FOUND payload (shape, height, column lists), built
     as columns: each shape's brick index and orientation are looked up in
@@ -667,34 +644,12 @@ def exact_cover_search(
 
     if not sums_mask([b.volume for b in bricks], volume) >> volume & 1:
         return finish(INFEASIBLE, volume_prunes=1)
-    brick_sides = [b.sides for b in bricks]
-    prob = _Problem(box.sides, brick_sides, cfg.rotation_policy)
+    prob = _Problem(box.sides, [b.sides for b in bricks], cfg.rotation_policy)
     if not prob.shapes:
         return finish(INFEASIBLE)
     if prob.weights.root_cut:
         return finish(INFEASIBLE, counts=(0, 0, 0, 1, 0, 0, 0, 0))
-    if not cfg.parallel:
-        return finish(*_skyline_dfs(prob, cfg.node_limit, deadline))
-
-    # parallel: one worker per root shape, joined in shape order
-    share, extra = divmod(cfg.node_limit, len(prob.shapes))
-    args = [
-        (box.sides, brick_sides, cfg.rotation_policy, j, share + (j < extra), deadline)
-        for j in range(len(prob.shapes))
-    ]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
-        results = list(pool.map(_search_branch, args))
-    counts = [sum(c) for c in zip(*(r[2] for r in results))]
-    counts[7] = max(r[2][7] for r in results)
-    for status, payload, _ in results:
-        if status == FOUND:
-            return finish(FOUND, payload, counts)
-    exhausted = [r[1] for r in results if r[0] == EXHAUSTED]
-    if exhausted:
-        return finish(EXHAUSTED, exhausted[0], counts)
-    return finish(INFEASIBLE, None, counts)
+    return finish(*_skyline_dfs(prob, cfg.node_limit, deadline))
 
 # ---------------------------------------------------------------------------
 # square-box threshold scanning

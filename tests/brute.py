@@ -155,12 +155,12 @@ def _bitmask_shapes(box_sides, brick_sides, policy):
     return shapes, strides
 
 
-def _bitmask_dfs(box_sides, shapes, strides, occ0, node_limit):
+def _bitmask_dfs(box_sides, shapes, strides, node_limit):
     """The library's earlier search engine: recursive DFS over occupancy
     bitmasks, with a row-run prune and a failed-state memo.
 
     Returns (status, placements or None, nodes); placements are
-    (brick_index, perm, origin) triples below occ0.
+    (brick_index, perm, origin) triples.
     """
     full = (1 << math.prod(box_sides)) - 1
     s_last = box_sides[-1]
@@ -211,7 +211,7 @@ def _bitmask_dfs(box_sides, shapes, strides, occ0, node_limit):
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 4 * math.prod(box_sides) + 100))
     try:
-        dfs(occ0)
+        dfs(0)
         return ("infeasible", None, nodes)
     except _Solved:
         return ("found", list(placed), nodes)
@@ -221,27 +221,11 @@ def _bitmask_dfs(box_sides, shapes, strides, occ0, node_limit):
         sys.setrecursionlimit(old_limit)
 
 
-def bitmask_search(box_sides, brick_sides, policy, per_branch=False, node_limit=10**7):
-    """(status, placements, nodes) from the earlier bitmask engine.
-
-    per_branch mirrors its parallel mode: every root placement that fits
-    is searched on its own, with its own memo, and the nodes are summed;
-    the first branch in order with a solution supplies it.
-    """
+def bitmask_search(box_sides, brick_sides, policy, node_limit=10**7):
+    """(status, placements, nodes) from the earlier bitmask engine."""
     if not brute_representable(math.prod(box_sides), [math.prod(s) for s in brick_sides]):
         return ("infeasible", None, 0)
     shapes, strides = _bitmask_shapes(box_sides, brick_sides, policy)
     if not shapes:
         return ("infeasible", None, 0)
-    if not per_branch:
-        return _bitmask_dfs(box_sides, shapes, strides, 0, node_limit)
-    root = (0,) * len(box_sides)
-    runs = [(bi, perm, _bitmask_dfs(box_sides, shapes, strides, base, node_limit))
-            for bi, perm, _, base in shapes]
-    nodes = sum(r[2] for _, _, r in runs)
-    for bi, perm, (status, placed, _) in runs:
-        if status == "found":
-            return ("found", [(bi, perm, root)] + placed, nodes)
-    if any(r[0] == "exhausted" for _, _, r in runs):
-        return ("exhausted", None, nodes)
-    return ("infeasible", None, nodes)
+    return _bitmask_dfs(box_sides, shapes, strides, node_limit)

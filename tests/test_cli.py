@@ -314,6 +314,20 @@ class TestOracle:
                            "--limit", "30")
         assert code == 0 and out.strip() == "1 5 11"
 
+    @pytest.mark.parametrize("argv,code", [
+        (("search", "--box", "13x13", "--bricks", "2x2", "3x3", "5x5"), 0),
+        (("search", "--box", "25x25", "--bricks", "2x2", "3x3", "17x17",
+          "--node-limit", "60000"), 1),
+        (("search", "--box", "13x13", "--bricks", "2x2", "3x3", "5x5", "--node-limit", "3"), 3),
+        (("scan", "--bricks", "2x2", "3x3", "7x7", "--limit", "30"), 0),
+    ])
+    def test_parallel_flag_changes_nothing(self, capsys, argv, code):
+        # the search runs in one process either way, under the whole node limit
+        runs = [run(capsys, "oracle", *argv, *flag)[:2] for flag in ((), ("--parallel",))]
+        assert runs[0] == runs[1] and runs[0][0] == code
+        if "25x25" in argv:
+            assert runs[0][1] == "Infeasible(43891 nodes)\n"
+
     def test_scan_cap_is_exit_3(self, capsys):
         code, _, err = run(capsys, "oracle", "scan", "--bricks", "2x2", "3x3",
                            "--limit", "200")
