@@ -271,7 +271,7 @@ _VERBS = (
       ("--stats", {"action": "store_true",
                    "help": "print the search's counts as one JSON line on stderr"})],
      _search, None),
-    ("oracle", "scan", "non-tileable square sides up to a limit",
+    ("oracle", "scan", "non-tileable square or cube sides up to a limit",
      [_BRICKS, _ints("--limit"), *_SEARCH], _value,
      lambda a: " ".join(map(str, threshold_scan(_bricks(a.bricks), a.limit,
                                                 _search_config(a))))),

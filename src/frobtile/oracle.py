@@ -67,11 +67,11 @@ Prunes, each cutting only subtrees without a solution:
       origin open in R (its footprint's columns no higher than the
       origin).  Vanishing shapes leave those fields alone, so until an
       L-shape is placed W(R) is the box's weight, and the candidates are
-      the origins whose L-shape has it, found once per residue class
-      modulo the points' periods.  Any two L-placements meet on every
-      axis, so once one is placed no candidate is open and W(R) must be
-      0.  A child is cut when its weight leaves it no open candidate.
-      The test reads the weight and the heights, both functions of R;
+      the origins whose L-shape has it, read off the weight tables.  Any
+      two L-placements meet on every axis, so once one is placed no
+      candidate is open and W(R) must be 0.  A child is cut when its
+      weight leaves it no open candidate.  The test reads the weight and
+      the heights, both functions of R;
   * failed-state memo: height vectors proven unfillable are cached
     under min(heights, reversed heights).  Reversing the flattened
     cross-section reflects every trailing axis, a symmetry of the box
@@ -418,12 +418,11 @@ class _Problem:
         return tables
 
     def _single_copy_tables(self, extents, strides):
-        # an L-shape at an origin has the box's weight on the group's
-        # fields exactly when its whole residue class modulo the periods
-        # has; those origins are the candidates, as (height, chr(height),
-        # first and past-last flattened column, column spans of the
+        # the candidates are the origins whose L-shape has the box's
+        # weight on the group's fields, as (height, chr(height), first
+        # and past-last flattened column, column spans of the
         # footprint), lowest first
-        weights, columns, periods = self.weights, len(self.start), self.periods
+        weights, columns = self.weights, len(self.start)
         self.single, start = [], []
         for live, mask in weights.groups:
             zero = weights.bias & mask
@@ -437,17 +436,11 @@ class _Problem:
                 _, el, extra, _ = self.shapes[j]
                 table = self.dw[j]
                 counts = [s - e + 1 for s, e in zip(self.box_sides, extents[j])]
-                cross = [(r, sum(c * st for c, st in zip(r, strides))) for r in product(
-                    *(range(min(q, n)) for q, n in zip(periods[1:], counts[1:])))]
-                for r0 in range(min(periods[0], counts[0])):
-                    for r, x in cross:
-                        if (weights.bias + table[r0 * columns + x]) & mask != key:
-                            continue
-                        for c in product(range(r0, counts[0], periods[0]), *(
-                                range(a, n, q) for a, n, q in zip(r, counts[1:], periods[1:]))):
-                            x = sum(k * st for k, st in zip(c[1:], strides))
-                            spans = tuple((x + o, x + o + el) for o in (0, *extra))
-                            origins.append((c[0], chr(c[0]), x, spans[-1][1], spans))
+                for c in product(*map(range, counts)):
+                    x = sum(k * st for k, st in zip(c[1:], strides))
+                    if (weights.bias + table[c[0] * columns + x]) & mask == key:
+                        spans = tuple((x + o, x + o + el) for o in (0, *extra))
+                        origins.append((c[0], chr(c[0]), x, spans[-1][1], spans))
             start.append(tuple(sorted(origins)))
         self.open = tuple(start)
         self.hull = [el + (extra[-1] if extra else 0) for _, el, extra, _ in self.shapes]
@@ -652,42 +645,43 @@ def exact_cover_search(
     return finish(*_skyline_dfs(prob, cfg.node_limit, deadline))
 
 # ---------------------------------------------------------------------------
-# square-box threshold scanning
+# square- and cube-box threshold scanning
 # ---------------------------------------------------------------------------
 
 def threshold_scan(
     bricks: Sequence[Brick], limit: int, cfg: SearchConfig = SearchConfig()
 ) -> list[int]:
-    """All side lengths a <= limit whose a x a square is NOT tileable.
+    """All sides a <= limit whose hypercube of side a is NOT tileable by
+    the given hypercubes, all of one dimension: squares, cubes, ...
 
-    Exact.  One planar.Dissection over the distinct squares judges each
-    side first; it settles a side by the two-brick criterion over a
-    pair of squares (a grid is its one-block case), guillotine cuts and
-    pinwheels, and it refuses a side that is no sum of the square sides.
-    With one or two sizes its answer is exact both ways, so nothing
-    searches.  With more, complete exact-cover search judges each side
-    dissection leaves, both ways.
+    Exact.  One planar.Dissection over the distinct cubes judges each
+    side first; it settles a side by the two-brick criterion over a pair
+    of cubes (a grid is its one-block case), guillotine cuts and, in
+    2-D, pinwheels, and it refuses a side that is no sum of the cube
+    sides.  With one or two sizes its answer is exact both ways, so
+    nothing searches.  With more, complete exact-cover search judges
+    each side dissection leaves, both ways.
     """
-    bricks = tuple(bricks)
     if limit < 1:
         raise PreconditionError(f"limit must be >= 1, got {limit}")
-    for b in bricks:
-        if b.dimension != 2 or b.sides[0] != b.sides[1]:
-            raise PreconditionError(f"threshold_scan needs square 2-D bricks, got {b.sides}")
-    if limit * limit > DEFAULT_CELL_CAP:
+    cubes = tuple(map(Brick, sorted({b.sides for b in bricks})))
+    for b in cubes:
+        if len(set(b.sides)) != 1:
+            raise PreconditionError(f"threshold_scan needs hypercube bricks, got {b.sides}")
+    dissection = Dissection(cubes)
+    n = dissection.dimension
+    if limit ** n > DEFAULT_CELL_CAP:
         raise CapExceededError(
-            f"limit {limit} needs {limit * limit} cells, cap is {DEFAULT_CELL_CAP}"
+            f"limit {limit} needs {limit ** n} cells, cap is {DEFAULT_CELL_CAP}"
         )
-    squares = tuple(Brick((s, s)) for s in sorted({b.sides[0] for b in bricks}))
-    dissection = Dissection(squares)
     # bigger bricks first speeds up the cases that reach the full search
-    search_order = squares[::-1]
+    search_order = cubes[::-1]
     out = []
     for a in range(1, limit + 1):
-        if dissection.settled((a, a)):
+        if dissection.settled((a,) * n):
             continue
-        if len(squares) >= 3:
-            result = exact_cover_search(BoxShape((a, a)), search_order, cfg)
+        if len(cubes) >= 3:
+            result = exact_cover_search(BoxShape((a,) * n), search_order, cfg)
             if result.status == EXHAUSTED:
                 raise SearchLimitError(
                     f"scan inconclusive at a={a}: {result.reason} after {result.nodes} nodes"

@@ -20,15 +20,15 @@ it unrotated and rotated.  The popular one-line phrasing ("each brick
 side divides some box side, and ...") admits false positives such as a
 (2 x 3) box against a (2 x 2) brick.
 
-Dissection builds tilings of 2-D boxes the way the paper's proofs do,
-from those pieces: guillotine cuts and pinwheels (one brick ringed by
-four rectangles, whose layout _pinwheel gives and tile_square_235p uses
-too) down to boxes that two_brick_blocks tiles.  One object serves one
-brick list and policy, owns its memo, and refuses at once the boxes
-that provably have no tiling; oracle.threshold_scan keeps one per scan
-and searches only the sides it leaves.  It is sound but not complete:
-it settles 13 x 13 over squares {2, 3, 5} (a 6-row strip, then a
-3-square ringed), but not 32 x 32 over {3, 5, 7}, which tiles.
+Dissection tiles boxes of any dimension the way the paper's proofs do,
+from those pieces: guillotine cuts on every axis and, in 2-D, pinwheels
+(one brick ringed by four rectangles, whose layout _pinwheel gives and
+tile_square_235p uses too) down to boxes that two_brick_blocks tiles.
+One object serves one brick list and policy, owns its memo, and refuses
+at once the boxes that provably have no tiling; threshold_scan keeps
+one per scan and searches only the sides it leaves.  It is sound but
+not complete: it settles 13 x 13 over squares {2, 3, 5} (a 6-row strip,
+then a 3-square ringed), but not 32 x 32 over {3, 5, 7}, which tiles.
 """
 
 from __future__ import annotations
@@ -331,16 +331,17 @@ def _ringed_square(
 
 
 class Dissection:
-    """Tilings of 2-D boxes by dissection, over one brick list and policy.
+    """Tilings of boxes by dissection, over one brick list and policy.
 
     tiles is model.oriented_shapes' list, which the exact-cover search
     reads too: each distinct oriented brick once, as (brick index,
     orientation, extents).  A box is settled, in this order of trial,
     when two_brick_blocks tiles it over some pair of tiles (a lone tile
     pairs with itself), when a guillotine cut leaves two settled boxes,
-    or when a tile at some (y, x) leaves four settled ring rectangles (a
-    pinwheel).  Each part is smaller than its box, and the recursion
-    runs on an explicit stack.
+    or, in 2-D, when a tile at some (y, x) leaves four settled ring
+    rectangles (a pinwheel).  Each part is smaller than its box, and the
+    recursion runs on an explicit stack.  Boxes and bricks share one
+    dimension, any dimension.
 
     Two refusals are proofs and cost no dissection: a side that is no
     sum of the tiles' extents along its axis (every line across a tiled
@@ -355,44 +356,49 @@ class Dissection:
 
     def __init__(self, bricks: Sequence[Brick], policy: str = ROTATION_FIXED):
         bricks = tuple(bricks)
-        if not bricks or any(b.dimension != 2 for b in bricks):
-            raise PreconditionError("dissection needs 2-D bricks")
-        self.bricks, self.memo = bricks, {}
+        if len({b.dimension for b in bricks}) != 1:
+            raise PreconditionError("need at least one brick, all of one dimension")
+        self.dimension = n = bricks[0].dimension
+        self.bricks, self.memo, self.corner = bricks, {}, (0,) * n
         self.tiles = oriented_shapes([b.sides for b in bricks], policy)
         shapes = [tile[:2] for tile in self.tiles]
         self.pairs = list(combinations(shapes, 2)) or [(shapes[0], shapes[0])]
-        self.axis_extents = [sorted({tile[2][k] for tile in self.tiles}) for k in (0, 1)]
+        self.axis_extents = [sorted({tile[2][k] for tile in self.tiles}) for k in range(n)]
         self.least = tuple(extents[0] for extents in self.axis_extents)
-        self.bound, self.sums = 0, [0, 0]
+        self.bound, self.sums = 0, [0] * n
 
-    def dissections(self, box: tuple[int, int]):
-        """Each guillotine cut and pinwheel of the box, as (how, parts):
-        cuts on axis 0 then axis 1, nearest the low edge first, then each
-        tile as the centre at each (y, x) in row-major order.  No part is
-        narrower than the least extent on its axis, which no tiling has;
-        a pinwheel with an empty ring is a guillotine cut.  Turning the
-        box by 180 degrees maps the pinwheel at (y, x) to one with the
-        same rings at (h - c0 - y, w - c1 - x), so y stops at the middle.
+    def dissections(self, box: tuple[int, ...]):
+        """Each guillotine cut and, in 2-D, pinwheel of the box, as (how,
+        parts): cuts on axis 0, 1, ... in turn, nearest the low edge first,
+        then each tile as the centre at each (y, x) in row-major order.
+        No part is narrower than the least extent on its axis, which no
+        tiling has; a pinwheel with an empty ring is a guillotine cut.
+        Turning the box by 180 degrees maps the pinwheel at (y, x) to one
+        with the same rings at (h - c0 - y, w - c1 - x), so y stops at the
+        middle.
         """
-        (h, w), least = box, self.least
-        for at in range(least[0], h // 2 + 1):
-            yield ("cut", 0, at), ((at, w), (h - at, w))
-        for at in range(least[1], w // 2 + 1):
-            yield ("cut", 1, at), ((h, at), (h, w - at))
-        for index, orientation, extents in self.tiles:
-            for y in range(least[0], (h - extents[0]) // 2 + 1):
-                for x in range(least[1], w - extents[1] - least[1] + 1):
-                    rings = _pinwheel((0, 0), box, (y, x), extents)
-                    yield ("pinwheel", (index, orientation), y, x), [sides for _, sides in rings]
+        least = self.least
+        for axis, side in enumerate(box):
+            head, tail = box[:axis], box[axis + 1:]
+            for at in range(least[axis], side // 2 + 1):
+                yield ("cut", axis, at), (head + (at,) + tail, head + (side - at,) + tail)
+        if len(box) == 2:
+            h, w = box
+            for index, orientation, extents in self.tiles:
+                for y in range(least[0], (h - extents[0]) // 2 + 1):
+                    for x in range(least[1], w - extents[1] - least[1] + 1):
+                        rings = _pinwheel((0, 0), box, (y, x), extents)
+                        yield ("pinwheel", (index, orientation), y, x), [s for _, s in rings]
 
-    def settle(self, box: tuple[int, int]):
+    def settle(self, box: tuple[int, ...]):
         """A generator settling the box: it yields each part it needs that
         the memo lacks, is sent back how that part was settled, and
         returns how the box was, or False."""
-        if not (self.sums[0] >> box[0] & 1 and self.sums[1] >> box[1] & 1):
-            return False
+        for sums, side in zip(self.sums, box):
+            if not sums >> side & 1:
+                return False
         for pair in self.pairs:
-            if two_brick_blocks((0, 0), box, self.bricks, pair) is not None:
+            if two_brick_blocks(self.corner, box, self.bricks, pair) is not None:
                 return ("tiles", pair)
         if len(self.tiles) <= 2:
             return False
@@ -408,11 +414,11 @@ class Dissection:
         return False
 
     def settled(self, box: Sequence[int]):
-        """How the 2-D box is settled, or False, with no blocks built: a
-        record ("tiles", pair), ("cut", axis, at) or ("pinwheel", tile, y, x)."""
+        """How the box is settled, or False, with no blocks built: a record
+        ("tiles", pair), ("cut", axis, at) or ("pinwheel", tile, y, x)."""
         box = tuple(box)
-        if len(box) != 2 or min(box) < 1:
-            raise PreconditionError(f"dissection needs a 2-D box of positive sides, got {box}")
+        if len(box) != self.dimension or min(box) < 1:
+            raise PreconditionError(f"need a {self.dimension}-D box of positive sides, got {box}")
         memo = self.memo
         if box not in memo:
             if max(box) > self.bound:
@@ -432,12 +438,12 @@ class Dissection:
         return memo[box]
 
     def blocks(self, box: Sequence[int]) -> Optional[list]:
-        """Grid blocks tiling the 2-D box, for grid_blocks; or None when
+        """Grid blocks tiling the box, for grid_blocks; or None when
         dissection settles no tiling."""
         box = tuple(box)
         if not self.settled(box):
             return None
-        blocks, todo = [], [((0, 0), box)]
+        blocks, todo = [], [(self.corner, box)]
         while todo:
             corner, sides = todo.pop()
             kind, *how = self.memo[sides]

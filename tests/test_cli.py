@@ -333,6 +333,18 @@ class TestOracle:
                            "--limit", "200")
         assert code == 3 and "CapExceededError" in err
 
+    def test_cube_scan(self, capsys):
+        cubes = ("--bricks", "2x2x2", "3x3x3", "5x5x5", "7x7x7")
+        code, out, err = run(capsys, "oracle", "scan", *cubes, "--limit", "16")
+        assert (code, out, err) == (0, "1 11 13\n", "")
+        # 17 ** 3 = 4,913 cells, past the search's cap
+        code, out, err = run(capsys, "oracle", "scan", *cubes, "--limit", "17")
+        assert code == 3 and out == ""
+        line, = err.splitlines()
+        assert line.startswith("error: CapExceededError: ")
+        code, out, err = run(capsys, "oracle", "scan", "--bricks", "2x3x2", "--limit", "8")
+        assert code == 2 and out == "" and "PreconditionError" in err
+
     def test_zero_time_limit_is_exit_2(self, capsys):
         code, out, err = run(capsys, "oracle", "search", "--box", "6x6",
                              "--bricks", "2x2", "--time-limit", "0")

@@ -197,11 +197,24 @@ def test_one_or_two_square_sizes_scan_without_search():
         assert threshold_scan(squares(3), 10) == [1, 2, 4, 5, 7, 8, 10]
 
 
+def test_cube_scans():
+    cubes = lambda n, *sides: [Brick((s,) * n) for s in sides]
+    assert threshold_scan(cubes(3, 2, 3, 5, 7), 16) == [1, 11, 13]
+    assert threshold_scan(cubes(3, 2, 3), 16) == [1, 5, 7, 11, 13]
+    assert threshold_scan(cubes(4, 2, 3, 5), 8) == [1, 7]
+
+
 def test_threshold_scan_validates():
     with pytest.raises(PreconditionError):
         threshold_scan([Brick((2, 3))], 10)
     with pytest.raises(PreconditionError):
         threshold_scan(squares(2), 0)
+    with pytest.raises(PreconditionError, match="need at least one brick"):
+        threshold_scan([], 10)
+    with pytest.raises(PreconditionError):
+        threshold_scan([Brick((2, 2)), Brick((3, 3, 3))], 10)
+    with pytest.raises(PreconditionError):
+        threshold_scan([Brick((2, 3, 2))], 10)
 
 
 def test_search_config_validates():

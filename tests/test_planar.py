@@ -1,4 +1,4 @@
-"""Tests for the 2-D deciders, thresholds and square compositions."""
+"""Tests for the 2-D deciders, thresholds, square compositions and dissection."""
 
 import functools
 import hashlib
@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 from brute import bitmask_search
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobtile.codec import encode
@@ -527,15 +527,30 @@ def test_each_composed_square_is_one_tiling():
     assert init.call_count == 2
 
 
+@st.composite
+def dissection_instances(draw, max_bricks):
+    """A box and one to max_bricks bricks: 2-D boxes to 9 x 9, or 3-D
+    boxes of at most 64 cells with no two bricks of shape k x 1 x 1 in
+    any order, past which the reference engine slows sharply."""
+    if draw(st.booleans()):
+        box = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        brick = st.tuples(st.integers(1, 6), st.integers(1, 6))
+        return box, draw(st.lists(brick, min_size=1, max_size=max_bricks))
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, min(6, 64 // a)))
+    box = (a, b, draw(st.integers(1, min(6, 64 // (a * b)))))
+    brick = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+    sides = draw(st.lists(brick, min_size=1, max_size=max_bricks).filter(
+        lambda sides: sum(sorted(s)[1] == 1 for s in sides) < 2))
+    return box, sides
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.tuples(st.integers(1, 9), st.integers(1, 9)),
-    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3),
-    st.sampled_from([ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS]),
-)
-def test_dissection_is_sound(box, sides, policy):
-    """Every box dissection settles has a tiling by the earlier engine,
-    and the dissection's blocks are one."""
+@given(dissection_instances(3), st.sampled_from([ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS]))
+def test_dissection_is_sound(instance, policy):
+    """Every box dissection settles, in 2-D or 3-D, has a tiling by the
+    earlier engine, and the dissection's blocks are one."""
+    box, sides = instance
     bricks = [Brick(s) for s in sides]
     blocks = Dissection(bricks, policy).blocks(box)
     if blocks is not None:
@@ -544,18 +559,17 @@ def test_dissection_is_sound(box, sides, policy):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.tuples(st.integers(1, 9), st.integers(1, 9)),
-    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=2),
-    st.sampled_from([ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS]),
-)
-def test_dissection_is_exact_over_two_tiles(box, sides, policy):
+@given(dissection_instances(2), st.sampled_from([ROTATION_FIXED, ROTATION_AXIS_PERMUTATIONS]))
+def test_dissection_is_exact_over_two_tiles(instance, policy):
     """Over one brick turning, or one or two bricks fixed, dissection
-    settles exactly the boxes that have a tiling."""
+    settles exactly the boxes that have a tiling, in 2-D and 3-D."""
+    box, sides = instance
     if policy == ROTATION_AXIS_PERMUTATIONS:
         sides = sides[:1]
     dissection = Dissection([Brick(s) for s in sides], policy)
-    assert len(dissection.tiles) <= 2
+    # a 2-D brick turning has two orientations, a 3-D one up to six
+    assert len(box) == 3 or len(dissection.tiles) <= 2
+    assume(len(dissection.tiles) <= 2)
     tileable = bitmask_search(box, sides, policy)[0] != INFEASIBLE
     assert bool(dissection.settled(box)) == tileable
 
@@ -602,14 +616,27 @@ def test_dissection_follows_the_rotation_policy():
     assert_valid(grid_blocks((9, 4), bricks, blocks, ROTATION_AXIS_PERMUTATIONS))
 
 
+def test_cube_dissection_leaves_the_known_sides():
+    # over cubes {2,3,5,7}: 11 and 13 have no tiling, 17 tiles but by no
+    # dissection, and 19, 23 and 37 are open
+    bricks = [Brick((s, s, s)) for s in (2, 3, 5, 7)]
+    dissection = Dissection(bricks)
+    left = [a for a in range(1, 41) if not dissection.settled((a, a, a))]
+    assert left == [1, 11, 13, 17, 19, 23, 37]
+    for a in sorted(set(range(1, 41)) - set(left)):
+        assert_valid(grid_blocks((a, a, a), bricks, dissection.blocks((a, a, a))))
+
+
 def test_dissection_validates():
-    with pytest.raises(PreconditionError):
-        Dissection([Brick((1, 1, 1))])
+    with pytest.raises(PreconditionError, match="all of one dimension"):
+        Dissection([Brick((1, 1)), Brick((1, 1, 1))])
     with pytest.raises(PreconditionError):
         Dissection([])
     with pytest.raises(PreconditionError):
         Dissection([Brick((1, 1))], "mirrored")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="need a 2-D box"):
         Dissection([Brick((1, 1))]).settled((2, 2, 2))
+    with pytest.raises(PreconditionError, match="need a 3-D box"):
+        Dissection([Brick((1, 1, 1))]).blocks((2, 2))
     with pytest.raises(PreconditionError):
         Dissection([Brick((1, 1))]).blocks((0, 2))
